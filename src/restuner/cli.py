@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .backbone import build_backbone
 from .config import ConfigError, RunConfig, load_run_config
 from .data_io import (
@@ -29,7 +26,7 @@ from .data_io import (
     split_dataset,
     synth_dataset,
 )
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 from .training import evaluate, grad_check, train
 from .tuners import AttachSpec, AttachError, attach, count_trainable_params
 
@@ -146,9 +143,6 @@ def cmd_grad_check(args) -> int:
     attach(model, run.tuner_specs)
     spec = _dataset_spec(run)
     ds = synth_dataset(replace(spec, size=max(4, min(8, spec.size))), task=run.data.task)
-    if args.corrupt_backward:
-        # test hook: deliberately wrong GELU derivative must be caught
-        T._gelu_grad = lambda x: np.ones_like(x)
     report, ok = grad_check(model, ds.images, ds.labels, eps=args.eps, tol=args.tol)
     print(f"grad check: eps={args.eps} tol={args.tol}")
     for name, entry in report.items():
@@ -161,9 +155,8 @@ def _zero_init_identity_holds(run: RunConfig, specs, images) -> bool:
     frozen = build_backbone(run.backbone)
     tuned = build_backbone(run.backbone)
     attach(tuned, specs)
-    a = frozen(Tensor(images)).data
-    b = tuned(Tensor(images)).data
-    return bool(np.array_equal(a, b))
+    with no_grad():
+        return bool(np.array_equal(frozen(Tensor(images)).data, tuned(Tensor(images)).data))
 
 
 def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds):
@@ -185,28 +178,15 @@ def cmd_matrix(args) -> int:
     run = load_run_config(args.config)
     depth = run.backbone.depth
     train_ds, eval_ds = _load_datasets(run)
-    jobs = []
+    single = {}
+    dual = {}
     for kind in TUNER_ORDER:
         for op in OP_ORDER:
-            jobs.append(("single", kind, op, _uniform_specs(kind, op, depth)))
+            single[(kind, op)] = _matrix_cell(run, _uniform_specs(kind, op, depth), train_ds, eval_ds)
     for mha_kind in TUNER_ORDER:
         for ffn_kind in TUNER_ORDER:
             specs = _uniform_specs(mha_kind, "mha", depth) + _uniform_specs(ffn_kind, "ffn", depth)
-            jobs.append(("dual", mha_kind, ffn_kind, specs))
-
-    threads = max(1, int(os.environ.get("RES_TUNER_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda j: _matrix_cell(run, j[3], train_ds, eval_ds), jobs)
-            )
-    else:
-        results = [_matrix_cell(run, j[3], train_ds, eval_ds) for j in jobs]
-
-    single = {}
-    dual = {}
-    for (grid, a, b, _), res in zip(jobs, results):
-        (single if grid == "single" else dual)[(a, b)] = res
+            dual[(mha_kind, ffn_kind)] = _matrix_cell(run, specs, train_ds, eval_ds)
 
     print("single-tuner grid (final train accuracy)")
     _print_grid(single, cols=OP_ORDER, col_labels=[c.upper() for c in OP_ORDER])
@@ -262,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--config", required=True)
     g.add_argument("--eps", type=float, default=1e-5)
     g.add_argument("--tol", type=float, default=1e-4)
-    g.add_argument("--corrupt-backward", action="store_true", help=argparse.SUPPRESS)
     g.set_defaults(fn=cmd_grad_check)
 
     m = sub.add_parser("matrix", help="single and dual attach-point grids")

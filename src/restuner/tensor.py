@@ -1,26 +1,44 @@
 """Dense float64 tensors with reverse-mode autodiff.
 
 The graph is define-by-run: every op links its output to its inputs and
-stores a backward closure. ``backward`` on a scalar walks the recorded
-graph once in reverse topological order. A finite-difference oracle
+stores a backward closure that receives the output's grad as its argument,
+so no node refers to its own output and a graph is freed by reference
+counting as soon as its loss dies. Grad buffers of op outputs are allocated
+by ``backward``, not by the forward pass. Inside ``no_grad()`` ops record
+nothing. ``backward`` on a scalar walks the recorded graph once in reverse
+topological order. A finite-difference oracle
 (`finite_diff_grad`) is provided for independent gradient verification;
 it never touches autodiff state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 from scipy.special import erf as _erf_np
 
 _CHECK_FINITE = False
+_GRAD_ENABLED = True
 
 
 def set_debug_checks(enabled: bool) -> None:
     """Toggle finiteness assertions on every op output (debug mode)."""
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: op outputs get no parents or closure."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class ShapeError(ValueError):
@@ -102,7 +120,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # -- operator sugar -------------------------------------------------
 
@@ -171,9 +189,8 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     if _CHECK_FINITE and not np.all(np.isfinite(data)):
         raise GradientError("non-finite value produced in forward op")
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         out._parents = parents
         out._backward = backward
     return out
@@ -193,62 +210,47 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-    out = _make(out_data, (a, b), None)
-
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad, a.data.shape)
+            a.grad += _unbroadcast(g, a.data.shape)
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad, b.data.shape)
+            b.grad += _unbroadcast(g, b.data.shape)
 
-    out._backward = backward
-    return out
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = _make(a.data * b.data, (a, b), None)
-
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad * b.data, a.data.shape)
+            a.grad += _unbroadcast(g * b.data, a.data.shape)
         if b.requires_grad:
-            b.grad += _unbroadcast(out.grad * a.data, b.data.shape)
+            b.grad += _unbroadcast(g * a.data, b.data.shape)
 
-    out._backward = backward
-    return out
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
-    out = _make(a.data * s, (a,), None)
+    def backward(g):
+        a.grad += g * s
 
-    def backward():
-        a.grad += out.grad * s
-
-    out._backward = backward
-    return out
+    return _make(a.data * s, (a,), backward)
 
 
 def power(a: Tensor, p: float) -> Tensor:
-    out = _make(a.data**p, (a,), None)
+    def backward(g):
+        a.grad += g * p * a.data ** (p - 1.0)
 
-    def backward():
-        a.grad += out.grad * p * a.data ** (p - 1.0)
-
-    out._backward = backward
-    return out
+    return _make(a.data**p, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     phi_cdf = 0.5 * (1.0 + _erf_np(a.data / math.sqrt(2.0)))
-    out = _make(a.data * phi_cdf, (a,), None)
 
-    def backward():
-        a.grad += out.grad * _gelu_grad(a.data)
+    def backward(g):
+        a.grad += g * _gelu_grad(a.data)
 
-    out._backward = backward
-    return out
+    return _make(a.data * phi_cdf, (a,), backward)
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
@@ -265,29 +267,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
-    out = _make(a.data @ b.data, (a, b), None)
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(out.grad @ b.data.swapaxes(-1, -2), a.data.shape)
+            a.grad += _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
         if b.requires_grad:
-            b.grad += _unbroadcast(a.data.swapaxes(-1, -2) @ out.grad, b.data.shape)
+            b.grad += _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
 
-    out._backward = backward
-    return out
+    return _make(a.data @ b.data, (a, b), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
-    out = _make(a.data.reshape(shape), (a,), None)
 
-    def backward():
-        a.grad += out.grad.reshape(a.data.shape)
+    def backward(g):
+        a.grad += g.reshape(a.data.shape)
 
-    out._backward = backward
-    return out
+    return _make(a.data.reshape(shape), (a,), backward)
 
 
 def permute(a: Tensor, axes: tuple) -> Tensor:
@@ -295,13 +293,11 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"invalid permutation {axes} for ndim {a.data.ndim}")
     inverse = tuple(np.argsort(axes))
-    out = _make(a.data.transpose(axes), (a,), None)
 
-    def backward():
-        a.grad += out.grad.transpose(inverse)
+    def backward(g):
+        a.grad += g.transpose(inverse)
 
-    out._backward = backward
-    return out
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def transpose_last2(a: Tensor) -> Tensor:
@@ -310,57 +306,57 @@ def transpose_last2(a: Tensor) -> Tensor:
     return permute(a, tuple(axes))
 
 
+def _is_basic_index(idx) -> bool:
+    """True for ints, slices, Ellipsis and None: no element is selected twice."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items)
+
+
 def getitem(a: Tensor, idx) -> Tensor:
-    out = _make(a.data[idx], (a,), None)
+    basic = _is_basic_index(idx)
 
-    def backward():
-        np.add.at(a.grad, idx, out.grad)
+    def backward(g):
+        if basic:
+            a.grad[idx] += g
+        else:  # advanced indices may repeat a target; add.at accumulates repeats
+            np.add.at(a.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return _make(a.data[idx], (a,), backward)
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), None)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
+    def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                sl = [slice(None)] * out.data.ndim
+                sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(lo), int(hi))
-                t.grad += out.grad[tuple(sl)]
+                t.grad += g[tuple(sl)]
 
-    out._backward = backward
-    return out
+    return _make(data, tuple(tensors), backward)
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
-    out = _make(np.broadcast_to(a.data, shape).copy(), (a,), None)
+    def backward(g):
+        a.grad += _unbroadcast(g, a.data.shape)
 
-    def backward():
-        a.grad += _unbroadcast(out.grad, a.data.shape)
-
-    out._backward = backward
-    return out
+    return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
 
 
 # -- reductions ---------------------------------------------------------
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
-
-    def backward():
-        g = out.grad
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         a.grad += np.broadcast_to(g, a.data.shape)
 
-    out._backward = backward
-    return out
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -379,14 +375,11 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _make(y, (a,), None)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         a.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
 
-    out._backward = backward
-    return out
+    return _make(y, (a,), backward)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:

@@ -61,14 +61,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
     log_probs = z - logsumexp
     loss_val = -(target * log_probs).sum() / B
 
-    out = T._make(np.asarray(loss_val), (logits,), None)
-
-    def backward():
+    def backward(g):
         probs = np.exp(log_probs)
-        logits.grad += out.grad * (probs - target) / B
+        logits.grad += g * (probs - target) / B
 
-    out._backward = backward
-    return out
+    return T._make(np.asarray(loss_val), (logits,), backward)
 
 
 class Optimizer:
@@ -172,16 +169,13 @@ def train(
             loss_sum = 0.0
             correct = 0
             for idx in _batches(n, cfg.batch_size, rng):
-                images = Tensor(dataset.images[idx])
-                labels = dataset.labels[idx]
-                logits = model(images)
-                loss = cross_entropy(logits, labels, cfg.label_smoothing)
-                opt.zero_grad()
-                loss.backward()
-                opt.step(lr_at(cfg, step, total_steps))
+                loss, n_correct = _train_step(
+                    model, opt, dataset.images[idx], dataset.labels[idx], cfg.label_smoothing,
+                    lr_at(cfg, step, total_steps),
+                )
                 step += 1
-                loss_sum += loss.item() * len(idx)
-                correct += int((logits.data.argmax(axis=-1) == labels).sum())
+                loss_sum += loss * len(idx)
+                correct += n_correct
             record = {
                 "epoch": epoch,
                 "split": "train",
@@ -209,6 +203,19 @@ def train(
     return history
 
 
+def _train_step(model, opt, images, labels, smoothing: float, lr: float):
+    """One optimizer step -> (loss value, correct count).
+
+    Its graph lives only in this frame, so it is freed before the next forward.
+    """
+    logits = model(Tensor(images))
+    loss = cross_entropy(logits, labels, smoothing)
+    opt.zero_grad()
+    loss.backward()
+    opt.step(lr)
+    return loss.item(), int((logits.data.argmax(axis=-1) == labels).sum())
+
+
 def _emit(record, sink, quiet):
     line = json.dumps(record)
     if not quiet:
@@ -218,18 +225,19 @@ def _emit(record, sink, quiet):
 
 
 def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
-    """(accuracy, mean loss) in eval mode; deterministic."""
+    """(accuracy, mean loss) in eval mode, recording no graph; deterministic."""
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     model.eval_mode()
     loss_sum = 0.0
     correct = 0
-    for idx in _batches(n, batch_size, rng=None):
-        logits = model(Tensor(dataset.images[idx]))
-        labels = dataset.labels[idx]
-        loss_sum += cross_entropy(logits, labels).item() * len(idx)
-        correct += int((logits.data.argmax(axis=-1) == labels).sum())
+    with T.no_grad():
+        for idx in _batches(n, batch_size, rng=None):
+            logits = model(Tensor(dataset.images[idx]))
+            labels = dataset.labels[idx]
+            loss_sum += cross_entropy(logits, labels).item() * len(idx)
+            correct += int((logits.data.argmax(axis=-1) == labels).sum())
     return correct / n, loss_sum / n
 
 
@@ -244,8 +252,8 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     labels = np.asarray(labels)
 
     def loss_value() -> float:
-        logits = model(Tensor(images))
-        return cross_entropy(logits, labels).item()
+        with T.no_grad():
+            return cross_entropy(model(Tensor(images)), labels).item()
 
     logits = model(Tensor(images))
     loss = cross_entropy(logits, labels)

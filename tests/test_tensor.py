@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -209,3 +210,91 @@ def test_dropout_semantics():
     kept = y.data[y.data > 0]
     assert np.allclose(kept, 2.0)  # inverted scaling
     assert abs((y.data > 0).mean() - 0.5) < 0.08
+
+
+# -- graph lifetime and no_grad -----------------------------------------
+
+
+def test_graph_is_freed_without_cycle_collector():
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            h = T.gelu(x @ w)
+            loss = (T.softmax_lastdim(h) * h[:, 0:1]).sum()
+            loss.backward()
+        del h, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_intermediate_grad_allocated_by_backward():
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    y = x * 2.0
+    z = (y * y).sum()
+    assert y.grad is None and z.grad is None
+    z.backward()
+    assert np.array_equal(y.grad, [4.0, 8.0, 12.0])
+    assert np.array_equal(x.grad, [8.0, 16.0, 24.0])
+
+
+def _no_grad_probe(x):
+    return T.softmax_lastdim(T.gelu(x @ x.transpose_last2())).sum(axis=-1)
+
+
+def test_no_grad_records_no_graph_and_same_values():
+    x = Tensor(np.random.default_rng(9).normal(size=(2, 3, 4)), requires_grad=True)
+    recorded = _no_grad_probe(x)
+    with T.no_grad():
+        bare = _no_grad_probe(x)
+    assert recorded.requires_grad and recorded._parents
+    assert not bare.requires_grad
+    assert bare._parents == () and bare._backward is None and bare.grad is None
+    assert np.array_equal(bare.data, recorded.data)
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    x = Tensor([1.0], requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            assert not (x * 2.0).requires_grad
+        assert not (x * 2.0).requires_grad
+    assert (x * 2.0).requires_grad
+    with pytest.raises(RuntimeError), T.no_grad():
+        raise RuntimeError("boom")
+    assert T._GRAD_ENABLED
+    assert (x * 2.0).requires_grad
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [(slice(1, None), slice(None, None, 2)), (Ellipsis, 0), (None, 1), 2, np.int64(1)],
+)
+def test_getitem_basic_index_grad(idx):
+    x = Tensor(np.random.default_rng(10).normal(size=(3, 4)), requires_grad=True)
+    w = np.random.default_rng(11).normal(size=x.data[idx].shape)
+
+    def f(t):
+        return (t[idx] * Tensor(w)).sum()
+
+    f(x).backward()
+    assert rel_error(x.grad, finite_diff_grad(f, x)) < 1e-7
+    reference = np.zeros_like(x.data)
+    np.add.at(reference, idx, w)
+    assert np.array_equal(x.grad, reference)
+
+
+def test_getitem_duplicate_fancy_index_accumulates():
+    x = Tensor(np.random.default_rng(12).normal(size=(4, 2)), requires_grad=True)
+    idx = np.array([0, 2, 0, 0])
+
+    def f(t):
+        return (t[idx] * t[idx]).sum()
+
+    f(x).backward()
+    assert rel_error(x.grad, finite_diff_grad(f, x)) < 1e-7
+    assert np.allclose(x.grad[0], 6.0 * x.data[0], rtol=1e-12, atol=0.0)  # row 0 picked 3 times

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -138,6 +139,20 @@ def test_headonly_full_batch_sgd_loss_nonincreasing():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+def test_train_steps_leave_no_cyclic_garbage():
+    m = build_backbone(TOY)
+    attach(m, [AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2}),
+               AttachSpec(1, "ffn", "adapter", {"bottleneck": 2})])
+    ds = toy_dataset(size=24)
+    gc.collect()
+    gc.disable()
+    try:
+        train(m, ds, TrainConfig(epochs=1, batch_size=8), quiet=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_class_count_mismatch():
     m = build_backbone(TOY)
     ds = synth_dataset(DatasetSpec(num_classes=3, shape=(1, 8, 8), size=12, seed=0))
@@ -178,6 +193,22 @@ def test_evaluate_duplication_invariant():
     acc2, loss2 = evaluate(m, doubled)
     assert acc1 == acc2
     assert abs(loss1 - loss2) < 1e-12
+
+
+def test_evaluate_matches_graph_recording_loop():
+    m = build_backbone(TOY)
+    attach(m, [AttachSpec(0, "mha", "prefix", {"length": 3})])
+    ds = toy_dataset(size=20)
+    m.eval_mode()
+    loss_sum, correct = 0.0, 0
+    for lo in range(0, 20, 8):
+        logits = m(Tensor(ds.images[lo : lo + 8]))
+        labels = ds.labels[lo : lo + 8]
+        loss = cross_entropy(logits, labels)
+        assert loss.requires_grad  # this reference loop records a graph
+        loss_sum += loss.item() * len(labels)
+        correct += int((logits.data.argmax(axis=-1) == labels).sum())
+    assert evaluate(m, ds, batch_size=8) == (correct / 20, loss_sum / 20)
 
 
 def test_evaluate_deterministic_and_empty():
