@@ -103,7 +103,6 @@ class ModelGraph(Module):
         self.head = make_linear(rng, cfg.dim, cfg.num_classes)
         self.tuners: dict[tuple[int, str], Module] = {}
         self.training = False
-        self.drop_rng = np.random.default_rng(cfg.seed + 1)
 
     # tuners is a plain dict, so extend the attribute walk
     def named_parameters(self, prefix: str = ""):
@@ -162,13 +161,13 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(B, gh * gw, C * patch * patch)
 
 
-def _tuner_delta(model: ModelGraph, tuner, x_in: Tensor, q, block: Block) -> Tensor:
+def _tuner_delta(tuner, x_in: Tensor, q, block: Block) -> Tensor:
     if tuner.kind in ("res_attn", "adapter"):
-        return tuner(x_in, rng=model.drop_rng, training=model.training)
+        return tuner(x_in)
     if tuner.kind == "prefix":
-        return tuner(q, rng=model.drop_rng, training=model.training)
+        return tuner(q)
     if tuner.kind == "prompt":
-        return tuner(q, block.mha, rng=model.drop_rng, training=model.training)
+        return tuner(q, block.mha)
     raise ShapeError(f"unknown tuner kind {tuner.kind!r}")
 
 
@@ -181,21 +180,21 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     """
     block = model.blocks[index]
     h1 = block.norm1(x)
-    mha_out, q = block.mha(h1, rng=model.drop_rng, training=model.training)
+    mha_out, q = block.mha(h1)
     u = x + mha_out
     tuner = model.tuners.get((index, "mha"))
     if tuner is not None:
-        u = u + _tuner_delta(model, tuner, h1, q, block)
+        u = u + _tuner_delta(tuner, h1, q, block)
 
     h2 = block.norm2(u)
     y = u + block.mlp(h2)
     tuner = model.tuners.get((index, "ffn"))
     if tuner is not None:
-        y = y + _tuner_delta(model, tuner, h2, q, block)
+        y = y + _tuner_delta(tuner, h2, q, block)
 
     tuner = model.tuners.get((index, "block"))
     if tuner is not None:
-        y = y + _tuner_delta(model, tuner, x, q, block)
+        y = y + _tuner_delta(tuner, x, q, block)
     return y
 
 

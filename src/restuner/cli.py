@@ -16,8 +16,6 @@ import numpy as np
 from .backbone import build_backbone
 from .config import ConfigError, RunConfig, load_run_config
 from .data_io import (
-    Dataset,
-    DatasetSpec,
     FormatError,
     load_binary_dataset,
     load_checkpoint,
@@ -40,27 +38,11 @@ OP_ORDER = ["mha", "ffn", "block"]
 REFERENCE_COUNTS = {(8, 8): 2.35e6, (8, 4): 1.22e6, (4, 4): 0.66e6, (2, 4): 0.32e6}
 
 
-def _dataset_spec(run: RunConfig) -> DatasetSpec:
-    b, d = run.backbone, run.data
-    return DatasetSpec(
-        num_classes=b.num_classes,
-        shape=(b.in_channels, b.image_size, b.image_size),
-        size=d.size,
-        train_fraction=d.train_fraction,
-        seed=d.seed,
-        signal=d.signal,
-        noise=d.noise,
-        rotation_deg=d.rotation_deg,
-    )
-
-
 def _load_datasets(run: RunConfig):
     if run.data.source == "synthetic":
-        ds = synth_dataset(_dataset_spec(run), task=run.data.task)
-    elif run.data.source == "file":
-        ds = load_binary_dataset(run.data.path)
+        ds = synth_dataset(run.dataset_spec(), task=run.data.task)
     else:
-        raise ConfigError(f"[data] source must be 'synthetic' or 'file', got {run.data.source!r}")
+        ds = load_binary_dataset(run.data.path)
     return split_dataset(ds, run.data.train_fraction, seed=run.data.seed)
 
 
@@ -141,8 +123,9 @@ def cmd_grad_check(args) -> int:
     run = load_run_config(args.config)
     model = build_backbone(run.backbone)
     attach(model, run.tuner_specs)
-    spec = _dataset_spec(run)
-    ds = synth_dataset(replace(spec, size=max(4, min(8, spec.size))), task=run.data.task)
+    spec = run.dataset_spec()
+    size = max(4, spec.num_classes, min(8, spec.size))  # at least one image per class
+    ds = synth_dataset(replace(spec, size=size), task=run.data.task)
     report, ok = grad_check(model, ds.images, ds.labels, eps=args.eps, tol=args.tol)
     print(f"grad check: eps={args.eps} tol={args.tol}")
     for name, entry in report.items():

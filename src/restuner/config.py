@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .backbone import BackboneConfig
+from .data_io import DatasetSpec
 from .training import TrainConfig
 from .tuners import AttachSpec
 
@@ -31,6 +32,14 @@ class DataSection:
     rotation_deg: float = 90.0
     task: str = "a"
 
+    def __post_init__(self):
+        if self.source not in ("synthetic", "file"):
+            raise ConfigError(f"[data] source must be 'synthetic' or 'file', got {self.source!r}")
+        if self.task not in ("a", "b"):
+            raise ConfigError(f"[data] task must be 'a' or 'b', got {self.task!r}")
+        if not 0.0 < self.train_fraction <= 1.0:
+            raise ConfigError(f"[data] train_fraction must be in (0, 1], got {self.train_fraction}")
+
 
 @dataclass
 class RunConfig:
@@ -39,6 +48,20 @@ class RunConfig:
     train: TrainConfig
     data: DataSection
     out_dir: str = "runs/out"
+
+    def dataset_spec(self) -> DatasetSpec:
+        """The synthetic dataset that the [data] and [backbone] sections describe."""
+        b, d = self.backbone, self.data
+        return DatasetSpec(
+            num_classes=b.num_classes,
+            shape=(b.in_channels, b.image_size, b.image_size),
+            size=d.size,
+            train_fraction=d.train_fraction,
+            seed=d.seed,
+            signal=d.signal,
+            noise=d.noise,
+            rotation_deg=d.rotation_deg,
+        )
 
 
 def parse_sections(text: str):
@@ -171,10 +194,16 @@ def load_run_config(path) -> RunConfig:
     specs = []
     for raw in tuner_raws:
         specs.extend(_build_tuner_specs(raw, backbone.depth))
-    return RunConfig(
+    run = RunConfig(
         backbone=backbone,
         tuner_specs=specs,
         train=train or TrainConfig(),
         data=data or DataSection(),
         out_dir=out_dir,
     )
+    if run.data.source == "synthetic":
+        try:
+            run.dataset_spec()
+        except ValueError as e:
+            raise ConfigError(f"[data]: {e}")
+    return run

@@ -14,6 +14,7 @@ W, then count x (u32 label + C*H*W f32 pixels).
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -61,9 +62,11 @@ class DatasetSpec:
         if self.num_classes < 1:
             raise ValueError("need at least one class")
         if self.size < self.num_classes:
-            raise ValueError("size must be >= num_classes")
+            raise ValueError(f"size {self.size} is below the class count {self.num_classes}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ValueError("train fraction must be in (0, 1]")
+        if 2 * self.num_classes > int(np.prod(self.shape)):
+            raise ValueError(f"image too small for {self.num_classes} classes: {self.shape}")
 
 
 def _class_directions(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +77,6 @@ def _class_directions(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     """
     d = int(np.prod(spec.shape))
     k = spec.num_classes
-    if 2 * k > d:
-        raise ValueError(f"image too small for {k} classes: {spec.shape}")
     rng = np.random.default_rng(spec.seed)
     q, _ = np.linalg.qr(rng.normal(size=(d, 2 * k)))
     theta = np.deg2rad(spec.rotation_deg)
@@ -200,6 +201,34 @@ def save_checkpoint(model: ModelGraph, path) -> None:
         f.write(CHECKPOINT_MAGIC + bytes(payload) + struct.pack("<I", crc))
 
 
+_CHECKPOINT_DTYPES = {0: "<f8", 1: "<f4"}
+
+
+class _Cursor:
+    """Bounds-checked reads from a checkpoint payload; offsets are file offsets."""
+
+    def __init__(self, payload: bytes):
+        self.payload = memoryview(payload)
+        self.off = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.payload) - self.off:
+            raise FormatError(f"truncated checkpoint: {what} at byte {4 + self.off}")
+        chunk = self.payload[self.off : self.off + n]
+        self.off += n
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        at = 4 + self.off
+        try:
+            return str(self.take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{what} at byte {at} is not UTF-8")
+
+
 def read_checkpoint(path):
     """Parse a checkpoint file -> (config dict, {name: float64 array})."""
     with open(path, "rb") as f:
@@ -210,35 +239,32 @@ def read_checkpoint(path):
     (crc,) = struct.unpack("<I", crc_bytes)
     if zlib.crc32(payload) != crc:
         raise FormatError("checkpoint CRC mismatch (corrupt file)")
-    off = 0
-    (version,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    cur = _Cursor(payload)
+    (version,) = cur.unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", payload, off)
-    off += 4
-    config = json.loads(payload[off : off + cfg_len].decode())
-    off += cfg_len
-    (count,) = struct.unpack_from("<I", payload, off)
-    off += 4
+    (cfg_len,) = cur.unpack("<I", "config length")
+    try:
+        config = json.loads(cur.text(cfg_len, "config"))
+    except json.JSONDecodeError as e:
+        raise FormatError(f"checkpoint config is not valid JSON: {e}")
+    (count,) = cur.unpack("<I", "tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", payload, off)
-        off += 2
-        name = payload[off : off + name_len].decode()
-        off += name_len
-        dtype_code, ndim = struct.unpack_from("<BB", payload, off)
-        off += 2
-        dims = struct.unpack_from(f"<{ndim}Q", payload, off)
-        off += 8 * ndim
-        size = int(np.prod(dims)) if ndim else 1
-        dt = "<f8" if dtype_code == 0 else "<f4"
-        width = 8 if dtype_code == 0 else 4
-        values = np.frombuffer(payload, dtype=dt, count=size, offset=off)
-        off += width * size
+        (name_len,) = cur.unpack("<H", "tensor name length")
+        name = cur.text(name_len, "tensor name")
+        dtype_code, ndim = cur.unpack("<BB", f"dtype of {name!r}")
+        if dtype_code not in _CHECKPOINT_DTYPES:
+            raise FormatError(f"unknown dtype code {dtype_code} for tensor {name!r}")
+        dims = cur.unpack(f"<{ndim}Q", f"dims of {name!r}")
+        dt = np.dtype(_CHECKPOINT_DTYPES[dtype_code])
+        raw = cur.take(dt.itemsize * math.prod(dims), f"values of {name!r}")
+        values = np.frombuffer(raw, dtype=dt)
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
         tensors[name] = values.astype(np.float64).reshape(dims)
+    if cur.off != len(payload):
+        raise FormatError(f"{len(payload) - cur.off} trailing bytes after the last tensor")
     return config, tensors
 
 

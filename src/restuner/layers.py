@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import ShapeError, Tensor, layer_norm
 
 
 class Parameter(Tensor):
@@ -28,6 +28,7 @@ class Parameter(Tensor):
         self.trainable = flag
         self.requires_grad = flag
         self.grad = np.zeros_like(self.data) if flag else None
+        self._owns_grad = flag
 
 
 class Module:
@@ -98,10 +99,7 @@ class LinearLayer(Module):
             raise ShapeError(
                 f"linear expects trailing dim {self.d_in}, got input shape {x.shape}"
             )
-        y = x @ self.W
-        if self.b is not None:
-            y = y + self.b
-        return y
+        return T.linear(x, self.W, self.b)
 
     __call__ = forward
 
@@ -131,33 +129,32 @@ class LayerNorm(Module):
     __call__ = forward
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Zero-mean unit-variance over the last axis, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = (var + eps) ** -0.5
-    return xc * inv * gamma + beta
-
-
 @dataclass
 class MHAConfig:
     dim: int
     heads: int
     qkv_bias: bool = True
-    attn_drop: float = 0.0
-    proj_drop: float = 0.0
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for p in (self.attn_drop, self.proj_drop):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"dropout probability {p} outside [0, 1]")
 
     @property
     def head_dim(self) -> int:
         return self.dim // self.heads
+
+
+def split_heads(qkv: Tensor, heads: int, head_dim: int):
+    """[B, N, 3*heads*head_dim] fused projection -> q, k, v, each [B, heads, N, head_dim]."""
+    B, N, _ = qkv.shape
+    qkv = qkv.reshape(B, N, 3, heads, head_dim).permute(2, 0, 3, 1, 4)
+    return qkv[0], qkv[1], qkv[2]
+
+
+def merge_heads(y: Tensor) -> Tensor:
+    """[B, heads, N, head_dim] -> [B, N, heads*head_dim]."""
+    B, heads, N, head_dim = y.shape
+    return y.permute(0, 2, 1, 3).reshape(B, N, heads * head_dim)
 
 
 class MultiHeadAttention(Module):
@@ -172,20 +169,13 @@ class MultiHeadAttention(Module):
         self.qkv = make_linear(rng, cfg.dim, 3 * cfg.dim, bias=cfg.qkv_bias, trainable=trainable)
         self.proj = make_linear(rng, cfg.dim, cfg.dim, bias=True, trainable=trainable)
 
-    def forward(self, x: Tensor, rng=None, training: bool = False):
+    def forward(self, x: Tensor):
         cfg = self.cfg
-        B, N, dim = x.shape
-        if dim != cfg.dim:
+        if x.shape[-1] != cfg.dim:
             raise ShapeError(f"MHA expects width {cfg.dim}, got input shape {x.shape}")
-        qkv = self.qkv(x).reshape(B, N, 3, cfg.heads, cfg.head_dim).permute(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        attn = (q @ k.transpose_last2()) * (cfg.head_dim**-0.5)
-        attn = T.softmax_lastdim(attn)
-        attn = T.dropout(attn, cfg.attn_drop, rng, training)
-        y = (attn @ v).permute(0, 2, 1, 3).reshape(B, N, dim)
-        y = self.proj(y)
-        y = T.dropout(y, cfg.proj_drop, rng, training)
-        return y, q
+        q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.head_dim)
+        y = merge_heads(T.attention(q, k, v, cfg.head_dim**-0.5))
+        return self.proj(y), q
 
     __call__ = forward
 

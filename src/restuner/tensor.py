@@ -3,12 +3,20 @@
 The graph is define-by-run: every op links its output to its inputs and
 stores a backward closure that receives the output's grad as its argument,
 so no node refers to its own output and a graph is freed by reference
-counting as soon as its loss dies. Grad buffers of op outputs are allocated
-by ``backward``, not by the forward pass. Inside ``no_grad()`` ops record
-nothing. ``backward`` on a scalar walks the recorded graph once in reverse
-topological order. A finite-difference oracle
-(`finite_diff_grad`) is provided for independent gradient verification;
-it never touches autodiff state.
+counting as soon as its loss dies. Inside ``no_grad()`` ops record nothing.
+``backward`` on a scalar walks the recorded graph once in reverse
+topological order. Leaf tensors add into zeroed grad buffers they own; an
+op output takes its first grad contribution as is (often an array another
+tensor also holds) and adds later ones out of place, so no backward pass
+copies or zero-fills a grad it does not have to.
+
+The hot paths are fused ops, one graph node each: ``linear``,
+``layer_norm`` and ``attention``. Each repeats, expression for expression
+and in the same order, the numpy arithmetic of the primitive chain it
+replaces, so its values and grads equal that chain's bit for bit.
+
+A finite-difference oracle (`finite_diff_grad`) is provided for
+independent gradient verification; it never touches autodiff state.
 """
 
 from __future__ import annotations
@@ -52,12 +60,15 @@ class GradientError(RuntimeError):
 class Tensor:
     """N-d float64 value, optionally participating in the gradient graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_owns_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
+        # True only when ``grad`` is a buffer no other tensor holds, so it may
+        # be added to in place; a first contribution taken as is may be shared.
+        self._owns_grad = requires_grad
         self._parents = ()
         self._backward = None
 
@@ -87,6 +98,7 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
+            self._owns_grad = True
 
     # -- graph plumbing -------------------------------------------------
 
@@ -94,7 +106,8 @@ class Tensor:
         """Fill ``grad`` on every requires_grad tensor this scalar depends on.
 
         Repeated calls without re-recording produce identical grads: each
-        call resets the grads of all reachable nodes before accumulating.
+        call zeroes the reachable leaves' grads and drops the op outputs'
+        grads before accumulating.
         """
         if self.data.size != 1:
             raise GradientError(
@@ -116,8 +129,13 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            if node._backward is None:
+                node.zero_grad()
+            else:
+                node.grad = None
+                node._owns_grad = False
         self.grad = np.ones_like(self.data)
+        self._owns_grad = True
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -196,6 +214,33 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     return out
 
 
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add one grad contribution into ``t.grad``.
+
+    The first contribution to an op output is stored as is, even when other
+    tensors hold the same array or a view of it. Only a tensor that owns its
+    buffer adds in place; any other makes a new buffer, which it then owns.
+    """
+    if t.grad is None:
+        t.grad = g
+    elif t._owns_grad:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        t._owns_grad = True
+
+
+def _own_grad(t: Tensor) -> np.ndarray:
+    """``t.grad`` as a writable buffer that ``t`` owns (zeros if no grad yet)."""
+    if not t._owns_grad:
+        buf = np.zeros_like(t.data)
+        if t.grad is not None:
+            buf += t.grad
+        t.grad = buf
+        t._owns_grad = True
+    return t.grad
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the original operand shape."""
     while grad.ndim > len(shape):
@@ -212,9 +257,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g, a.data.shape)
+            _accumulate(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g, b.data.shape)
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -222,23 +267,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
-            a.grad += _unbroadcast(g * b.data, a.data.shape)
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
         if b.requires_grad:
-            b.grad += _unbroadcast(g * a.data, b.data.shape)
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
     def backward(g):
-        a.grad += g * s
+        _accumulate(a, g * s)
 
     return _make(a.data * s, (a,), backward)
 
 
 def power(a: Tensor, p: float) -> Tensor:
     def backward(g):
-        a.grad += g * p * a.data ** (p - 1.0)
+        _accumulate(a, g * p * a.data ** (p - 1.0))
 
     return _make(a.data**p, (a,), backward)
 
@@ -248,13 +293,13 @@ def gelu(a: Tensor) -> Tensor:
     phi_cdf = 0.5 * (1.0 + _erf_np(a.data / math.sqrt(2.0)))
 
     def backward(g):
-        a.grad += g * _gelu_grad(a.data)
+        _accumulate(a, g * _gelu_grad(a.data, phi_cdf))
 
     return _make(a.data * phi_cdf, (a,), backward)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    cdf = 0.5 * (1.0 + _erf_np(x / math.sqrt(2.0)))
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU derivative Phi(x) + x * phi(x), given the forward pass's Phi(x)."""
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
 
@@ -262,17 +307,25 @@ def _gelu_grad(x: np.ndarray) -> np.ndarray:
 # -- structural ---------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
+def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
 
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+    if b.requires_grad:
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a.data, b.data)
+
     def backward(g):
-        if a.requires_grad:
-            a.grad += _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        if b.requires_grad:
-            b.grad += _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        _matmul_backward(a, b, g)
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -283,7 +336,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
 
     def backward(g):
-        a.grad += g.reshape(a.data.shape)
+        _accumulate(a, g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -295,7 +348,7 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        a.grad += g.transpose(inverse)
+        _accumulate(a, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -316,10 +369,11 @@ def getitem(a: Tensor, idx) -> Tensor:
     basic = _is_basic_index(idx)
 
     def backward(g):
+        buf = _own_grad(a)
         if basic:
-            a.grad[idx] += g
+            buf[idx] += g
         else:  # advanced indices may repeat a target; add.at accumulates repeats
-            np.add.at(a.grad, idx, g)
+            np.add.at(buf, idx, g)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -335,14 +389,14 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(lo), int(hi))
-                t.grad += g[tuple(sl)]
+                _accumulate(t, g[tuple(sl)])
 
     return _make(data, tuple(tensors), backward)
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
     def backward(g):
-        a.grad += _unbroadcast(g, a.data.shape)
+        _accumulate(a, _unbroadcast(g, a.data.shape))
 
     return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
 
@@ -354,7 +408,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.data.shape)
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -370,26 +424,105 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- softmax ------------------------------------------------------------
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max-subtraction)."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(a.data)
 
     def backward(g):
-        a.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
+        _accumulate(a, _softmax_grad(y, g))
 
     return _make(y, (a,), backward)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity when p == 0 or in eval mode."""
-    if not training or p == 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return mul(a, Tensor(mask))
+# -- fused ops ----------------------------------------------------------
+#
+# Each backward adds into its inputs in the order the primitive chain's
+# nodes would, and a parent tuple ordered like that chain keeps backward's
+# topological order, hence every grad sum, unchanged.
+
+
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ W (+ b): ``matmul`` then ``add``."""
+    _check_matmul(x.data, W.data)
+    y = x.data @ W.data
+    if b is not None:
+        y += b.data
+
+    def backward(g):
+        if b is not None and b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
+        _matmul_backward(x, W, g)
+
+    return _make(y, (x, W) if b is None else (x, W, b), backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+    """Zero-mean unit-variance over the last axis, then affine.
+
+    The chain it fuses: mu = mean(x); xc = x - mu; var = mean(xc * xc);
+    inv = (var + eps) ** -0.5; out = xc * inv * gamma + beta.
+    """
+    scale = 1.0 / x.data.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * scale
+    xc = x.data - mu
+    var_eps = (xc * xc).sum(axis=-1, keepdims=True) * scale + eps
+    inv = var_eps**-0.5
+    normed = xc * inv
+
+    def backward(g):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            _accumulate(gamma, _unbroadcast(g * normed, gamma.data.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * gamma.data
+        g_xc = g_normed * inv
+        g_var = _unbroadcast(g_normed * xc, inv.shape) * -0.5 * var_eps**-1.5
+        sq_term = g_var * scale * xc
+        g_xc += sq_term  # xc * xc adds into xc twice, one term at a time
+        g_xc += sq_term
+        _accumulate(x, g_xc)  # the centred path, then the mean path
+        g_mu = _unbroadcast(g_xc, mu.shape) * -1.0
+        _accumulate(x, np.broadcast_to(g_mu * scale, x.data.shape))
+
+    return _make(normed * gamma.data + beta.data, (x, gamma, beta), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale) @ v over the last two axes.
+
+    Batch axes broadcast, so K/V of shape [heads, L, d] serve a query of
+    shape [B, heads, N, d].
+    """
+    kt = k.data.swapaxes(-1, -2)
+    _check_matmul(q.data, kt)
+    probs = _softmax((q.data @ kt) * scale)
+    _check_matmul(probs, v.data)
+
+    def backward(g):
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(probs.swapaxes(-1, -2) @ g, v.data.shape))
+        if not (q.requires_grad or k.requires_grad):
+            return
+        g_probs = _unbroadcast(g @ v.data.swapaxes(-1, -2), probs.shape)
+        g_scores = _softmax_grad(probs, g_probs) * scale
+        if q.requires_grad:
+            _accumulate(q, _unbroadcast(g_scores @ kt.swapaxes(-1, -2), q.data.shape))
+        if k.requires_grad:
+            g_kt = _unbroadcast(q.data.swapaxes(-1, -2) @ g_scores, kt.shape)
+            _accumulate(k, g_kt.swapaxes(-1, -2))
+
+    return _make(probs @ v.data, (q, k, v), backward)
 
 
 # -- oracle -------------------------------------------------------------

@@ -63,7 +63,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
 
     def backward(g):
         probs = np.exp(log_probs)
-        logits.grad += g * (probs - target) / B
+        T._accumulate(logits, g * (probs - target) / B)
 
     return T._make(np.asarray(loss_val), (logits,), backward)
 

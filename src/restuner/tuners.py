@@ -19,6 +19,8 @@ from .layers import (
     MultiHeadAttention,
     Parameter,
     kaiming_uniform,
+    merge_heads,
+    split_heads,
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor
@@ -37,8 +39,6 @@ class ResAttnConfig:
     rank: int = 4
     heads: int = 4
     qkv_bias: bool = False
-    attn_drop: float = 0.0
-    proj_drop: float = 0.0
 
     def __post_init__(self):
         if self.rank < 1 or self.heads < 1:
@@ -65,20 +65,12 @@ class ResAttnTuner(Module):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
-        B, N, C = x.shape
-        if C != cfg.dim:
+        if x.shape[-1] != cfg.dim:
             raise ShapeError(f"tuner width {cfg.dim} vs input shape {x.shape}")
-        qkv = self.qkv(x).reshape(B, N, 3, cfg.heads, cfg.rank).permute(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        attn = (q @ k.transpose_last2()) * cfg.scale
-        attn = T.softmax_lastdim(attn)
-        attn = T.dropout(attn, cfg.attn_drop, rng, training)
-        y = (attn @ v).permute(0, 2, 1, 3).reshape(B, N, cfg.heads * cfg.rank)
-        y = self.o(y)
-        y = T.dropout(y, cfg.proj_drop, rng, training)
-        return y
+        q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.rank)
+        return self.o(merge_heads(T.attention(q, k, v, cfg.scale)))
 
     __call__ = forward
 
@@ -116,17 +108,15 @@ class PrefixTuner(Module):
         self.V = Parameter(trunc_normal(rng, shape))
         self.o = LinearLayer(np.zeros((cfg.dim, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, q_backbone: Tensor, rng=None, training: bool = False) -> Tensor:
+    def forward(self, q_backbone: Tensor) -> Tensor:
         cfg = self.cfg
-        B, heads, N, head_dim = q_backbone.shape
+        _, heads, _, head_dim = q_backbone.shape
         if heads != cfg.heads or head_dim != cfg.head_dim:
             raise ShapeError(
                 f"prefix tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q_backbone.shape}"
             )
-        attn = (q_backbone @ self.K.transpose_last2()) * (cfg.head_dim**-0.5)
-        attn = T.softmax_lastdim(attn)
-        y = (attn @ self.V).permute(0, 2, 1, 3).reshape(B, N, cfg.dim)
-        return self.o(y)
+        y = T.attention(q_backbone, self.K, self.V, cfg.head_dim**-0.5)
+        return self.o(merge_heads(y))
 
     __call__ = forward
 
@@ -163,15 +153,9 @@ class PromptTuner(Module):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
-    def forward(
-        self,
-        q_backbone: Tensor,
-        mha: MultiHeadAttention,
-        rng=None,
-        training: bool = False,
-    ) -> Tensor:
+    def forward(self, q_backbone: Tensor, mha: MultiHeadAttention) -> Tensor:
         cfg = self.cfg
-        B, heads, N, head_dim = q_backbone.shape
+        _, heads, _, head_dim = q_backbone.shape
         if heads != cfg.heads or head_dim != cfg.head_dim:
             raise ShapeError(
                 f"prompt tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q_backbone.shape}"
@@ -182,10 +166,8 @@ class PromptTuner(Module):
         v_flat = self.P @ W[:, 2 * dim :]
         K = k_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
         V = v_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
-        attn = (q_backbone @ K.transpose_last2()) * (head_dim**-0.5)
-        attn = T.softmax_lastdim(attn)
-        y = (attn @ V).permute(0, 2, 1, 3).reshape(B, N, dim)
-        return y @ mha.proj.W
+        y = T.attention(q_backbone, K, V, head_dim**-0.5)
+        return merge_heads(y) @ mha.proj.W
 
     __call__ = forward
 
@@ -212,7 +194,7 @@ class AdapterTuner(Module):
         )
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.cfg.dim:
             raise ShapeError(f"adapter width {self.cfg.dim} vs input shape {x.shape}")
         return self.up(T.gelu(self.down(x)))
@@ -245,8 +227,6 @@ def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.G
             rank=int(opts.pop("rank", 4)),
             heads=int(opts.pop("heads", 4)),
             qkv_bias=bool(opts.pop("qkv_bias", False)),
-            attn_drop=float(opts.pop("attn_drop", 0.0)),
-            proj_drop=float(opts.pop("proj_drop", 0.0)),
         )
         tuner = ResAttnTuner(cfg, rng)
     elif kind == "prefix":

@@ -129,6 +129,29 @@ def test_cmd_train_malformed_config(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("size = 64", "size = 2", "size"),  # below the class count
+        ("[data]\n", "[data]\ntask = c\n", "task"),
+        ("train_fraction = 0.75", "train_fraction = 0", "train_fraction"),
+    ],
+)
+def test_cmd_bad_data_section_exits_2(config_path, capsys, old, new, key):
+    config_path.write_text(config_path.read_text().replace(old, new))
+    for command in ("train", "grad-check", "matrix"):
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [data]") and key in err, err
+
+
+def test_cmd_grad_check_more_classes_than_probe_images(tmp_path, capsys):
+    path = tmp_path / "g.cfg"
+    path.write_text("[backbone]\ndim = 8\ndepth = 1\nheads = 2\npatch = 4\nimage = 8\nclasses = 10\n")
+    assert main(["grad-check", "--config", str(path)]) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out
+
+
 def test_cmd_train_seed_override_changes_metrics(config_path, tmp_path, capsys):
     out1, out2, out3 = (tmp_path / n for n in ("o1", "o2", "o3"))
     main(["train", "--config", str(config_path), "--out", str(out1)])
@@ -168,7 +191,7 @@ def test_cmd_grad_check_pass_and_corrupt(config_path, capsys, monkeypatch):
     assert "RESULT: PASS" in out
 
     # a deliberately wrong GELU derivative must be caught
-    monkeypatch.setattr(T, "_gelu_grad", lambda x: np.ones_like(x))
+    monkeypatch.setattr(T, "_gelu_grad", lambda x, cdf: np.ones_like(x))
     assert main(["grad-check", "--config", str(config_path)]) == 1
     assert "RESULT: FAIL" in capsys.readouterr().out
 

@@ -234,3 +234,42 @@ def test_import_reports_unused(tmp_path):
     name_map = {n: n for n in tensors if n in backbone_names}
     unused = import_weights(m2, path, name_map)
     assert unused and all(n.startswith("tuners.") for n in unused)
+
+
+def _with_crc(payload: bytes) -> bytes:
+    import struct
+    import zlib
+
+    return b"RTCK" + payload + struct.pack("<I", zlib.crc32(payload))
+
+
+def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
+    import struct
+
+    tiny = BackboneConfig(dim=4, depth=1, heads=1, patch=4, image_size=4,
+                          in_channels=1, num_classes=2, seed=0)
+    m = build_backbone(tiny)
+    attach(m, [AttachSpec(0, "ffn", "adapter", {"bottleneck": 2})])
+    path = tmp_path / "m.rtck"
+    save_checkpoint(m, path)
+    payload = path.read_bytes()[4:-4]
+    bad = tmp_path / "bad.rtck"
+    # every truncation of the body, each with a valid CRC
+    for cut in range(len(payload)):
+        bad.write_bytes(_with_crc(payload[:cut]))
+        with pytest.raises(FormatError):
+            read_checkpoint(bad)
+    bad.write_bytes(_with_crc(payload + b"\0"))
+    with pytest.raises(FormatError, match="trailing"):
+        read_checkpoint(bad)
+    # the first tensor's dtype byte set to codes the format does not define
+    (cfg_len,) = struct.unpack_from("<I", payload, 4)
+    (name_len,) = struct.unpack_from("<H", payload, 12 + cfg_len)
+    dtype_at = 14 + cfg_len + name_len
+    assert payload[dtype_at] == 0
+    for code in (2, 255):
+        mutated = bytearray(payload)
+        mutated[dtype_at] = code
+        bad.write_bytes(_with_crc(bytes(mutated)))
+        with pytest.raises(FormatError, match=f"unknown dtype code {code}"):
+            read_checkpoint(bad)

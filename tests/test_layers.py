@@ -196,5 +196,3 @@ def test_mlp_grad_check():
 def test_mha_config_validation():
     with pytest.raises(ValueError):
         MHAConfig(dim=7, heads=2)
-    with pytest.raises(ValueError):
-        MHAConfig(dim=8, heads=2, attn_drop=1.5)

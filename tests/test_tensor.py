@@ -201,17 +201,6 @@ def test_debug_mode_flags_nonfinite():
         set_debug_checks(False)
 
 
-def test_dropout_semantics():
-    rng = np.random.default_rng(7)
-    x = Tensor(np.ones((1000,)))
-    assert T.dropout(x, 0.0, rng, training=True) is x
-    assert T.dropout(x, 0.5, rng, training=False) is x
-    y = T.dropout(x, 0.5, rng, training=True)
-    kept = y.data[y.data > 0]
-    assert np.allclose(kept, 2.0)  # inverted scaling
-    assert abs((y.data > 0).mean() - 0.5) < 0.08
-
-
 # -- graph lifetime and no_grad -----------------------------------------
 
 
@@ -298,3 +287,154 @@ def test_getitem_duplicate_fancy_index_accumulates():
     f(x).backward()
     assert rel_error(x.grad, finite_diff_grad(f, x)) < 1e-7
     assert np.allclose(x.grad[0], 6.0 * x.data[0], rtol=1e-12, atol=0.0)  # row 0 picked 3 times
+
+
+# -- fused ops against the primitive chains they replace ------------------
+
+
+def composed_linear(x, W, b=None):
+    y = x @ W
+    return y if b is None else y + b
+
+
+def composed_layer_norm(x, gamma, beta, eps=1e-6):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = (var + eps) ** -0.5
+    return xc * inv * gamma + beta
+
+
+def composed_attention(q, k, v, scale):
+    return T.softmax_lastdim((q @ k.transpose_last2()) * scale) @ v
+
+
+def prompt_kv(P, W, heads):
+    """Prompt-style K and V: both derived from one shared parameter P."""
+    L, dim = P.shape
+    K = (P @ Tensor(W[:, :dim])).reshape(L, heads, dim // heads).permute(1, 0, 2)
+    V = (P @ Tensor(W[:, dim:])).reshape(L, heads, dim // heads).permute(1, 0, 2)
+    return K, V
+
+
+_R = np.random.default_rng(40)
+_W_KV = _R.normal(size=(8, 16))
+
+# name -> (fused builder, composed builder, input arrays)
+FUSED_CASES = {
+    "linear": (
+        T.linear, composed_linear,
+        [_R.normal(size=(2, 3, 4)), _R.normal(size=(4, 5)), _R.normal(size=5)],
+    ),
+    "linear_2d_no_bias": (
+        T.linear, composed_linear, [_R.normal(size=(3, 4)), _R.normal(size=(4, 2))],
+    ),
+    "layer_norm": (
+        T.layer_norm, composed_layer_norm,
+        [_R.normal(size=(2, 3, 5)), _R.normal(size=5), _R.normal(size=5)],
+    ),
+    # a residual adds into x first, so the order of layer_norm's two x terms shows
+    "layer_norm_residual": (
+        lambda x, g, b: T.layer_norm(x, g, b) + x,
+        lambda x, g, b: composed_layer_norm(x, g, b) + x,
+        [_R.normal(size=(2, 3, 5)), _R.normal(size=5), _R.normal(size=5)],
+    ),
+    # q, k and v are one tensor, so the order of its three grad terms shows
+    "attention_one_input": (
+        lambda x: T.attention(x, x, x, 0.5),
+        lambda x: composed_attention(x, x, x, 0.5),
+        [_R.normal(size=(2, 2, 3, 4))],
+    ),
+    "attention_self": (
+        lambda q, k, v: T.attention(q, k, v, 0.5),
+        lambda q, k, v: composed_attention(q, k, v, 0.5),
+        [_R.normal(size=(2, 2, 3, 4)) for _ in range(3)],
+    ),
+    # prefix: K/V are [heads, L, d] parameters broadcast over the batch
+    "attention_prefix_broadcast": (
+        lambda q, k, v: T.attention(q, k, v, 0.5),
+        lambda q, k, v: composed_attention(q, k, v, 0.5),
+        [_R.normal(size=(3, 2, 4, 4)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
+    ),
+    # prompt: K and V both derive from one parameter P
+    "attention_prompt_shared": (
+        lambda q, P: T.attention(q, *prompt_kv(P, _W_KV, 2), 0.5),
+        lambda q, P: composed_attention(q, *prompt_kv(P, _W_KV, 2), 0.5),
+        [_R.normal(size=(3, 2, 4, 4)), _R.normal(size=(5, 8))],
+    ),
+}
+
+
+def _run_fused_case(build, arrays, requires, w):
+    leaves = [Tensor(a.copy(), requires_grad=r) for a, r in zip(arrays, requires)]
+    out = build(*leaves)
+    (out * Tensor(w)).sum().backward()
+    return out, leaves
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_op_equals_composed_chain_bit_for_bit(name):
+    fused, composed, arrays = FUSED_CASES[name]
+    n = len(arrays)
+    # every input trainable, then each input alone (frozen-backbone patterns)
+    for requires in [(True,) * n] + [tuple(i == j for j in range(n)) for i in range(n)]:
+        w = np.random.default_rng(41).normal(size=fused(*map(Tensor, arrays)).shape)
+        out_f, leaves_f = _run_fused_case(fused, arrays, requires, w)
+        out_c, leaves_c = _run_fused_case(composed, arrays, requires, w)
+        assert np.array_equal(out_f.data, out_c.data), (name, requires)
+        for i, (lf, lc) in enumerate(zip(leaves_f, leaves_c)):
+            if requires[i]:
+                assert np.array_equal(lf.grad, lc.grad), (name, requires, i)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_op_grads_vs_finite_differences(name):
+    fused, _, arrays = FUSED_CASES[name]
+    w = np.random.default_rng(42).normal(size=fused(*map(Tensor, arrays)).shape)
+    _, leaves = _run_fused_case(fused, arrays, (True,) * len(arrays), w)
+    for i, leaf in enumerate(leaves):
+        others = [Tensor(a) for a in arrays]
+
+        def loss(t, i=i, others=others):
+            others[i] = t
+            return (fused(*others) * Tensor(w)).sum()
+
+        assert rel_error(leaf.grad, finite_diff_grad(loss, Tensor(arrays[i].copy()))) < 1e-6, (name, i)
+
+
+def test_fused_ops_record_one_node():
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    W, gamma, b = (Tensor(rng.normal(size=s)) for s in ((4, 4), (4,), (4,)))
+    for out, parents in [
+        (T.linear(x, W, b), (x, W, b)),
+        (T.layer_norm(x, gamma, b), (x, gamma, b)),
+        (T.attention(x, x, x, 0.5), (x, x, x)),
+    ]:
+        assert out._backward is not None and out._parents == parents
+
+
+def test_attention_shape_errors():
+    q = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):
+        T.attention(q, Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((2, 3, 4))), 1.0)
+    with pytest.raises(ShapeError):
+        T.attention(q, Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 4))), 1.0)
+
+
+@pytest.mark.parametrize("second_use", ["mul", "getitem"])
+def test_shared_first_grad_is_never_written_through(second_use):
+    """``add`` hands one array to both inputs; a later contribution to one
+    of them must not show up in the other's grad."""
+    w1 = np.array([1.0, 2.0, 3.0])
+    w2 = np.array([10.0, 20.0, 30.0])
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    a = x * 2.0
+    b = x * 3.0
+    second = (a * Tensor(w2)).sum() if second_use == "mul" else (a[0:2] * Tensor(w2[:2])).sum()
+    loss = ((a + b) * Tensor(w1)).sum() + second
+    loss.backward()
+    extra = w2 if second_use == "mul" else np.array([10.0, 20.0, 0.0])
+    assert np.array_equal(b.grad, w1)
+    assert np.array_equal(a.grad, w1 + extra)
+    assert np.array_equal(x.grad, 2.0 * (w1 + extra) + 3.0 * w1)

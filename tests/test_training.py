@@ -241,6 +241,6 @@ def test_grad_check_detects_corrupted_backward(monkeypatch):
     m = build_backbone(TOY)
     attach(m, [AttachSpec(0, "ffn", "adapter", {"bottleneck": 2})])
     ds = toy_dataset(size=4)
-    monkeypatch.setattr(T, "_gelu_grad", lambda x: np.ones_like(x))
+    monkeypatch.setattr(T, "_gelu_grad", lambda x, cdf: np.ones_like(x))
     report, ok = grad_check(m, ds.images, ds.labels, tol=1e-4)
     assert not ok
