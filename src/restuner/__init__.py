@@ -18,7 +18,6 @@ from .tuners import (
     PrefixTuner,
     PrefixTunerConfig,
     PromptTuner,
-    PromptTunerConfig,
     ResAttnConfig,
     ResAttnTuner,
     attach,

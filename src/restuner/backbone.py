@@ -24,7 +24,7 @@ from .layers import (
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor
-from .tuners import ATTACH_OPS
+from .tuners import ATTACH_OPS, Tuner
 
 
 class ConfigError(ValueError):
@@ -45,8 +45,10 @@ class BackboneConfig:
     mlp_ratio: int = 4
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        for name in ("dim", "depth", "heads", "patch", "image_size", "in_channels",
+                     "num_classes", "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch != 0:
@@ -101,7 +103,7 @@ class ModelGraph(Module):
         self.blocks = [Block(cfg, rng) for _ in range(cfg.depth)]
         self.final_norm = LayerNorm(cfg.dim)
         self.head = make_linear(rng, cfg.dim, cfg.num_classes)
-        self.tuners: dict[tuple[int, str], Module] = {}
+        self.tuners: dict[tuple[int, str], Tuner] = {}
         self.training = False
 
     # tuners is a plain dict, so extend the attribute walk
@@ -161,22 +163,13 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(B, gh * gw, C * patch * patch)
 
 
-def _tuner_delta(tuner, x_in: Tensor, q, block: Block) -> Tensor:
-    if tuner.kind in ("res_attn", "adapter"):
-        return tuner(x_in)
-    if tuner.kind == "prefix":
-        return tuner(q)
-    if tuner.kind == "prompt":
-        return tuner(q, block.mha)
-    raise ShapeError(f"unknown tuner kind {tuner.kind!r}")
-
-
 def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     """One pre-norm block with any tuners attached at its slots.
 
     MHA/FFN tuners consume the post-norm tensor fed to the parallel op;
     the block tuner consumes the block's raw input and adds to its output.
-    Prefix/prompt tuners always reuse this block's MHA query.
+    Each tuner's ``delta`` picks what it reads: that tensor, or this block's
+    MHA query (and the MHA itself).
     """
     block = model.blocks[index]
     h1 = block.norm1(x)
@@ -184,17 +177,17 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     u = x + mha_out
     tuner = model.tuners.get((index, "mha"))
     if tuner is not None:
-        u = u + _tuner_delta(tuner, h1, q, block)
+        u = u + tuner.delta(h1, q, block.mha)
 
     h2 = block.norm2(u)
     y = u + block.mlp(h2)
     tuner = model.tuners.get((index, "ffn"))
     if tuner is not None:
-        y = y + _tuner_delta(tuner, h2, q, block)
+        y = y + tuner.delta(h2, q, block.mha)
 
     tuner = model.tuners.get((index, "block"))
     if tuner is not None:
-        y = y + _tuner_delta(tuner, x, q, block)
+        y = y + tuner.delta(x, q, block.mha)
     return y
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,10 +27,9 @@ from .data_io import (
 )
 from .tensor import Tensor, no_grad
 from .training import evaluate, grad_check, train
-from .tuners import AttachSpec, AttachError, attach, count_trainable_params
+from .tuners import TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner, attach
+from .tuners import count_trainable_params
 
-TUNER_ORDER = ["adapter", "prefix", "prompt", "res_attn"]
-TUNER_LABELS = {"adapter": "Res-Ada.", "prefix": "Res-Pre.", "prompt": "Res-Pro.", "res_attn": "Res-Attn."}
 OP_ORDER = ["mha", "ffn", "block"]
 
 # published trainable-parameter counts for rank x heads at every MHA slot
@@ -113,10 +113,10 @@ def _reference_count(run: RunConfig):
     if len(specs) != b.depth:
         return None
     first = specs[0]
-    if first.kind != "res_attn" or any(s.op != "mha" for s in specs):
+    if first.kind != ResAttnTuner.kind or any(s.op != "mha" for s in specs):
         return None
-    key = (first.options.get("rank", 4), first.options.get("heads", 4))
-    return REFERENCE_COUNTS.get(key)
+    opts = {**ResAttnTuner.defaults(), **first.options}
+    return REFERENCE_COUNTS.get((opts["rank"], opts["heads"]))
 
 
 def cmd_grad_check(args) -> int:
@@ -163,18 +163,18 @@ def cmd_matrix(args) -> int:
     train_ds, eval_ds = _load_datasets(run)
     single = {}
     dual = {}
-    for kind in TUNER_ORDER:
+    for kind in TUNER_KINDS:
         for op in OP_ORDER:
             single[(kind, op)] = _matrix_cell(run, _uniform_specs(kind, op, depth), train_ds, eval_ds)
-    for mha_kind in TUNER_ORDER:
-        for ffn_kind in TUNER_ORDER:
+    for mha_kind in TUNER_KINDS:
+        for ffn_kind in TUNER_KINDS:
             specs = _uniform_specs(mha_kind, "mha", depth) + _uniform_specs(ffn_kind, "ffn", depth)
             dual[(mha_kind, ffn_kind)] = _matrix_cell(run, specs, train_ds, eval_ds)
 
     print("single-tuner grid (final train accuracy)")
     _print_grid(single, cols=OP_ORDER, col_labels=[c.upper() for c in OP_ORDER])
     print("dual-tuner grid, MHA kind x FFN kind (final train accuracy)")
-    _print_grid(dual, cols=TUNER_ORDER, col_labels=[TUNER_LABELS[k] for k in TUNER_ORDER])
+    _print_grid(dual, cols=TUNER_KINDS, col_labels=[TUNERS[k].label for k in TUNER_KINDS])
 
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -192,11 +192,18 @@ def cmd_matrix(args) -> int:
 def _print_grid(cells, cols, col_labels):
     header = f"{'':12s}" + "".join(f"{c:>12s}" for c in col_labels)
     print(header)
-    for kind in TUNER_ORDER:
-        row = f"{TUNER_LABELS[kind]:12s}"
+    for kind in TUNER_KINDS:
+        row = f"{TUNERS[kind].label:12s}"
         for col in cols:
             row += f"{cells[(kind, col)]['train_accuracy']:>12.3f}"
         print(row)
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("grad-check", help="backward vs finite differences")
     g.add_argument("--config", required=True)
-    g.add_argument("--eps", type=float, default=1e-5)
-    g.add_argument("--tol", type=float, default=1e-4)
+    g.add_argument("--eps", type=_positive_float, default=1e-5)
+    g.add_argument("--tol", type=_positive_float, default=1e-4)
     g.set_defaults(fn=cmd_grad_check)
 
     m = sub.add_parser("matrix", help="single and dual attach-point grids")

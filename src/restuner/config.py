@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, ConfigError
 from .data_io import DatasetSpec
 from .training import TrainConfig
-from .tuners import AttachSpec
-
-
-class ConfigError(ValueError):
-    pass
+from .tuners import TUNERS, AttachSpec
 
 
 @dataclass
@@ -119,8 +115,8 @@ _DATA_SCHEMA = {
     "seed": int, "signal": float, "noise": float, "rotation": float, "task": str,
 }
 _TUNER_SCHEMA = {
-    "kind": str, "op": str, "blocks": str, "rank": int, "heads": int,
-    "length": int, "bottleneck": int, "qkv_bias": bool,
+    "kind": str, "op": str, "blocks": str,
+    **{name: type(value) for cls in TUNERS.values() for name, value in cls.defaults().items()},
 }
 _OUTPUT_SCHEMA = {"dir": str}
 

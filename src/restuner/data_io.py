@@ -122,14 +122,19 @@ def least_squares_probe(images: np.ndarray, labels: np.ndarray, num_classes: int
 # -- dataset binary format ----------------------------------------------
 
 
+def _dataset_record(pixels: int) -> np.dtype:
+    return np.dtype([("label", "<u4"), ("pixels", "<f4", (pixels,))])
+
+
 def save_binary_dataset(ds: Dataset, path) -> None:
-    c, h, w = ds.images.shape[1:]
+    n, c, h, w = ds.images.shape
+    rec = np.empty(n, dtype=_dataset_record(c * h * w))
+    rec["label"] = ds.labels
+    rec["pixels"] = ds.images.reshape(n, c * h * w)
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
-        f.write(struct.pack("<IIIIII", DATASET_VERSION, len(ds), ds.num_classes, c, h, w))
-        for label, img in zip(ds.labels, ds.images):
-            f.write(struct.pack("<I", int(label)))
-            f.write(np.asarray(img, dtype="<f4").tobytes())
+        f.write(struct.pack("<IIIIII", DATASET_VERSION, n, ds.num_classes, c, h, w))
+        f.write(rec.tobytes())
 
 
 def load_binary_dataset(path) -> Dataset:
@@ -137,47 +142,36 @@ def load_binary_dataset(path) -> Dataset:
         blob = f.read()
     if blob[:4] != DATASET_MAGIC:
         raise FormatError(f"bad dataset magic {blob[:4]!r} at byte 0")
-    off = 4
     try:
-        version, count, classes, c, h, w = struct.unpack_from("<IIIIII", blob, off)
+        version, count, classes, c, h, w = struct.unpack_from("<IIIIII", blob, 4)
     except struct.error:
-        raise FormatError(f"truncated dataset header at byte {off}")
-    off += 24
+        raise FormatError("truncated dataset header at byte 4")
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}")
     if count == 0:
         raise FormatError("dataset file contains zero items")
-    pixels = c * h * w
-    images = np.empty((count, c, h, w))
-    labels = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        if off + 4 + 4 * pixels > len(blob):
-            raise FormatError(f"truncated dataset item {i} at byte {off}")
-        (label,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if label >= classes:
-            raise FormatError(f"label {label} >= class count {classes} in item {i}")
-        labels[i] = label
-        images[i] = np.frombuffer(blob, dtype="<f4", count=pixels, offset=off).reshape(c, h, w)
-        off += 4 * pixels
-    return Dataset(images, labels, classes)
+    item = 4 + 4 * c * h * w
+    end = 28 + count * item
+    if len(blob) < end:
+        i = (len(blob) - 28) // item
+        raise FormatError(f"truncated dataset item {i} at byte {28 + i * item}")
+    if len(blob) > end:
+        raise FormatError(f"{len(blob) - end} trailing bytes after the last item at byte {end}")
+    rec = np.frombuffer(blob, dtype=_dataset_record(c * h * w), count=count, offset=28)
+    bad = np.flatnonzero(rec["label"] >= classes)
+    if bad.size:
+        i = int(bad[0])
+        raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
+    images = rec["pixels"].reshape(count, c, h, w).astype(np.float64)
+    return Dataset(images, rec["label"].astype(np.int64), classes)
 
 
 # -- checkpoints --------------------------------------------------------
 
 
-def _tuner_options(tuner) -> dict:
-    cfg = tuner.cfg
-    if tuner.kind == "res_attn":
-        return {"rank": cfg.rank, "heads": cfg.heads, "qkv_bias": cfg.qkv_bias}
-    if tuner.kind in ("prefix", "prompt"):
-        return {"length": cfg.length}
-    return {"bottleneck": cfg.bottleneck}
-
-
 def model_config_blob(model: ModelGraph) -> str:
     tuners = [
-        {"block_index": block, "op": op, "kind": t.kind, "options": _tuner_options(t)}
+        {"block_index": block, "op": op, "kind": t.kind, "options": t.options()}
         for (block, op), t in sorted(model.tuners.items())
     ]
     return json.dumps({"backbone": asdict(model.cfg), "tuners": tuners}, sort_keys=True)
@@ -271,9 +265,13 @@ def read_checkpoint(path):
 def load_checkpoint(path) -> ModelGraph:
     """Rebuild the model from its config echo and restore every tensor."""
     config, tensors = read_checkpoint(path)
-    cfg = BackboneConfig(**config["backbone"])
-    model = build_backbone(cfg)
-    attach(model, [AttachSpec(**t) for t in config["tuners"]])
+    try:
+        model = build_backbone(BackboneConfig(**config["backbone"]))
+        attach(model, [AttachSpec(**t) for t in config["tuners"]])
+    except KeyError as e:
+        raise FormatError(f"checkpoint config echo has no {e} key")
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"bad checkpoint config echo: {e}")
     params = dict(model.named_parameters())
     for name, values in tensors.items():
         if name not in params:

@@ -251,7 +251,7 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
 
-    def loss_value() -> float:
+    def loss_value(_param) -> float:
         with T.no_grad():
             return cross_entropy(model(Tensor(images)), labels).item()
 
@@ -268,17 +268,7 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     report = {}
     all_pass = True
     for name, p in params:
-        fd = np.zeros_like(p.data)
-        flat_data = p.data.reshape(-1)
-        flat_fd = fd.reshape(-1)
-        for i in range(p.data.size):
-            orig = flat_data[i]
-            flat_data[i] = orig + eps
-            f_plus = loss_value()
-            flat_data[i] = orig - eps
-            f_minus = loss_value()
-            flat_data[i] = orig
-            flat_fd[i] = (f_plus - f_minus) / (2.0 * eps)
+        fd = T.finite_diff_grad(loss_value, p, h=eps)
         err = T.rel_error(autodiff[name], fd)
         ok = err < tol
         all_pass &= ok

@@ -8,7 +8,7 @@ computes the identical function as the frozen one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -25,12 +25,44 @@ from .layers import (
 )
 from .tensor import ShapeError, Tensor
 
-TUNER_KINDS = ("adapter", "prefix", "prompt", "res_attn")
 ATTACH_OPS = ("mha", "ffn", "block")
 
 
 class AttachError(ValueError):
     pass
+
+
+def _require_positive(cfg, *names) -> None:
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+
+
+class Tuner(Module):
+    """Each subclass is the one definition of its kind: ``kind`` names it in
+    configs and checkpoints, ``label`` in the grids. ``Config`` fields with a
+    default are its options; the rest (``dim``, prefix/prompt ``heads``) come
+    from the backbone. ``delta`` picks its inputs in ``block_forward`` and
+    ``analytic_params`` is its closed-form parameter count.
+    """
+
+    kind: str
+    label: str
+    Config: type
+
+    @classmethod
+    def defaults(cls) -> dict:
+        """The kind's options and their default values."""
+        return {f.name: f.default for f in fields(cls.Config) if f.default is not MISSING}
+
+    def options(self) -> dict:
+        """This tuner's option values, as the checkpoint echoes them."""
+        return {name: getattr(self.cfg, name) for name in self.defaults()}
+
+    def delta(self, x: Tensor, q: Tensor, mha: MultiHeadAttention) -> Tensor:
+        """The tuner's output at a slot whose op reads ``x``; ``q`` and ``mha``
+        are the block's per-head query and attention."""
+        return self(x)
 
 
 @dataclass
@@ -41,15 +73,14 @@ class ResAttnConfig:
     qkv_bias: bool = False
 
     def __post_init__(self):
-        if self.rank < 1 or self.heads < 1:
-            raise ValueError("rank and heads must be >= 1")
+        _require_positive(self, "rank", "heads")
 
     @property
     def scale(self) -> float:
         return self.rank**-0.5
 
 
-class ResAttnTuner(Module):
+class ResAttnTuner(Tuner):
     """Low-rank multi-head attention tuner.
 
     QKV projects the input to width 3*rank*heads (kaiming-uniform init,
@@ -57,6 +88,8 @@ class ResAttnTuner(Module):
     """
 
     kind = "res_attn"
+    label = "Res-Attn."
+    Config = ResAttnConfig
 
     def __init__(self, cfg: ResAttnConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -67,23 +100,28 @@ class ResAttnTuner(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
-        if x.shape[-1] != cfg.dim:
-            raise ShapeError(f"tuner width {cfg.dim} vs input shape {x.shape}")
         q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.rank)
         return self.o(merge_heads(T.attention(q, k, v, cfg.scale)))
 
     __call__ = forward
 
+    def analytic_params(self, include_bias: bool = False) -> int:
+        cfg = self.cfg
+        rh = cfg.rank * cfg.heads
+        bias = cfg.dim + (3 * rh if cfg.qkv_bias else 0)
+        return cfg.dim * 3 * rh + rh * cfg.dim + (bias if include_bias else 0)
+
 
 @dataclass
 class PrefixTunerConfig:
+    """Shared by the prefix and prompt kinds; heads is the backbone's."""
+
     dim: int
     heads: int
     length: int = 10
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("prefix length must be >= 1")
+        _require_positive(self, "length")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
 
@@ -92,7 +130,15 @@ class PrefixTunerConfig:
         return self.dim // self.heads
 
 
-class PrefixTuner(Module):
+def _check_query(cfg: PrefixTunerConfig, kind: str, q: Tensor) -> None:
+    _, heads, _, head_dim = q.shape
+    if heads != cfg.heads or head_dim != cfg.head_dim:
+        raise ShapeError(
+            f"{kind} tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q.shape}"
+        )
+
+
+class PrefixTuner(Tuner):
     """Attention of the backbone's queries over trainable keys/values.
 
     The output projection is trainable and zero-initialized, which gives
@@ -100,6 +146,8 @@ class PrefixTuner(Module):
     """
 
     kind = "prefix"
+    label = "Res-Pre."
+    Config = PrefixTunerConfig
 
     def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -110,35 +158,22 @@ class PrefixTuner(Module):
 
     def forward(self, q_backbone: Tensor) -> Tensor:
         cfg = self.cfg
-        _, heads, _, head_dim = q_backbone.shape
-        if heads != cfg.heads or head_dim != cfg.head_dim:
-            raise ShapeError(
-                f"prefix tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q_backbone.shape}"
-            )
+        _check_query(cfg, self.kind, q_backbone)
         y = T.attention(q_backbone, self.K, self.V, cfg.head_dim**-0.5)
         return self.o(merge_heads(y))
 
     __call__ = forward
 
+    def delta(self, x, q, mha):
+        return self(q)
 
-@dataclass
-class PromptTunerConfig:
-    dim: int
-    heads: int
-    length: int = 10
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("prompt length must be >= 1")
-        if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
+    def analytic_params(self, include_bias: bool = False) -> int:
+        cfg = self.cfg
+        n = 2 * cfg.heads * cfg.length * cfg.head_dim + cfg.dim * cfg.dim
+        return n + (cfg.dim if include_bias else 0)
 
 
-class PromptTuner(Module):
+class PromptTuner(Tuner):
     """Trainable prompt embeddings, projected to K/V (and back out) by the
     frozen backbone MHA weights. Only the embeddings train; they start at
     zero so the tuner is silent at init.
@@ -148,19 +183,17 @@ class PromptTuner(Module):
     """
 
     kind = "prompt"
+    label = "Res-Pro."
+    Config = PrefixTunerConfig
 
-    def __init__(self, cfg: PromptTunerConfig, rng: np.random.Generator):
+    def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
     def forward(self, q_backbone: Tensor, mha: MultiHeadAttention) -> Tensor:
         cfg = self.cfg
-        _, heads, _, head_dim = q_backbone.shape
-        if heads != cfg.heads or head_dim != cfg.head_dim:
-            raise ShapeError(
-                f"prompt tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q_backbone.shape}"
-            )
-        dim = cfg.dim
+        _check_query(cfg, self.kind, q_backbone)
+        dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
         W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
         k_flat = self.P @ W[:, dim : 2 * dim]
         v_flat = self.P @ W[:, 2 * dim :]
@@ -171,6 +204,12 @@ class PromptTuner(Module):
 
     __call__ = forward
 
+    def delta(self, x, q, mha):
+        return self(q, mha)
+
+    def analytic_params(self, include_bias: bool = False) -> int:
+        return self.cfg.length * self.cfg.dim
+
 
 @dataclass
 class AdapterConfig:
@@ -178,14 +217,15 @@ class AdapterConfig:
     bottleneck: int = 4
 
     def __post_init__(self):
-        if self.bottleneck < 1:
-            raise ValueError("bottleneck width must be >= 1")
+        _require_positive(self, "bottleneck")
 
 
-class AdapterTuner(Module):
+class AdapterTuner(Tuner):
     """Parallel bottleneck adapter: down -> GELU -> zero-init up."""
 
     kind = "adapter"
+    label = "Res-Ada."
+    Config = AdapterConfig
 
     def __init__(self, cfg: AdapterConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -195,11 +235,17 @@ class AdapterTuner(Module):
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.cfg.dim:
-            raise ShapeError(f"adapter width {self.cfg.dim} vs input shape {x.shape}")
         return self.up(T.gelu(self.down(x)))
 
     __call__ = forward
+
+    def analytic_params(self, include_bias: bool = False) -> int:
+        cfg = self.cfg
+        return 2 * cfg.dim * cfg.bottleneck + (cfg.bottleneck + cfg.dim if include_bias else 0)
+
+
+TUNERS = {cls.kind: cls for cls in (AdapterTuner, PrefixTuner, PromptTuner, ResAttnTuner)}
+TUNER_KINDS = tuple(sorted(TUNERS))
 
 
 @dataclass
@@ -219,30 +265,30 @@ class AttachSpec:
 
 
 def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.Generator):
-    """Construct a tuner of the given kind for a backbone of width dim."""
+    """Construct a tuner of the given kind for a backbone of width dim.
+
+    Options are cast to their defaults' types; an unknown option or an
+    invalid value raises AttachError.
+    """
+    cls = TUNERS[kind]
+    defaults = cls.defaults()
     opts = dict(options)
-    if kind == "res_attn":
-        cfg = ResAttnConfig(
-            dim=dim,
-            rank=int(opts.pop("rank", 4)),
-            heads=int(opts.pop("heads", 4)),
-            qkv_bias=bool(opts.pop("qkv_bias", False)),
-        )
-        tuner = ResAttnTuner(cfg, rng)
-    elif kind == "prefix":
-        cfg = PrefixTunerConfig(dim=dim, heads=heads, length=int(opts.pop("length", 10)))
-        tuner = PrefixTuner(cfg, rng)
-    elif kind == "prompt":
-        cfg = PromptTunerConfig(dim=dim, heads=heads, length=int(opts.pop("length", 10)))
-        tuner = PromptTuner(cfg, rng)
-    elif kind == "adapter":
-        cfg = AdapterConfig(dim=dim, bottleneck=int(opts.pop("bottleneck", 4)))
-        tuner = AdapterTuner(cfg, rng)
-    else:
-        raise AttachError(f"unknown tuner kind {kind!r}")
-    if opts:
-        raise AttachError(f"unknown tuner option(s) for {kind}: {sorted(opts)}")
-    return tuner
+    unknown = sorted(set(opts) - set(defaults))
+    if unknown:
+        raise AttachError(f"unknown tuner option(s) for {kind}: {unknown}")
+    backbone = {"dim": dim, "heads": heads}
+    given = {f.name: backbone[f.name] for f in fields(cls.Config) if f.name not in defaults}
+    for name, value in opts.items():
+        cast = type(defaults[name])
+        try:
+            given[name] = cast(value)
+        except (TypeError, ValueError):
+            raise AttachError(f"{kind} tuner: {name} must be {cast.__name__}, got {value!r}")
+    try:
+        cfg = cls.Config(**given)
+    except ValueError as e:
+        raise AttachError(f"{kind} tuner: {e}")
+    return cls(cfg, rng)
 
 
 def attach(model, specs) -> None:
@@ -269,8 +315,10 @@ def attach(model, specs) -> None:
 # -- parameter accounting -----------------------------------------------
 
 
-def _is_bias(name: str, param: Parameter) -> bool:
-    return param.data.ndim == 1
+def _trainable_count(module: Module, include_bias: bool) -> int:
+    """Trainable values in module; a 1-D parameter counts as a bias."""
+    params = [p for p in module.parameters() if p.trainable]
+    return sum(p.data.size for p in params if include_bias or p.data.ndim != 1)
 
 
 def count_trainable_params(model, include_head: bool = False, include_bias: bool = False):
@@ -280,55 +328,19 @@ def count_trainable_params(model, include_head: bool = False, include_bias: bool
     trainable flags over actual buffers; analytic_total from per-kind
     closed forms. The two must agree exactly.
     """
-    counts: dict[str, int] = {}
-    for (block, op), tuner in sorted(model.tuners.items(), key=_slot_key):
-        n = 0
-        for name, p in tuner.named_parameters():
-            if not p.trainable:
-                continue
-            if not include_bias and _is_bias(name, p):
-                continue
-            n += p.data.size
-        counts[f"tuner.{block}.{op}[{tuner.kind}]"] = n
+    counts = {
+        f"tuner.{block}.{op}[{tuner.kind}]": _trainable_count(tuner, include_bias)
+        for (block, op), tuner in sorted(model.tuners.items(), key=_slot_key)
+    }
     if include_head:
-        n = 0
-        for name, p in model.head.named_parameters():
-            if p.trainable and (include_bias or not _is_bias(name, p)):
-                n += p.data.size
-        counts["head"] = n
+        counts["head"] = _trainable_count(model.head, include_bias)
     total = sum(counts.values())
 
-    analytic = 0
-    for (block, op), tuner in model.tuners.items():
-        analytic += analytic_tuner_params(tuner, include_bias=include_bias)
+    analytic = sum(t.analytic_params(include_bias=include_bias) for t in model.tuners.values())
     if include_head:
         dim, classes = model.head.W.data.shape
         analytic += dim * classes + (classes if include_bias else 0)
     return counts, total, analytic
-
-
-def analytic_tuner_params(tuner, include_bias: bool = False) -> int:
-    """Closed-form parameter count for one tuner."""
-    cfg = tuner.cfg
-    if tuner.kind == "res_attn":
-        rh = cfg.rank * cfg.heads
-        n = cfg.dim * 3 * rh + rh * cfg.dim
-        if include_bias:
-            n += cfg.dim + (3 * rh if cfg.qkv_bias else 0)
-        return n
-    if tuner.kind == "prefix":
-        n = 2 * cfg.heads * cfg.length * cfg.head_dim + cfg.dim * cfg.dim
-        if include_bias:
-            n += cfg.dim
-        return n
-    if tuner.kind == "prompt":
-        return cfg.length * cfg.dim
-    if tuner.kind == "adapter":
-        n = 2 * cfg.dim * cfg.bottleneck
-        if include_bias:
-            n += cfg.bottleneck + cfg.dim
-        return n
-    raise AttachError(f"unknown tuner kind {tuner.kind!r}")
 
 
 def _slot_key(item):

@@ -67,7 +67,7 @@ def test_criterion_2_oracle_equivalence():
 
         from restuner.layers import MHAConfig, MultiHeadAttention
         from restuner.tuners import (
-            PrefixTuner, PrefixTunerConfig, PromptTuner, PromptTunerConfig,
+            PrefixTuner, PrefixTunerConfig, PromptTuner,
             ResAttnConfig, ResAttnTuner,
         )
 
@@ -84,7 +84,7 @@ def test_criterion_2_oracle_equivalence():
         worst = max(worst, float(np.abs(p(Tensor(q)).data - exp).max()))
 
         mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
-        pr = PromptTuner(PromptTunerConfig(dim, heads, length=L), rng)
+        pr = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
         pr.P.data[...] = rng.normal(size=(L, dim))
         exp = naive_prompt(q, pr.P.data, mha.qkv.W.data, mha.proj.W.data)
         worst = max(worst, float(np.abs(pr(Tensor(q), mha).data - exp).max()))

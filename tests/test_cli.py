@@ -6,6 +6,7 @@ import pytest
 import restuner.tensor as T
 from restuner.cli import main
 from restuner.config import ConfigError, load_run_config, parse_sections
+from restuner.tuners import TUNERS
 
 TOY_CONFIG = """
 # toy run
@@ -210,3 +211,66 @@ def test_cmd_matrix_smoke(tmp_path, capsys, monkeypatch):
     assert len(payload["single"]) == 12
     assert len(payload["dual"]) == 16
     assert all(v["zero_init_identity"] for v in payload["single"].values())
+
+
+_TUNER_CONFIG = (
+    "[backbone]\ndim = 16\ndepth = 2\nheads = 2\npatch = 4\nimage = 8\nclasses = 4\n"
+    "[tuner]\nkind = {kind}\nop = mha\n{name} = 0\n"
+)
+
+
+@pytest.mark.parametrize("kind", sorted(TUNERS))
+def test_cmd_count_params_invalid_tuner_option_exits_2(tmp_path, capsys, kind):
+    int_opts = [k for k, v in TUNERS[kind].defaults().items() if type(v) is int]
+    assert int_opts, kind
+    path = tmp_path / "t.cfg"
+    for name in int_opts:
+        path.write_text(_TUNER_CONFIG.format(kind=kind, name=name))
+        assert main(["count-params", "--config", str(path), "--json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err, err
+
+
+@pytest.mark.parametrize("key", ["heads", "patch"])
+def test_cmd_zero_backbone_size_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "b.cfg"
+    path.write_text(f"[backbone]\ndim = 16\n{key} = 0\n")
+    assert main(["count-params", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [backbone]") and key in err, err
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-1e-5"), ("--eps", "nan"),
+                                         ("--tol", "0"), ("--tol", "-1")])
+def test_cmd_grad_check_rejects_non_positive_eps_tol(config_path, capsys, flag, value):
+    assert main(["grad-check", "--config", str(config_path), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err, err
+
+
+def test_matrix_json_independent_of_blas_threads(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import restuner
+
+    path = tmp_path / "m.cfg"
+    path.write_text(
+        "[backbone]\ndim = 8\ndepth = 1\nheads = 2\npatch = 4\nimage = 8\nclasses = 4\n"
+        "[train]\nepochs = 2\nbatch = 16\nlr = 0.01\n"
+        "[data]\nsize = 32\nsignal = 3.0\n"
+    )
+    src = str(Path(restuner.__file__).resolve().parents[1])
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        subprocess.run(
+            [sys.executable, "-m", "restuner.cli", "matrix", "--config", str(path)],
+            cwd=tmp_path, env={**env, **threads}, check=True, capture_output=True,
+        )
+        outputs.append((tmp_path / "runs" / "out" / "matrix.json").read_bytes())
+    assert outputs[0] == outputs[1]

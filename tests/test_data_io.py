@@ -273,3 +273,83 @@ def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
         bad.write_bytes(_with_crc(bytes(mutated)))
         with pytest.raises(FormatError, match=f"unknown dtype code {code}"):
             read_checkpoint(bad)
+
+
+def test_dataset_trailing_bytes(tmp_path):
+    ds = Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 2]), num_classes=3)
+    path = tmp_path / "d.rtds"
+    save_binary_dataset(ds, path)
+    path.write_bytes(path.read_bytes() + b"\0" * 10)
+    with pytest.raises(FormatError, match="10 trailing bytes"):
+        load_binary_dataset(path)
+
+
+def test_dataset_every_truncation_raises_format_error(tmp_path):
+    ds = Dataset(np.arange(12.0).reshape(3, 1, 2, 2), np.array([0, 1, 2]), num_classes=3)
+    path = tmp_path / "d.rtds"
+    save_binary_dataset(ds, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_binary_dataset(path)
+
+
+# -- checkpoint config echo ---------------------------------------------
+
+
+def _rewrite_echo(path, edit) -> None:
+    """Apply edit to the checkpoint's config echo and recompute the CRC."""
+    import json
+    import struct
+
+    payload = path.read_bytes()[4:-4]
+    (cfg_len,) = struct.unpack_from("<I", payload, 4)
+    config = json.loads(payload[8 : 8 + cfg_len].decode())
+    edit(config)
+    new_cfg = json.dumps(config, sort_keys=True).encode()
+    path.write_bytes(_with_crc(payload[:4] + struct.pack("<I", len(new_cfg)) + new_cfg
+                               + payload[8 + cfg_len :]))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda c: c["backbone"].update(depth=0), "depth"),
+        (lambda c: c["backbone"].update(bogus=1), "bogus"),
+        (lambda c: c.pop("tuners"), "tuners"),
+        (lambda c: c["tuners"][0]["options"].update(rank=0), "rank"),
+    ],
+)
+def test_checkpoint_bad_echo_exits_2(tmp_path, capsys, edit, field):
+    from restuner.cli import main
+
+    path = tmp_path / "m.rtck"
+    save_checkpoint(_tuned_model(), path)
+    _rewrite_echo(path, edit)
+    with pytest.raises(FormatError, match=field):
+        load_checkpoint(path)
+    data = tmp_path / "d.rtds"
+    save_binary_dataset(synth_dataset(DatasetSpec(num_classes=4, shape=(1, 8, 8), size=8)), data)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err, err
+
+
+def test_checkpoint_echo_round_trips_non_default_options(tmp_path):
+    from restuner.data_io import model_config_blob
+    from restuner.tuners import TUNERS
+
+    m = build_backbone(TOY)
+    specs = []
+    for i, (kind, cls) in enumerate(sorted(TUNERS.items())):
+        opts = {k: (not v) if isinstance(v, bool) else v + 1 for k, v in cls.defaults().items()}
+        specs.append(AttachSpec(i // 3, ("mha", "ffn", "block")[i % 3], kind, opts))
+    attach(m, specs)
+    path = tmp_path / "m.rtck"
+    save_checkpoint(m, path)
+    back = load_checkpoint(path)
+    assert model_config_blob(back) == model_config_blob(m)
+    for spec in specs:
+        tuner = back.tuners[(spec.block_index, spec.op)]
+        assert tuner.kind == spec.kind and tuner.options() == spec.options

@@ -14,10 +14,10 @@ from restuner.tuners import (
     PrefixTuner,
     PrefixTunerConfig,
     PromptTuner,
-    PromptTunerConfig,
     ResAttnConfig,
     ResAttnTuner,
-    analytic_tuner_params,
+    TUNER_KINDS,
+    TUNERS,
     attach,
     count_trainable_params,
 )
@@ -135,7 +135,7 @@ def test_all_tuners_zero_at_init():
     assert np.abs(ResAttnTuner(ResAttnConfig(dim), rng)(x).data).max() == 0.0
     assert np.abs(AdapterTuner(AdapterConfig(dim), rng)(x).data).max() == 0.0
     assert np.abs(PrefixTuner(PrefixTunerConfig(dim, heads), rng)(q).data).max() == 0.0
-    assert np.abs(PromptTuner(PromptTunerConfig(dim, heads), rng)(q, mha).data).max() == 0.0
+    assert np.abs(PromptTuner(PrefixTunerConfig(dim, heads), rng)(q, mha).data).max() == 0.0
 
 
 # -- oracle equivalence -------------------------------------------------
@@ -184,7 +184,7 @@ def test_prompt_matches_loop_oracle(trial):
     dim = heads * hd
     B, N, L = int(rng.integers(1, 3)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
     mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
-    t = PromptTuner(PromptTunerConfig(dim, heads, length=L), rng)
+    t = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
     t.P.data[...] = rng.normal(size=(L, dim))
     q = rng.normal(size=(B, heads, N, hd))
     expected = naive_prompt(q, t.P.data, mha.qkv.W.data, mha.proj.W.data)
@@ -318,4 +318,26 @@ def test_head_only_count():
 
 def test_analytic_res_attn_formula():
     t = ResAttnTuner(ResAttnConfig(dim=768, rank=8, heads=8), np.random.default_rng(0))
-    assert analytic_tuner_params(t) == 768 * 192 + 64 * 768
+    assert t.analytic_params() == 768 * 192 + 64 * 768
+
+
+# -- registry -----------------------------------------------------------
+
+
+def test_registry_classes_define_kind_label_and_call():
+    # the benchmark tracer wraps these four classes' own __call__ by kind
+    assert set(TUNERS.values()) == {ResAttnTuner, AdapterTuner, PrefixTuner, PromptTuner}
+    assert TUNER_KINDS == tuple(sorted(TUNERS))
+    for kind, cls in TUNERS.items():
+        assert cls.kind == kind
+        assert isinstance(cls.label, str) and cls.label
+        assert "__call__" in vars(cls)
+        assert cls.defaults(), kind
+
+
+@pytest.mark.parametrize("kind", sorted(TUNERS))
+def test_build_tuner_names_an_option_it_cannot_cast(kind):
+    int_opts = [k for k, v in TUNERS[kind].defaults().items() if type(v) is int]
+    for name in int_opts:
+        with pytest.raises(AttachError, match=name):
+            attach(_toy_model(), [AttachSpec(0, "mha", kind, {name: None})])
