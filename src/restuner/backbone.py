@@ -66,13 +66,14 @@ class BackboneConfig:
 
 
 class Block(Module):
-    """Pre-norm transformer block: x + MHA(n1(x)), then u + FFN(n2(u))."""
+    """Pre-norm transformer block: x + MHA(n1(x)), then u + FFN(n2(u)). Built frozen."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
-        self.norm1 = LayerNorm(cfg.dim)
-        self.mha = MultiHeadAttention(MHAConfig(cfg.dim, cfg.heads, qkv_bias=cfg.qkv_bias), rng)
-        self.norm2 = LayerNorm(cfg.dim)
-        self.mlp = MLP(cfg.dim, rng, ratio=cfg.mlp_ratio)
+        mha_cfg = MHAConfig(cfg.dim, cfg.heads, qkv_bias=cfg.qkv_bias)
+        self.norm1 = LayerNorm(cfg.dim, trainable=False)
+        self.mha = MultiHeadAttention(mha_cfg, rng, trainable=False)
+        self.norm2 = LayerNorm(cfg.dim, trainable=False)
+        self.mlp = MLP(cfg.dim, rng, ratio=cfg.mlp_ratio, trainable=False)
 
 
 def sinusoidal_positions(n: int, dim: int, scale: float = 0.02) -> np.ndarray:
@@ -91,17 +92,21 @@ def sinusoidal_positions(n: int, dim: int, scale: float = 0.02) -> np.ndarray:
 
 
 class ModelGraph(Module):
-    """Backbone + attached tuners + classifier head."""
+    """Backbone + attached tuners + classifier head.
+
+    The backbone is built frozen, so its parameters never allocate a grad
+    buffer; only the head is trainable until tuners are attached.
+    """
 
     def __init__(self, cfg: BackboneConfig):
         rng = np.random.default_rng(cfg.seed)
         self.cfg = cfg
         patch_dim = cfg.in_channels * cfg.patch * cfg.patch
-        self.patch_embed = make_linear(rng, patch_dim, cfg.dim)
-        self.cls_token = Parameter(trunc_normal(rng, (1, 1, cfg.dim)))
+        self.patch_embed = make_linear(rng, patch_dim, cfg.dim, trainable=False)
+        self.cls_token = Parameter(trunc_normal(rng, (1, 1, cfg.dim)), trainable=False)
         self.pos = sinusoidal_positions(cfg.tokens, cfg.dim)  # fixed, not a Parameter
         self.blocks = [Block(cfg, rng) for _ in range(cfg.depth)]
-        self.final_norm = LayerNorm(cfg.dim)
+        self.final_norm = LayerNorm(cfg.dim, trainable=False)
         self.head = make_linear(rng, cfg.dim, cfg.num_classes)
         self.tuners: dict[tuple[int, str], Tuner] = {}
         self.training = False
@@ -128,9 +133,7 @@ class ModelGraph(Module):
 
 def build_backbone(cfg: BackboneConfig) -> ModelGraph:
     """Deterministically seeded model; backbone frozen, head trainable."""
-    model = ModelGraph(cfg)
-    freeze_all(model)
-    return model
+    return ModelGraph(cfg)
 
 
 def freeze_all(model: ModelGraph) -> None:

@@ -13,8 +13,10 @@ W, then count x (u32 label + C*H*W f32 pixels).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass, field
@@ -178,24 +180,45 @@ def model_config_blob(model: ModelGraph) -> str:
 
 
 def save_checkpoint(model: ModelGraph, path) -> None:
-    payload = bytearray()
+    """Stream the checkpoint into a temporary file beside ``path``, then
+    rename it over ``path``: a save that fails leaves any old file as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(model, f)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(model: ModelGraph, f) -> None:
+    """Write each header field and each tensor's values straight to ``f``,
+    folding every chunk into the CRC; no payload copy is ever built."""
+    crc = 0
+
+    def put(chunk) -> None:
+        nonlocal crc
+        f.write(chunk)
+        crc = zlib.crc32(chunk, crc)
+
+    f.write(CHECKPOINT_MAGIC)
     config = model_config_blob(model).encode()
-    payload += struct.pack("<I", CHECKPOINT_VERSION)
-    payload += struct.pack("<I", len(config)) + config
     tensors = list(model.named_parameters())
-    payload += struct.pack("<I", len(tensors))
+    put(struct.pack("<II", CHECKPOINT_VERSION, len(config)) + config)
+    put(struct.pack("<I", len(tensors)))
     for name, p in tensors:
         nb = name.encode()
-        payload += struct.pack("<H", len(nb)) + nb
-        payload += struct.pack("<BB", 0, p.data.ndim)
-        payload += struct.pack(f"<{p.data.ndim}Q", *p.data.shape)
-        payload += np.asarray(p.data, dtype="<f8").tobytes()
-    crc = zlib.crc32(bytes(payload))
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + bytes(payload) + struct.pack("<I", crc))
+        shape = p.data.shape
+        put(struct.pack(f"<H{len(nb)}sBB{len(shape)}Q", len(nb), nb, 0, len(shape), *shape))
+        put(memoryview(np.ascontiguousarray(p.data, dtype="<f8")))
+    f.write(struct.pack("<I", crc))
 
 
 _CHECKPOINT_DTYPES = {0: "<f8", 1: "<f4"}
+_MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
 class _Cursor:
@@ -224,12 +247,15 @@ class _Cursor:
 
 
 def read_checkpoint(path):
-    """Parse a checkpoint file -> (config dict, {name: float64 array})."""
+    """Parse a checkpoint file -> (config dict, {name: float64 array}).
+
+    f8 tensors are read-only views into the file's bytes; f4 tensors are
+    converted to float64 copies."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}")
-    payload, crc_bytes = blob[4:-4], blob[-4:]
+    payload, crc_bytes = memoryview(blob)[4:-4], blob[-4:]
     (crc,) = struct.unpack("<I", crc_bytes)
     if zlib.crc32(payload) != crc:
         raise FormatError("checkpoint CRC mismatch (corrupt file)")
@@ -250,13 +276,18 @@ def read_checkpoint(path):
         dtype_code, ndim = cur.unpack("<BB", f"dtype of {name!r}")
         if dtype_code not in _CHECKPOINT_DTYPES:
             raise FormatError(f"unknown dtype code {dtype_code} for tensor {name!r}")
+        if ndim > _MAX_NDIM:
+            raise FormatError(f"tensor {name!r} has {ndim} dims; at most {_MAX_NDIM} allowed")
         dims = cur.unpack(f"<{ndim}Q", f"dims of {name!r}")
         dt = np.dtype(_CHECKPOINT_DTYPES[dtype_code])
         raw = cur.take(dt.itemsize * math.prod(dims), f"values of {name!r}")
         values = np.frombuffer(raw, dtype=dt)
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
-        tensors[name] = values.astype(np.float64).reshape(dims)
+        try:
+            tensors[name] = values.astype(np.float64, copy=False).reshape(dims)
+        except ValueError as e:  # zero values but a dim numpy cannot hold
+            raise FormatError(f"tensor {name!r} cannot have dims {dims}: {e}")
     if cur.off != len(payload):
         raise FormatError(f"{len(payload) - cur.off} trailing bytes after the last tensor")
     return config, tensors

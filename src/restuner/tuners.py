@@ -8,6 +8,7 @@ computes the identical function as the frozen one.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -41,9 +42,10 @@ def _require_positive(cfg, *names) -> None:
 class Tuner(Module):
     """Each subclass is the one definition of its kind: ``kind`` names it in
     configs and checkpoints, ``label`` in the grids. ``Config`` fields with a
-    default are its options; the rest (``dim``, prefix/prompt ``heads``) come
-    from the backbone. ``delta`` picks its inputs in ``block_forward`` and
-    ``analytic_params`` is its closed-form parameter count.
+    default are its options, each an int or a bool; the rest (``dim``,
+    prefix/prompt ``heads``) come from the backbone. ``delta`` picks its
+    inputs in ``block_forward`` and ``analytic_params`` is its closed-form
+    parameter count.
     """
 
     kind: str
@@ -267,8 +269,9 @@ class AttachSpec:
 def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.Generator):
     """Construct a tuner of the given kind for a backbone of width dim.
 
-    Options are cast to their defaults' types; an unknown option or an
-    invalid value raises AttachError.
+    Each option must have its default's type: a bool option takes only a
+    bool, an int option only a non-bool integer. An unknown option, a value
+    of another type or an invalid value raises AttachError naming it.
     """
     cls = TUNERS[kind]
     defaults = cls.defaults()
@@ -279,11 +282,10 @@ def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.G
     backbone = {"dim": dim, "heads": heads}
     given = {f.name: backbone[f.name] for f in fields(cls.Config) if f.name not in defaults}
     for name, value in opts.items():
-        cast = type(defaults[name])
-        try:
-            given[name] = cast(value)
-        except (TypeError, ValueError):
-            raise AttachError(f"{kind} tuner: {name} must be {cast.__name__}, got {value!r}")
+        want = type(defaults[name])
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) != (want is bool):
+            raise AttachError(f"{kind} tuner: {name} must be {want.__name__}, got {value!r}")
+        given[name] = want(value)
     try:
         cfg = cls.Config(**given)
     except ValueError as e:

@@ -147,3 +147,29 @@ def test_vitb_total_param_count_near_published():
     m = build_backbone(cfg)
     total = total_param_count(m)
     assert abs(total - 85.84e6) / 85.84e6 < 0.02
+
+
+def test_backbone_built_frozen_without_grad_buffers():
+    m = build_backbone(TOY)
+    for name, p in m.named_parameters():
+        if name.startswith("head."):
+            assert p.trainable and np.array_equal(p.grad, np.zeros_like(p.data))
+        else:
+            assert not p.trainable and not p.requires_grad and p.grad is None, name
+    unfreeze_backbone(m)
+    for name, p in m.named_parameters():
+        assert p.trainable and p.grad is not None, name
+        assert p.grad.shape == p.data.shape and not p.grad.any(), name
+    freeze_all(m)
+    assert all(p.grad is None for n, p in m.named_parameters() if not n.startswith("head."))
+
+
+def test_initial_values_pinned():
+    # building frozen draws the same numbers in the same order as before
+    import hashlib
+
+    h = hashlib.sha256()
+    for name, p in build_backbone(TOY).named_parameters():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "b60e32466ef4a4740274517cee01297976432eb28a1d6abaa28b1729396e8161"

@@ -243,9 +243,16 @@ def _with_crc(payload: bytes) -> bytes:
     return b"RTCK" + payload + struct.pack("<I", zlib.crc32(payload))
 
 
-def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
+def _first_dtype_byte(payload: bytes) -> int:
+    """Offset in the payload of the first tensor's dtype byte."""
     import struct
 
+    (cfg_len,) = struct.unpack_from("<I", payload, 4)
+    (name_len,) = struct.unpack_from("<H", payload, 12 + cfg_len)
+    return 14 + cfg_len + name_len
+
+
+def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
     tiny = BackboneConfig(dim=4, depth=1, heads=1, patch=4, image_size=4,
                           in_channels=1, num_classes=2, seed=0)
     m = build_backbone(tiny)
@@ -263,9 +270,7 @@ def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
     with pytest.raises(FormatError, match="trailing"):
         read_checkpoint(bad)
     # the first tensor's dtype byte set to codes the format does not define
-    (cfg_len,) = struct.unpack_from("<I", payload, 4)
-    (name_len,) = struct.unpack_from("<H", payload, 12 + cfg_len)
-    dtype_at = 14 + cfg_len + name_len
+    dtype_at = _first_dtype_byte(payload)
     assert payload[dtype_at] == 0
     for code in (2, 255):
         mutated = bytearray(payload)
@@ -353,3 +358,214 @@ def test_checkpoint_echo_round_trips_non_default_options(tmp_path):
     for spec in specs:
         tuner = back.tuners[(spec.block_index, spec.op)]
         assert tuner.kind == spec.kind and tuner.options() == spec.options
+
+
+# -- streamed writer, zero-copy reader ----------------------------------
+
+FOUR_KINDS = [
+    AttachSpec(0, "mha", "res_attn", {"rank": 1, "heads": 1, "qkv_bias": True}),
+    AttachSpec(1, "mha", "prefix", {"length": 1}),
+    AttachSpec(0, "ffn", "adapter", {"bottleneck": 1}),
+    AttachSpec(1, "block", "prompt", {"length": 1}),
+]
+# the smallest backbone that takes all four kinds, one slot each
+MINI = BackboneConfig(dim=2, depth=2, heads=1, patch=2, image_size=2, in_channels=1,
+                      num_classes=2, seed=0, mlp_ratio=1)
+# vit-style widths with more than 8 MiB of parameters
+BIG = BackboneConfig(dim=128, depth=6, heads=4, patch=4, image_size=8, in_channels=3,
+                     num_classes=10, seed=0)
+
+
+def _four_kind_model(cfg=TOY):
+    m = build_backbone(cfg)
+    attach(m, FOUR_KINDS)
+    rng = np.random.default_rng(1)
+    for _, p in m.named_parameters():
+        p.data += rng.normal(size=p.data.shape) * 0.01
+    return m
+
+
+def _reference_checkpoint_bytes(model, dtype_code: int = 0) -> bytes:
+    """The checkpoint format built in memory, as one bytearray."""
+    import struct
+    import zlib
+
+    from restuner.data_io import model_config_blob
+
+    payload = bytearray()
+    config = model_config_blob(model).encode()
+    payload += struct.pack("<I", 1)
+    payload += struct.pack("<I", len(config)) + config
+    tensors = list(model.named_parameters())
+    payload += struct.pack("<I", len(tensors))
+    for name, p in tensors:
+        nb = name.encode()
+        payload += struct.pack("<H", len(nb)) + nb
+        payload += struct.pack("<BB", dtype_code, p.data.ndim)
+        payload += struct.pack(f"<{p.data.ndim}Q", *p.data.shape)
+        payload += np.asarray(p.data, dtype=("<f8", "<f4")[dtype_code]).tobytes()
+    crc = zlib.crc32(bytes(payload))
+    return b"RTCK" + bytes(payload) + struct.pack("<I", crc)
+
+
+def _param_bytes(model) -> int:
+    return sum(p.data.nbytes for p in model.parameters())
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes traced above the level when fn was called)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cfg", [TOY, BIG], ids=["toy-4-kinds", "big"])
+def test_streamed_checkpoint_matches_in_memory_reference(tmp_path, cfg):
+    m = _four_kind_model(cfg)
+    path = tmp_path / "m.rtck"
+    save_checkpoint(m, path)
+    ref = _reference_checkpoint_bytes(m)
+    if cfg is BIG:
+        assert len(ref) >= 8 << 20
+    assert path.read_bytes() == ref
+
+
+def test_save_checkpoint_holds_no_payload_copy(tmp_path):
+    m = build_backbone(BIG)
+    assert _param_bytes(m) >= 8 << 20
+    path = tmp_path / "m.rtck"
+    _, peak = _traced_peak(lambda: save_checkpoint(m, path))
+    assert peak < 1 << 20, peak
+
+
+def test_load_checkpoint_peak_is_file_plus_model(tmp_path):
+    path = tmp_path / "m.rtck"
+    save_checkpoint(build_backbone(BIG), path)
+    model, peak = _traced_peak(lambda: load_checkpoint(path))
+    bound = 1.1 * (path.stat().st_size + _param_bytes(model))
+    assert peak < bound, (peak, bound)
+
+
+def test_read_checkpoint_holds_one_copy_of_the_file(tmp_path):
+    path = tmp_path / "m.rtck"
+    save_checkpoint(build_backbone(BIG), path)
+    _, peak = _traced_peak(lambda: read_checkpoint(path))
+    assert peak < 1.1 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_build_backbone_peak_is_parameter_bytes():
+    model, peak = _traced_peak(lambda: build_backbone(BIG))
+    assert peak < 1.25 * _param_bytes(model), (peak, _param_bytes(model))
+
+
+@pytest.mark.parametrize("dtype_code", [0, 1])
+def test_read_checkpoint_returns_float64_for_each_dtype_code(tmp_path, dtype_code):
+    m = _four_kind_model()
+    path = tmp_path / "m.rtck"
+    path.write_bytes(_reference_checkpoint_bytes(m, dtype_code))
+    _, tensors = read_checkpoint(path)
+    params = dict(m.named_parameters())
+    assert list(tensors) == list(params)
+    for name, values in tensors.items():
+        assert values.dtype == np.float64, name
+        expected = params[name].data.astype(("<f8", "<f4")[dtype_code]).astype(np.float64)
+        assert values.tobytes() == expected.tobytes(), name
+    back = load_checkpoint(path)
+    for name, p in back.named_parameters():
+        assert p.data.tobytes() == tensors[name].tobytes()
+        assert p.data.flags.writeable and p.data.dtype == np.float64
+
+
+def test_failed_save_leaves_old_checkpoint_in_place(tmp_path):
+    m = _four_kind_model()
+    path = tmp_path / "model.rtck"
+    save_checkpoint(m, path)
+    old = path.read_bytes()
+    name, last = list(m.named_parameters())[-1]
+    last.data = np.full(last.data.shape, "x")  # its values cannot be written as f8
+    with pytest.raises(ValueError):
+        save_checkpoint(m, path)
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.rtck"]
+    with pytest.raises(ValueError):
+        save_checkpoint(m, tmp_path / "new.rtck")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.rtck"]
+
+
+@pytest.mark.parametrize("ndim", [65, 130, 255])
+def test_checkpoint_ndim_above_64_exits_2(tmp_path, capsys, ndim):
+    from restuner.cli import main
+
+    path = tmp_path / "m.rtck"
+    save_checkpoint(build_backbone(TOY), path)
+    payload = bytearray(path.read_bytes()[4:-4])
+    at = _first_dtype_byte(payload) + 1
+    assert payload[at] == 2  # patch_embed.W is [patch_dim, dim]
+    payload[at] = ndim
+    path.write_bytes(_with_crc(bytes(payload)))
+    with pytest.raises(FormatError, match=f"'patch_embed.W' has {ndim} dims"):
+        read_checkpoint(path)
+    data = tmp_path / "d.rtds"
+    save_binary_dataset(synth_dataset(DatasetSpec(num_classes=4, shape=(1, 8, 8), size=8)), data)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "patch_embed.W" in err, err
+
+
+def test_checkpoint_zero_size_dims_numpy_cannot_hold(tmp_path):
+    import struct
+
+    path = tmp_path / "m.rtck"
+    save_checkpoint(build_backbone(TOY), path)
+    payload = bytearray(path.read_bytes()[4:-4])
+    at = _first_dtype_byte(payload) + 2
+    struct.pack_into("<2Q", payload, at, 0, 2**63)  # zero values, so none to read
+    path.write_bytes(_with_crc(bytes(payload)))
+    with pytest.raises(FormatError, match="'patch_embed.W' cannot have dims"):
+        read_checkpoint(path)
+
+
+FLIPS = (lambda b: b ^ 0x01, lambda b: b ^ 0x80, lambda b: 0x00, lambda b: 0xFF)
+
+
+@pytest.mark.slow
+def test_checkpoint_single_byte_flips_raise_only_format_error(tmp_path):
+    # freshly built: its zero biases and zero-init tuners are runs of zero
+    # bytes, which a flipped dim byte makes the reader parse as headers
+    m = build_backbone(MINI)
+    attach(m, FOUR_KINDS)
+    path = tmp_path / "m.rtck"
+    save_checkpoint(m, path)
+    payload = path.read_bytes()[4:-4]
+    bad = tmp_path / "bad.rtck"
+    for i in range(len(payload)):
+        for flip in FLIPS:
+            mutated = bytearray(payload)
+            mutated[i] = flip(payload[i])
+            bad.write_bytes(_with_crc(bytes(mutated)))
+            try:
+                load_checkpoint(bad)
+            except FormatError:
+                pass
+
+
+def test_dataset_single_byte_flips_raise_only_format_error(tmp_path):
+    ds = Dataset(np.arange(12.0).reshape(3, 1, 2, 2), np.array([0, 1, 2]), num_classes=3)
+    path = tmp_path / "d.rtds"
+    save_binary_dataset(ds, path)
+    blob = path.read_bytes()
+    for i in range(len(blob)):
+        for flip in FLIPS:
+            mutated = bytearray(blob)
+            mutated[i] = flip(blob[i])
+            path.write_bytes(bytes(mutated))
+            try:
+                load_binary_dataset(path)
+            except FormatError:
+                pass

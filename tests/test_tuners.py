@@ -341,3 +341,37 @@ def test_build_tuner_names_an_option_it_cannot_cast(kind):
     for name in int_opts:
         with pytest.raises(AttachError, match=name):
             attach(_toy_model(), [AttachSpec(0, "mha", kind, {name: None})])
+
+
+def test_registry_options_are_int_or_bool():
+    # build_tuner's strict type check knows these two types only
+    for kind, cls in TUNERS.items():
+        for name, value in cls.defaults().items():
+            assert type(value) in (int, bool), (kind, name)
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        ("res_attn", "qkv_bias", "false"),
+        ("res_attn", "qkv_bias", "no"),
+        ("res_attn", "qkv_bias", None),
+        ("res_attn", "qkv_bias", 0),
+        ("res_attn", "rank", 2.9),
+        ("res_attn", "rank", True),
+        ("res_attn", "rank", "2"),
+        ("adapter", "bottleneck", 4.0),
+        ("prompt", "length", True),
+    ],
+)
+def test_build_tuner_rejects_an_option_of_another_type(kind, name, value):
+    with pytest.raises(AttachError, match=name):
+        attach(_toy_model(), [AttachSpec(0, "mha", kind, {name: value})])
+
+
+def test_build_tuner_takes_numpy_integers_as_int():
+    m = _toy_model()
+    attach(m, [AttachSpec(0, "mha", "res_attn", {"rank": np.int64(2), "qkv_bias": False})])
+    opts = m.tuners[(0, "mha")].options()
+    assert opts["rank"] == 2 and type(opts["rank"]) is int
+    assert opts["qkv_bias"] is False
