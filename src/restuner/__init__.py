@@ -1,13 +1,11 @@
 """Residual tuners on a frozen transformer backbone, with verified numerics."""
 
-from .tensor import Tensor, finite_diff_grad, rel_error, set_debug_checks
+from .tensor import Tensor, finite_diff_grad, rel_error
 from .layers import LayerNorm, LinearLayer, MHAConfig, MLP, MultiHeadAttention, Parameter
 from .backbone import (
     BackboneConfig,
     ModelGraph,
     build_backbone,
-    freeze_all,
-    total_param_count,
     trainable_parameters,
     unfreeze_backbone,
 )

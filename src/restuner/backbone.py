@@ -23,8 +23,8 @@ from .layers import (
     make_linear,
     trunc_normal,
 )
-from .tensor import ShapeError, Tensor
-from .tuners import ATTACH_OPS, Tuner
+from .tensor import ShapeError, Tensor, broadcast_to, concat
+from .tuners import Tuner, slot_key
 
 
 class ConfigError(ValueError):
@@ -109,24 +109,32 @@ class ModelGraph(Module):
         self.final_norm = LayerNorm(cfg.dim, trainable=False)
         self.head = make_linear(rng, cfg.dim, cfg.num_classes)
         self.tuners: dict[tuple[int, str], Tuner] = {}
-        self.training = False
+        self.training = False  # True while ``train`` runs; perfbench's tracer reads it
 
     # tuners is a plain dict, so extend the attribute walk
     def named_parameters(self, prefix: str = ""):
         yield from super().named_parameters(prefix)
-        for (block, op), tuner in sorted(
-            self.tuners.items(), key=lambda kv: (kv[0][0], ATTACH_OPS.index(kv[0][1]))
-        ):
+        for (block, op), tuner in sorted(self.tuners.items(), key=slot_key):
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
-    def train_mode(self) -> None:
-        self.training = True
-
-    def eval_mode(self) -> None:
-        self.training = False
-
     def forward(self, images: Tensor) -> Tensor:
-        return forward(self, images)
+        """Patch-embed -> blocks -> final norm -> class token -> head logits."""
+        cfg = self.cfg
+        data = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
+        if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
+            raise ShapeError(
+                f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"
+            )
+        B = data.shape[0]
+        patches = Tensor(patchify(data, cfg.patch))
+        x = self.patch_embed(patches)
+        cls = broadcast_to(self.cls_token, (B, 1, cfg.dim))
+        x = concat([cls, x], axis=1)
+        x = x + Tensor(self.pos[None, :, :])
+        for i in range(cfg.depth):
+            x = block_forward(self, i, x)
+        x = self.final_norm(x)
+        return self.head(x[:, 0, :])
 
     __call__ = forward
 
@@ -136,23 +144,17 @@ def build_backbone(cfg: BackboneConfig) -> ModelGraph:
     return ModelGraph(cfg)
 
 
-def freeze_all(model: ModelGraph) -> None:
-    """Freeze every backbone parameter; head and tuners stay trainable."""
-    for module in (model.patch_embed, model.final_norm, *model.blocks):
-        module.set_trainable(False)
-    model.cls_token.set_trainable(False)
-
-
 def unfreeze_backbone(model: ModelGraph) -> None:
-    for module in (model.patch_embed, model.final_norm, *model.blocks):
-        module.set_trainable(True)
-    model.cls_token.set_trainable(True)
+    """Make every parameter trainable, each with a zeroed grad buffer."""
+    for p in model.parameters():
+        p.requires_grad = True
+        p.zero_grad()
 
 
 def trainable_parameters(model: ModelGraph):
     """(name, param) pairs for trainable params, stable-ordered by name."""
     return sorted(
-        ((n, p) for n, p in model.named_parameters() if p.trainable),
+        ((n, p) for n, p in model.named_parameters() if p.requires_grad),
         key=lambda np_: np_[0],
     )
 
@@ -193,29 +195,3 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
         y = y + tuner.delta(x, q, block.mha)
     return y
 
-
-def forward(model: ModelGraph, images: Tensor) -> Tensor:
-    """Patch-embed -> blocks -> final norm -> class token -> head logits."""
-    cfg = model.cfg
-    data = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
-    if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
-        raise ShapeError(
-            f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"
-        )
-    B = data.shape[0]
-    patches = Tensor(patchify(data, cfg.patch))
-    x = model.patch_embed(patches)
-    from .tensor import broadcast_to, concat
-
-    cls = broadcast_to(model.cls_token, (B, 1, cfg.dim))
-    x = concat([cls, x], axis=1)
-    x = x + Tensor(model.pos[None, :, :])
-    for i in range(cfg.depth):
-        x = block_forward(model, i, x)
-    x = model.final_norm(x)
-    return model.head(x[:, 0, :])
-
-
-def total_param_count(model: ModelGraph) -> int:
-    """All parameters, frozen and trainable (fixed position table excluded)."""
-    return sum(p.data.size for _, p in model.named_parameters())

@@ -26,11 +26,9 @@ from .data_io import (
     synth_dataset,
 )
 from .tensor import Tensor, no_grad
-from .training import evaluate, grad_check, train
-from .tuners import TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner, attach
-from .tuners import count_trainable_params
-
-OP_ORDER = ["mha", "ffn", "block"]
+from .training import check_dataset, evaluate, grad_check, train
+from .tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner
+from .tuners import attach, count_trainable_params
 
 # published trainable-parameter counts for rank x heads at every MHA slot
 # of the 12-block, width-768 backbone (counting convention differs
@@ -134,19 +132,12 @@ def cmd_grad_check(args) -> int:
     return 0 if ok else 1
 
 
-def _zero_init_identity_holds(run: RunConfig, specs, images) -> bool:
-    frozen = build_backbone(run.backbone)
-    tuned = build_backbone(run.backbone)
-    attach(tuned, specs)
-    with no_grad():
-        return bool(np.array_equal(frozen(Tensor(images)).data, tuned(Tensor(images)).data))
-
-
-def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds):
-    probe = train_ds.images[:2]
-    identity = _zero_init_identity_holds(run, specs, probe)
+def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds, frozen_logits):
+    """Check one cell's zero-init identity against ``frozen_logits``, then train it."""
     model = build_backbone(run.backbone)
     attach(model, specs)
+    with no_grad():
+        identity = bool(np.array_equal(model(Tensor(train_ds.images[:2])).data, frozen_logits))
     history = train(model, train_ds, run.train, quiet=True)
     final_train = [h for h in history if h["split"] == "train"][-1]["accuracy"]
     acc, _ = evaluate(model, eval_ds) if len(eval_ds) else (float("nan"), 0.0)
@@ -161,18 +152,23 @@ def cmd_matrix(args) -> int:
     run = load_run_config(args.config)
     depth = run.backbone.depth
     train_ds, eval_ds = _load_datasets(run)
+    frozen = build_backbone(run.backbone)
+    check_dataset(frozen, train_ds)
+    with no_grad():
+        frozen_logits = frozen(Tensor(train_ds.images[:2])).data
     single = {}
     dual = {}
     for kind in TUNER_KINDS:
-        for op in OP_ORDER:
-            single[(kind, op)] = _matrix_cell(run, _uniform_specs(kind, op, depth), train_ds, eval_ds)
+        for op in ATTACH_OPS:
+            specs = _uniform_specs(kind, op, depth)
+            single[(kind, op)] = _matrix_cell(run, specs, train_ds, eval_ds, frozen_logits)
     for mha_kind in TUNER_KINDS:
         for ffn_kind in TUNER_KINDS:
             specs = _uniform_specs(mha_kind, "mha", depth) + _uniform_specs(ffn_kind, "ffn", depth)
-            dual[(mha_kind, ffn_kind)] = _matrix_cell(run, specs, train_ds, eval_ds)
+            dual[(mha_kind, ffn_kind)] = _matrix_cell(run, specs, train_ds, eval_ds, frozen_logits)
 
     print("single-tuner grid (final train accuracy)")
-    _print_grid(single, cols=OP_ORDER, col_labels=[c.upper() for c in OP_ORDER])
+    _print_grid(single, cols=ATTACH_OPS, col_labels=[c.upper() for c in ATTACH_OPS])
     print("dual-tuner grid, MHA kind x FFN kind (final train accuracy)")
     _print_grid(dual, cols=TUNER_KINDS, col_labels=[TUNERS[k].label for k in TUNER_KINDS])
 
@@ -248,7 +244,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, AttachError, FileNotFoundError) as e:
+    except (ConfigError, FormatError, AttachError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

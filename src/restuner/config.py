@@ -8,7 +8,7 @@ tuner option would invalidate an experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .backbone import BackboneConfig, ConfigError
 from .data_io import DatasetSpec
@@ -30,11 +30,11 @@ class DataSection:
 
     def __post_init__(self):
         if self.source not in ("synthetic", "file"):
-            raise ConfigError(f"[data] source must be 'synthetic' or 'file', got {self.source!r}")
+            raise ConfigError(f"source must be 'synthetic' or 'file', got {self.source!r}")
         if self.task not in ("a", "b"):
-            raise ConfigError(f"[data] task must be 'a' or 'b', got {self.task!r}")
+            raise ConfigError(f"task must be 'a' or 'b', got {self.task!r}")
         if not 0.0 < self.train_fraction <= 1.0:
-            raise ConfigError(f"[data] train_fraction must be in (0, 1], got {self.train_fraction}")
+            raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
 
 
 @dataclass
@@ -52,7 +52,6 @@ class RunConfig:
             num_classes=b.num_classes,
             shape=(b.in_channels, b.image_size, b.image_size),
             size=d.size,
-            train_fraction=d.train_fraction,
             seed=d.seed,
             signal=d.signal,
             noise=d.noise,
@@ -101,28 +100,28 @@ def _coerce(section: str, raw: dict, schema: dict) -> dict:
     return out
 
 
-_BACKBONE_SCHEMA = {
-    "dim": int, "depth": int, "heads": int, "patch": int, "image": int,
-    "channels": int, "classes": int, "seed": int, "qkv_bias": bool, "mlp_ratio": int,
-}
-_TRAIN_SCHEMA = {
-    "optimizer": str, "lr": float, "weight_decay": float, "epochs": int,
-    "batch": int, "seed": int, "schedule": str, "smoothing": float,
-    "momentum": float, "beta1": float, "beta2": float,
-}
-_DATA_SCHEMA = {
-    "source": str, "path": str, "size": int, "train_fraction": float,
-    "seed": int, "signal": float, "noise": float, "rotation": float, "task": str,
-}
 _TUNER_SCHEMA = {
     "kind": str, "op": str, "blocks": str,
     **{name: type(value) for cls in TUNERS.values() for name, value in cls.defaults().items()},
 }
 _OUTPUT_SCHEMA = {"dir": str}
 
-_BACKBONE_RENAME = {"image": "image_size", "channels": "in_channels", "classes": "num_classes"}
-_TRAIN_RENAME = {"batch": "batch_size", "smoothing": "label_smoothing"}
-_DATA_RENAME = {"rotation": "rotation_deg"}
+_SECTIONS = {"backbone": BackboneConfig, "train": TrainConfig, "data": DataSection}
+# config key -> dataclass field, where the two names differ
+_RENAME = {"image": "image_size", "channels": "in_channels", "classes": "num_classes",
+           "batch": "batch_size", "smoothing": "label_smoothing", "rotation": "rotation_deg"}
+
+
+def _build_section(name: str, raw: dict):
+    """Build a [backbone], [train] or [data] section; each key takes its field default's type."""
+    cls = _SECTIONS[name]
+    key_of = {f: key for key, f in _RENAME.items()}
+    schema = {key_of.get(f.name, f.name): type(f.default) for f in fields(cls)}
+    vals = _coerce(name, raw, schema)
+    try:
+        return cls(**{_RENAME.get(k, k): v for k, v in vals.items()})
+    except ValueError as e:
+        raise ConfigError(f"[{name}]: {e}")
 
 
 def _build_tuner_specs(raw: dict, depth: int) -> list:
@@ -151,9 +150,7 @@ def load_run_config(path) -> RunConfig:
     sections = parse_sections(text)
     known = {"backbone", "tuner", "train", "data", "output"}
     seen_once = set()
-    backbone = None
-    train = None
-    data = None
+    built = {}
     out_dir = "runs/out"
     tuner_raws = []
     for name, raw in sections:
@@ -163,38 +160,22 @@ def load_run_config(path) -> RunConfig:
             if name in seen_once:
                 raise ConfigError(f"duplicate section [{name}]")
             seen_once.add(name)
-        if name == "backbone":
-            vals = _coerce(name, raw, _BACKBONE_SCHEMA)
-            vals = {_BACKBONE_RENAME.get(k, k): v for k, v in vals.items()}
-            try:
-                backbone = BackboneConfig(**vals)
-            except ValueError as e:
-                raise ConfigError(f"[backbone]: {e}")
-        elif name == "train":
-            vals = _coerce(name, raw, _TRAIN_SCHEMA)
-            vals = {_TRAIN_RENAME.get(k, k): v for k, v in vals.items()}
-            try:
-                train = TrainConfig(**vals)
-            except ValueError as e:
-                raise ConfigError(f"[train]: {e}")
-        elif name == "data":
-            vals = _coerce(name, raw, _DATA_SCHEMA)
-            vals = {_DATA_RENAME.get(k, k): v for k, v in vals.items()}
-            data = DataSection(**vals)
+        if name in _SECTIONS:
+            built[name] = _build_section(name, raw)
         elif name == "output":
             out_dir = _coerce(name, raw, _OUTPUT_SCHEMA).get("dir", out_dir)
         else:
             tuner_raws.append(raw)
-    if backbone is None:
+    if "backbone" not in built:
         raise ConfigError("missing required section [backbone]")
     specs = []
     for raw in tuner_raws:
-        specs.extend(_build_tuner_specs(raw, backbone.depth))
+        specs.extend(_build_tuner_specs(raw, built["backbone"].depth))
     run = RunConfig(
-        backbone=backbone,
+        backbone=built["backbone"],
         tuner_specs=specs,
-        train=train or TrainConfig(),
-        data=data or DataSection(),
+        train=built.get("train") or TrainConfig(),
+        data=built.get("data") or DataSection(),
         out_dir=out_dir,
     )
     if run.data.source == "synthetic":

@@ -19,7 +19,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class DatasetSpec:
     num_classes: int = 4
     shape: tuple = (1, 8, 8)  # C, H, W
     size: int = 128
-    train_fraction: float = 0.75
     seed: int = 0
     signal: float = 1.0
     noise: float = 0.1
@@ -65,8 +64,6 @@ class DatasetSpec:
             raise ValueError("need at least one class")
         if self.size < self.num_classes:
             raise ValueError(f"size {self.size} is below the class count {self.num_classes}")
-        if not 0.0 < self.train_fraction <= 1.0:
-            raise ValueError("train fraction must be in (0, 1]")
         if 2 * self.num_classes > int(np.prod(self.shape)):
             raise ValueError(f"image too small for {self.num_classes} classes: {self.shape}")
 
@@ -109,16 +106,6 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
     order = rng.permutation(len(ds))
     cut = int(round(train_fraction * len(ds)))
     return ds.subset(order[:cut]), ds.subset(order[cut:])
-
-
-def least_squares_probe(images: np.ndarray, labels: np.ndarray, num_classes: int) -> float:
-    """Train accuracy of a closed-form linear probe on raw pixels."""
-    n = len(labels)
-    x = np.concatenate([images.reshape(n, -1), np.ones((n, 1))], axis=1)
-    y = np.eye(num_classes)[labels]
-    w, *_ = np.linalg.lstsq(x, y, rcond=None)
-    pred = (x @ w).argmax(axis=1)
-    return float((pred == labels).mean())
 
 
 # -- dataset binary format ----------------------------------------------
@@ -164,6 +151,9 @@ def load_binary_dataset(path) -> Dataset:
     if bad.size:
         i = int(bad[0])
         raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
+    for i, pixels in enumerate(rec["pixels"]):  # one record at a time: no full-size mask
+        if not np.isfinite(pixels).all():
+            raise FormatError(f"non-finite pixel value in item {i}")
     images = rec["pixels"].reshape(count, c, h, w).astype(np.float64)
     return Dataset(images, rec["label"].astype(np.int64), classes)
 
@@ -284,6 +274,8 @@ def read_checkpoint(path):
         values = np.frombuffer(raw, dtype=dt)
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
+        if not np.isfinite(values).all():
+            raise FormatError(f"tensor {name!r} has a non-finite value")
         try:
             tensors[name] = values.astype(np.float64, copy=False).reshape(dims)
         except ValueError as e:  # zero values but a dim numpy cannot hold
@@ -318,37 +310,3 @@ def load_checkpoint(path) -> ModelGraph:
         raise FormatError(f"checkpoint missing tensors: {sorted(missing)}")
     return model
 
-
-def import_weights(model: ModelGraph, path, name_map: dict | None = None):
-    """Initialize backbone params from an external checkpoint-format file.
-
-    name_map maps file tensor names to model parameter names (identity by
-    default). Returns the list of unused file names; missing mandatory
-    backbone tensors are an error.
-    """
-    _, tensors = read_checkpoint(path)
-    name_map = name_map or {name: name for name in tensors}
-    params = dict(model.named_parameters())
-    used = set()
-    for file_name, model_name in name_map.items():
-        if file_name not in tensors:
-            raise FormatError(f"name map references absent file tensor {file_name!r}")
-        if model_name not in params:
-            raise FormatError(f"name map targets unknown parameter {model_name!r}")
-        p = params[model_name]
-        values = tensors[file_name]
-        if tuple(values.shape) != tuple(p.data.shape):
-            raise FormatError(
-                f"shape mismatch importing {file_name!r} -> {model_name!r}: "
-                f"{values.shape} vs {p.data.shape}"
-            )
-        p.data[...] = values
-        used.add(file_name)
-    backbone_names = [
-        n for n, p in params.items() if not p.trainable or n.startswith(("patch_embed", "cls"))
-    ]
-    mapped_targets = set(name_map.values())
-    missing = [n for n in backbone_names if n not in mapped_targets]
-    if missing:
-        raise FormatError(f"import missing mandatory backbone tensors: {missing}")
-    return sorted(set(tensors) - used)

@@ -1,7 +1,8 @@
 """Neural layers used by the backbone and the tuner zoo.
 
-Parameters carry a trainable flag so a frozen backbone and its trainable
-tuners can live in one graph; only trainable parameters receive grads.
+A parameter is trainable exactly when it requires grad, so a frozen
+backbone and its trainable tuners can live in one graph; only trainable
+parameters receive grads.
 """
 
 from __future__ import annotations
@@ -12,23 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor, layer_norm
+from .tensor import Tensor, layer_norm
 
 
 class Parameter(Tensor):
-    """Named tensor with a trainable flag. Frozen params take no grads."""
+    """Model tensor, trainable (``requires_grad``) unless built frozen."""
 
-    __slots__ = ("trainable",)
+    __slots__ = ()
 
     def __init__(self, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
-        self.trainable = trainable
-
-    def set_trainable(self, flag: bool) -> None:
-        self.trainable = flag
-        self.requires_grad = flag
-        self.grad = np.zeros_like(self.data) if flag else None
-        self._owns_grad = flag
 
 
 class Module:
@@ -50,10 +44,6 @@ class Module:
     def parameters(self):
         for _, p in self.named_parameters():
             yield p
-
-    def set_trainable(self, flag: bool) -> None:
-        for p in self.parameters():
-            p.set_trainable(flag)
 
 
 # -- init helpers -------------------------------------------------------
@@ -86,19 +76,7 @@ class LinearLayer(Module):
         self.W = Parameter(W, trainable=trainable)
         self.b = Parameter(b, trainable=trainable) if b is not None else None
 
-    @property
-    def d_in(self) -> int:
-        return self.W.data.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.W.data.shape[1]
-
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d_in:
-            raise ShapeError(
-                f"linear expects trailing dim {self.d_in}, got input shape {x.shape}"
-            )
         return T.linear(x, self.W, self.b)
 
     __call__ = forward
@@ -171,8 +149,6 @@ class MultiHeadAttention(Module):
 
     def forward(self, x: Tensor):
         cfg = self.cfg
-        if x.shape[-1] != cfg.dim:
-            raise ShapeError(f"MHA expects width {cfg.dim}, got input shape {x.shape}")
         q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.head_dim)
         y = merge_heads(T.attention(q, k, v, cfg.head_dim**-0.5))
         return self.proj(y), q

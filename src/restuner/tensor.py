@@ -27,14 +27,7 @@ import math
 import numpy as np
 from scipy.special import erf as _erf_np
 
-_CHECK_FINITE = False
 _GRAD_ENABLED = True
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle finiteness assertions on every op output (debug mode)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -76,14 +69,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -91,9 +76,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         if self.requires_grad:
@@ -187,14 +169,8 @@ class Tensor:
             axes = tuple(axes[0])
         return permute(self, axes)
 
-    def transpose_last2(self):
-        return transpose_last2(self)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
 
 
 def _as_tensor(value) -> Tensor:
@@ -204,8 +180,6 @@ def _as_tensor(value) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    if _CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise GradientError("non-finite value produced in forward op")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -353,12 +327,6 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     return _make(a.data.transpose(axes), (a,), backward)
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    axes = list(range(a.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(a, tuple(axes))
-
-
 def _is_basic_index(idx) -> bool:
     """True for ints, slices, Ellipsis and None: no element is selected twice."""
     items = idx if isinstance(idx, tuple) else (idx,)
@@ -411,14 +379,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return mul_scalar(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 # -- softmax ------------------------------------------------------------

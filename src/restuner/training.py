@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import ModelGraph, trainable_parameters
+from .backbone import ConfigError, ModelGraph, trainable_parameters
 from .tensor import GradientError, Tensor
 
 
@@ -141,6 +141,16 @@ def _batches(n: int, batch_size: int, rng: np.random.Generator | None):
         yield order[lo : lo + batch_size]
 
 
+def check_dataset(model: ModelGraph, dataset) -> None:
+    """Raise ConfigError unless the dataset's image shape and class count are the model's."""
+    cfg = model.cfg
+    shape = (cfg.in_channels, cfg.image_size, cfg.image_size)
+    if dataset.images.shape[1:] != shape:
+        raise ConfigError(f"dataset images are {dataset.images.shape[1:]}, model expects {shape}")
+    if dataset.num_classes != cfg.num_classes:
+        raise ConfigError(f"dataset has {dataset.num_classes} classes, model has {cfg.num_classes}")
+
+
 def train(
     model: ModelGraph,
     dataset,
@@ -150,10 +160,7 @@ def train(
     quiet: bool = False,
 ):
     """Optimize trainable params; returns the per-epoch metrics history."""
-    if dataset.num_classes != model.cfg.num_classes:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes, model expects {model.cfg.num_classes}"
-        )
+    check_dataset(model, dataset)
     opt = make_optimizer(model, cfg)
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset.labels)
@@ -165,7 +172,7 @@ def train(
     try:
         for epoch in range(cfg.epochs):
             t0 = time.monotonic()
-            model.train_mode()
+            model.training = True
             loss_sum = 0.0
             correct = 0
             for idx in _batches(n, cfg.batch_size, rng):
@@ -199,7 +206,7 @@ def train(
     finally:
         if sink:
             sink.close()
-    model.eval_mode()
+    model.training = False
     return history
 
 
@@ -225,11 +232,12 @@ def _emit(record, sink, quiet):
 
 
 def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
-    """(accuracy, mean loss) in eval mode, recording no graph; deterministic."""
+    """(accuracy, mean loss) with ``model.training`` off, recording no graph; deterministic."""
+    check_dataset(model, dataset)
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    model.eval_mode()
+    model.training = False
     loss_sum = 0.0
     correct = 0
     with T.no_grad():
@@ -247,7 +255,6 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     Returns (report, all_pass) where report maps parameter name to
     {"rel_err", "pass"}. Intended for small configs only.
     """
-    model.eval_mode()
     images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
 

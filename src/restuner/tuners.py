@@ -29,6 +29,12 @@ from .tensor import ShapeError, Tensor
 ATTACH_OPS = ("mha", "ffn", "block")
 
 
+def slot_key(item) -> tuple:
+    """Sort key of a ``((block, op), tuner)`` item: the forward pass's slot order."""
+    (block, op), _ = item
+    return (block, ATTACH_OPS.index(op))
+
+
 class AttachError(ValueError):
     pass
 
@@ -319,7 +325,7 @@ def attach(model, specs) -> None:
 
 def _trainable_count(module: Module, include_bias: bool) -> int:
     """Trainable values in module; a 1-D parameter counts as a bias."""
-    params = [p for p in module.parameters() if p.trainable]
+    params = [p for p in module.parameters() if p.requires_grad]
     return sum(p.data.size for p in params if include_bias or p.data.ndim != 1)
 
 
@@ -332,7 +338,7 @@ def count_trainable_params(model, include_head: bool = False, include_bias: bool
     """
     counts = {
         f"tuner.{block}.{op}[{tuner.kind}]": _trainable_count(tuner, include_bias)
-        for (block, op), tuner in sorted(model.tuners.items(), key=_slot_key)
+        for (block, op), tuner in sorted(model.tuners.items(), key=slot_key)
     }
     if include_head:
         counts["head"] = _trainable_count(model.head, include_bias)
@@ -343,8 +349,3 @@ def count_trainable_params(model, include_head: bool = False, include_bias: bool
         dim, classes = model.head.W.data.shape
         analytic += dim * classes + (classes if include_bias else 0)
     return counts, total, analytic
-
-
-def _slot_key(item):
-    (block, op), _ = item
-    return (block, ATTACH_OPS.index(op))

@@ -9,12 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from restuner.backbone import (
-    BackboneConfig,
-    build_backbone,
-    freeze_all,
-    unfreeze_backbone,
-)
+from restuner.backbone import BackboneConfig, build_backbone, unfreeze_backbone
 from restuner.cli import main
 from restuner.data_io import (
     DatasetSpec,
@@ -48,7 +43,6 @@ def test_criterion_1_zero_init_identity():
         for op in ("mha", "ffn", "block"):
             m = build_backbone(TOY)
             attach(m, [AttachSpec(b, op, kind) for b in range(TOY.depth)])
-            m.eval_mode()
             if not np.array_equal(m(x).data, baseline):
                 failures.append((kind, op))
     verdict(1, "zero-init identity", not failures, f"failures={failures}")
@@ -159,14 +153,12 @@ def test_criterion_6_transfer_beats_linear_probe():
     pretrained = build_backbone(cfg)
     unfreeze_backbone(pretrained)
     train(pretrained, ds_a, TrainConfig(epochs=30, batch_size=32, lr=1e-2, seed=seed), quiet=True)
-    freeze_all(pretrained)
     snapshot = {n: p.data.copy() for n, p in pretrained.named_parameters()}
 
     def fresh(specs):
         m = build_backbone(cfg)
-        for n, p in m.named_parameters():
+        for n, p in m.named_parameters():  # the backbone stays frozen as built
             p.data[...] = snapshot[n]
-        freeze_all(m)
         m.head = make_linear(np.random.default_rng(seed + 99), cfg.dim, cfg.num_classes)
         attach(m, specs)
         return m
@@ -225,9 +217,9 @@ def test_criterion_8_frozen_immutability():
         AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2}),
         AttachSpec(1, "ffn", "adapter"),
     ])
-    frozen_before = {n: p.data.tobytes() for n, p in m.named_parameters() if not p.trainable}
+    frozen_before = {n: p.data.tobytes() for n, p in m.named_parameters() if not p.requires_grad}
     ds = synth_dataset(DatasetSpec(num_classes=4, shape=(1, 8, 8), size=64, seed=0, signal=3.0))
     train(m, ds, TrainConfig(epochs=8, batch_size=16, lr=1e-2, seed=0), quiet=True)
     changed = [n for n, p in m.named_parameters()
-               if not p.trainable and p.data.tobytes() != frozen_before[n]]
+               if not p.requires_grad and p.data.tobytes() != frozen_before[n]]
     verdict(8, "frozen immutability", not changed, f"changed={changed}")

@@ -5,9 +5,7 @@ from restuner.backbone import (
     BackboneConfig,
     ConfigError,
     build_backbone,
-    freeze_all,
     patchify,
-    total_param_count,
     trainable_parameters,
     unfreeze_backbone,
 )
@@ -123,15 +121,6 @@ def test_trained_tuner_delta_equals_tuner_forward():
     assert np.abs((out_tuned.data - out_plain.data) - delta).max() < 1e-12
 
 
-def test_freeze_unfreeze_roundtrip():
-    m = build_backbone(TOY)
-    unfreeze_backbone(m)
-    assert all(p.trainable for _, p in m.named_parameters() if not _.startswith("tuners"))
-    freeze_all(m)
-    trainable = [n for n, p in m.named_parameters() if p.trainable]
-    assert trainable == ["head.W", "head.b"]
-
-
 def test_bad_image_shape_raises():
     from restuner.tensor import ShapeError
 
@@ -145,7 +134,7 @@ def test_vitb_total_param_count_near_published():
     cfg = BackboneConfig(dim=768, depth=12, heads=12, patch=16, image_size=224,
                          in_channels=3, num_classes=100, seed=0)
     m = build_backbone(cfg)
-    total = total_param_count(m)
+    total = sum(p.data.size for p in m.parameters())  # fixed position table excluded
     assert abs(total - 85.84e6) / 85.84e6 < 0.02
 
 
@@ -153,15 +142,13 @@ def test_backbone_built_frozen_without_grad_buffers():
     m = build_backbone(TOY)
     for name, p in m.named_parameters():
         if name.startswith("head."):
-            assert p.trainable and np.array_equal(p.grad, np.zeros_like(p.data))
+            assert p.requires_grad and np.array_equal(p.grad, np.zeros_like(p.data))
         else:
-            assert not p.trainable and not p.requires_grad and p.grad is None, name
+            assert not p.requires_grad and p.grad is None, name
     unfreeze_backbone(m)
     for name, p in m.named_parameters():
-        assert p.trainable and p.grad is not None, name
+        assert p.requires_grad and p.grad is not None, name
         assert p.grad.shape == p.data.shape and not p.grad.any(), name
-    freeze_all(m)
-    assert all(p.grad is None for n, p in m.named_parameters() if not n.startswith("head."))
 
 
 def test_initial_values_pinned():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import restuner.tensor as T
+from restuner.backbone import BackboneConfig, build_backbone
 from restuner.cli import main
 from restuner.config import ConfigError, load_run_config, parse_sections
+from restuner.data_io import Dataset, save_binary_dataset, save_checkpoint
 from restuner.tuners import TUNERS
 
 TOY_CONFIG = """
@@ -121,6 +123,43 @@ def test_cmd_train_and_eval(config_path, tmp_path, capsys):
 def test_cmd_eval_missing_file(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "no.rtck"),
                  "--data", str(tmp_path / "no.rtds")]) == 2
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("checkpoint is a directory", "Is a directory"),
+        ("data file is a directory", "Is a directory"),
+        ("[data] path is a directory", "Is a directory"),
+        ("16-px images on an 8-px model", "model expects (1, 8, 8)"),
+        ("10 classes on a 4-class model", "model has 4"),
+        ("NaN pixel", "item 1"),
+        ("NaN weight", "'head.W'"),
+    ],
+)
+def test_cmd_input_errors_exit_2(tmp_path, capsys, case, message):
+    model = build_backbone(BackboneConfig(image_size=8, num_classes=4))
+    if case == "NaN weight":
+        model.head.W.data[0, 0] = np.nan
+    save_checkpoint(model, tmp_path / "m.rtck")
+    side = 16 if case.startswith("16-px") else 8
+    classes = 10 if case.startswith("10 classes") else 4
+    images = np.zeros((classes, 1, side, side))
+    if case == "NaN pixel":
+        images[1, 0, 2, 3] = np.nan
+    save_binary_dataset(Dataset(images, np.arange(classes), classes), tmp_path / "d.rtds")
+    argv = ["eval", "--checkpoint", str(tmp_path / "m.rtck"), "--data", str(tmp_path / "d.rtds")]
+    if case == "checkpoint is a directory":
+        argv[2] = str(tmp_path)
+    elif case == "data file is a directory":
+        argv[4] = str(tmp_path)
+    elif case == "[data] path is a directory":
+        config = f"[backbone]\n[data]\nsource = file\npath = {tmp_path}\n"
+        (tmp_path / "run.cfg").write_text(config)
+        argv = ["train", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err, err
 
 
 def test_cmd_train_malformed_config(tmp_path, capsys):

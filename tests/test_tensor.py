@@ -11,7 +11,6 @@ from restuner.tensor import (
     Tensor,
     finite_diff_grad,
     rel_error,
-    set_debug_checks,
 )
 
 
@@ -192,15 +191,6 @@ def test_getitem_concat_broadcast_grads():
     assert np.array_equal(y.grad, np.full((1, 4), 5.0))
 
 
-def test_debug_mode_flags_nonfinite():
-    set_debug_checks(True)
-    try:
-        with np.errstate(invalid="ignore"), pytest.raises(GradientError):
-            T.power(Tensor([-1.0]), 0.5)
-    finally:
-        set_debug_checks(False)
-
-
 # -- graph lifetime and no_grad -----------------------------------------
 
 
@@ -232,7 +222,7 @@ def test_intermediate_grad_allocated_by_backward():
 
 
 def _no_grad_probe(x):
-    return T.softmax_lastdim(T.gelu(x @ x.transpose_last2())).sum(axis=-1)
+    return T.softmax_lastdim(T.gelu(x @ x.permute(0, 2, 1))).sum(axis=-1)
 
 
 def test_no_grad_records_no_graph_and_same_values():
@@ -298,15 +288,18 @@ def composed_linear(x, W, b=None):
 
 
 def composed_layer_norm(x, gamma, beta, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
+    scale = 1.0 / x.shape[-1]  # a mean is a sum times the reciprocal count
+    mu = x.sum(axis=-1, keepdims=True) * scale
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) * scale
     inv = (var + eps) ** -0.5
     return xc * inv * gamma + beta
 
 
 def composed_attention(q, k, v, scale):
-    return T.softmax_lastdim((q @ k.transpose_last2()) * scale) @ v
+    axes = list(range(len(k.shape)))
+    axes[-2:] = axes[-1], axes[-2]  # k^T over the last two axes
+    return T.softmax_lastdim((q @ k.permute(axes)) * scale) @ v
 
 
 def prompt_kv(P, W, heads):

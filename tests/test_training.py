@@ -121,10 +121,10 @@ def test_lr_zero_leaves_params_unchanged():
 def test_training_moves_only_trainable_params():
     m = build_backbone(TOY)
     attach(m, [AttachSpec(b, "mha", "res_attn", {"rank": 2, "heads": 2}) for b in range(2)])
-    frozen_before = {n: p.data.copy() for n, p in m.named_parameters() if not p.trainable}
+    frozen_before = {n: p.data.copy() for n, p in m.named_parameters() if not p.requires_grad}
     hist = train(m, toy_dataset(), TrainConfig(epochs=10, batch_size=16, lr=1e-2), quiet=True)
     for n, p in m.named_parameters():
-        if not p.trainable:
+        if not p.requires_grad:
             assert np.array_equal(p.data, frozen_before[n]), n
     assert hist[-1]["accuracy"] >= 0.95
 
@@ -199,7 +199,6 @@ def test_evaluate_matches_graph_recording_loop():
     m = build_backbone(TOY)
     attach(m, [AttachSpec(0, "mha", "prefix", {"length": 3})])
     ds = toy_dataset(size=20)
-    m.eval_mode()
     loss_sum, correct = 0.0, 0
     for lo in range(0, 20, 8):
         logits = m(Tensor(ds.images[lo : lo + 8]))

@@ -269,7 +269,7 @@ def test_attach_order_independent():
         attach(m, order)
         # give tuners nonzero outputs so ordering would show
         for _, p in sorted(m.named_parameters()):
-            if p.trainable:
+            if p.requires_grad:
                 p.data[...] = np.random.default_rng(13).normal(size=p.data.shape) * 0.1
         outs.append(m(x).data)
     assert np.array_equal(outs[0], outs[1])
