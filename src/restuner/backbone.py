@@ -145,10 +145,9 @@ def build_backbone(cfg: BackboneConfig) -> ModelGraph:
 
 
 def unfreeze_backbone(model: ModelGraph) -> None:
-    """Make every parameter trainable, each with a zeroed grad buffer."""
+    """Make every parameter trainable."""
     for p in model.parameters():
         p.requires_grad = True
-        p.zero_grad()
 
 
 def trainable_parameters(model: ModelGraph):

@@ -41,7 +41,11 @@ def _load_datasets(run: RunConfig):
         ds = synth_dataset(run.dataset_spec(), task=run.data.task)
     else:
         ds = load_binary_dataset(run.data.path)
-    return split_dataset(ds, run.data.train_fraction, seed=run.data.seed)
+    train_ds, eval_ds = split_dataset(ds, run.data.train_fraction, seed=run.data.seed)
+    if not len(train_ds):
+        fraction = run.data.train_fraction
+        raise ConfigError(f"[data]: train_fraction {fraction} of {len(ds)} items is an empty split")
+    return train_ds, eval_ds
 
 
 def cmd_train(args) -> int:
@@ -119,12 +123,12 @@ def _reference_count(run: RunConfig):
 
 def cmd_grad_check(args) -> int:
     run = load_run_config(args.config)
+    train_ds, _ = _load_datasets(run)
     model = build_backbone(run.backbone)
     attach(model, run.tuner_specs)
-    spec = run.dataset_spec()
-    size = max(4, spec.num_classes, min(8, spec.size))  # at least one image per class
-    ds = synth_dataset(replace(spec, size=size), task=run.data.task)
-    report, ok = grad_check(model, ds.images, ds.labels, eps=args.eps, tol=args.tol)
+    check_dataset(model, train_ds)
+    probe = train_ds.subset(slice(8))
+    report, ok = grad_check(model, probe.images, probe.labels, eps=args.eps, tol=args.tol)
     print(f"grad check: eps={args.eps} tol={args.tol}")
     for name, entry in report.items():
         print(f"  {'PASS' if entry['pass'] else 'FAIL'} {name:48s} rel_err={entry['rel_err']:.3e}")

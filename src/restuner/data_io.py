@@ -4,7 +4,7 @@ Two little-endian binary formats:
 
 Checkpoint (magic ``RTCK``): u32 version, u32 config length + UTF-8 config
 JSON, u32 tensor count, then per tensor u16 name length + name, u8 dtype
-(0 = f64, 1 = f32), u8 ndim, ndim x u64 dims, raw values; finally a CRC32
+(0 = f64), u8 ndim, ndim x u64 dims, raw values; finally a CRC32
 of every byte after the magic.
 
 Dataset (magic ``RTDS``): u32 version, u32 count, u32 classes, u32 C, H,
@@ -207,7 +207,6 @@ def _write_checkpoint(model: ModelGraph, f) -> None:
     f.write(struct.pack("<I", crc))
 
 
-_CHECKPOINT_DTYPES = {0: "<f8", 1: "<f4"}
 _MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
@@ -239,8 +238,7 @@ class _Cursor:
 def read_checkpoint(path):
     """Parse a checkpoint file -> (config dict, {name: float64 array}).
 
-    f8 tensors are read-only views into the file's bytes; f4 tensors are
-    converted to float64 copies."""
+    Each tensor is a read-only view into the file's bytes."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -264,20 +262,19 @@ def read_checkpoint(path):
         (name_len,) = cur.unpack("<H", "tensor name length")
         name = cur.text(name_len, "tensor name")
         dtype_code, ndim = cur.unpack("<BB", f"dtype of {name!r}")
-        if dtype_code not in _CHECKPOINT_DTYPES:
+        if dtype_code != 0:
             raise FormatError(f"unknown dtype code {dtype_code} for tensor {name!r}")
         if ndim > _MAX_NDIM:
             raise FormatError(f"tensor {name!r} has {ndim} dims; at most {_MAX_NDIM} allowed")
         dims = cur.unpack(f"<{ndim}Q", f"dims of {name!r}")
-        dt = np.dtype(_CHECKPOINT_DTYPES[dtype_code])
-        raw = cur.take(dt.itemsize * math.prod(dims), f"values of {name!r}")
-        values = np.frombuffer(raw, dtype=dt)
+        raw = cur.take(8 * math.prod(dims), f"values of {name!r}")
+        values = np.frombuffer(raw, dtype="<f8")
         if name in tensors:
             raise FormatError(f"duplicate tensor name {name!r}")
         if not np.isfinite(values).all():
             raise FormatError(f"tensor {name!r} has a non-finite value")
         try:
-            tensors[name] = values.astype(np.float64, copy=False).reshape(dims)
+            tensors[name] = values.reshape(dims)
         except ValueError as e:  # zero values but a dim numpy cannot hold
             raise FormatError(f"tensor {name!r} cannot have dims {dims}: {e}")
     if cur.off != len(payload):

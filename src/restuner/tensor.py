@@ -5,10 +5,11 @@ stores a backward closure that receives the output's grad as its argument,
 so no node refers to its own output and a graph is freed by reference
 counting as soon as its loss dies. Inside ``no_grad()`` ops record nothing.
 ``backward`` on a scalar walks the recorded graph once in reverse
-topological order. Leaf tensors add into zeroed grad buffers they own; an
-op output takes its first grad contribution as is (often an array another
-tensor also holds) and adds later ones out of place, so no backward pass
-copies or zero-fills a grad it does not have to.
+topological order. Every tensor, leaf or op output, follows one grad rule:
+``backward`` drops each reachable grad, a tensor takes its first
+contribution as is (often an array another tensor also holds) and adds
+later ones out of place. No grad array is written in place once a tensor
+holds it, so a grad is never copied or zero-filled to make that safe.
 
 The hot paths are fused ops, one graph node each: ``linear``,
 ``layer_norm`` and ``attention``. Each repeats, expression for expression
@@ -53,15 +54,12 @@ class GradientError(RuntimeError):
 class Tensor:
     """N-d float64 value, optionally participating in the gradient graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_owns_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
-        # True only when ``grad`` is a buffer no other tensor holds, so it may
-        # be added to in place; a first contribution taken as is may be shared.
-        self._owns_grad = requires_grad
+        self.grad = None
         self._parents = ()
         self._backward = None
 
@@ -77,19 +75,14 @@ class Tensor:
             raise ShapeError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
-            self._owns_grad = True
-
     # -- graph plumbing -------------------------------------------------
 
     def backward(self) -> None:
         """Fill ``grad`` on every requires_grad tensor this scalar depends on.
 
-        Repeated calls without re-recording produce identical grads: each
-        call zeroes the reachable leaves' grads and drops the op outputs'
-        grads before accumulating.
+        A tensor the loss does not reach keeps ``grad`` as it was. Repeated
+        calls without re-recording produce identical grads: each call drops
+        every reachable tensor's grad before accumulating.
         """
         if self.data.size != 1:
             raise GradientError(
@@ -111,13 +104,8 @@ class Tensor:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         for node in topo:
-            if node._backward is None:
-                node.zero_grad()
-            else:
-                node.grad = None
-                node._owns_grad = False
+            node.grad = None
         self.grad = np.ones_like(self.data)
-        self._owns_grad = True
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -189,30 +177,12 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add one grad contribution into ``t.grad``.
+    """Add one grad contribution to ``t.grad``, never writing into an array.
 
-    The first contribution to an op output is stored as is, even when other
-    tensors hold the same array or a view of it. Only a tensor that owns its
-    buffer adds in place; any other makes a new buffer, which it then owns.
+    The first contribution is stored as is, even when other tensors hold
+    the same array or a view of it; each later one makes a new sum.
     """
-    if t.grad is None:
-        t.grad = g
-    elif t._owns_grad:
-        t.grad += g
-    else:
-        t.grad = t.grad + g
-        t._owns_grad = True
-
-
-def _own_grad(t: Tensor) -> np.ndarray:
-    """``t.grad`` as a writable buffer that ``t`` owns (zeros if no grad yet)."""
-    if not t._owns_grad:
-        buf = np.zeros_like(t.data)
-        if t.grad is not None:
-            buf += t.grad
-        t.grad = buf
-        t._owns_grad = True
-    return t.grad
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -337,11 +307,12 @@ def getitem(a: Tensor, idx) -> Tensor:
     basic = _is_basic_index(idx)
 
     def backward(g):
-        buf = _own_grad(a)
+        buf = np.zeros_like(a.data)
         if basic:
             buf[idx] += g
         else:  # advanced indices may repeat a target; add.at accumulates repeats
             np.add.at(buf, idx, g)
+        _accumulate(a, buf)
 
     return _make(a.data[idx], (a,), backward)
 

@@ -79,13 +79,13 @@ class Optimizer:
 
     def zero_grad(self):
         for _, p in self.params:
-            p.zero_grad()
+            p.grad = None
 
     def step(self, lr: float):
         self.step_count += 1
         for name, p in self.params:
             if p.grad is None:
-                raise GradientError(f"trainable parameter {name!r} has no grad buffer")
+                raise GradientError(f"the loss never reached trainable parameter {name!r}")
             self._update(name, p, lr)
 
     def _init_state(self, p):
@@ -267,8 +267,6 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     if not math.isfinite(loss.item()):
         raise GradientError("non-finite loss in grad check")
     params = trainable_parameters(model)
-    for _, p in params:
-        p.zero_grad()
     loss.backward()
     autodiff = {name: p.grad.copy() for name, p in params}
 

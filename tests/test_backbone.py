@@ -141,14 +141,10 @@ def test_vitb_total_param_count_near_published():
 def test_backbone_built_frozen_without_grad_buffers():
     m = build_backbone(TOY)
     for name, p in m.named_parameters():
-        if name.startswith("head."):
-            assert p.requires_grad and np.array_equal(p.grad, np.zeros_like(p.data))
-        else:
-            assert not p.requires_grad and p.grad is None, name
+        assert p.requires_grad == name.startswith("head.") and p.grad is None, name
     unfreeze_backbone(m)
     for name, p in m.named_parameters():
-        assert p.requires_grad and p.grad is not None, name
-        assert p.grad.shape == p.data.shape and not p.grad.any(), name
+        assert p.requires_grad and p.grad is None, name
 
 
 def test_initial_values_pinned():

@@ -7,7 +7,9 @@ import restuner.tensor as T
 from restuner.backbone import BackboneConfig, build_backbone
 from restuner.cli import main
 from restuner.config import ConfigError, load_run_config, parse_sections
-from restuner.data_io import Dataset, save_binary_dataset, save_checkpoint
+from restuner.data_io import (
+    Dataset, DatasetSpec, save_binary_dataset, save_checkpoint, synth_dataset,
+)
 from restuner.tuners import TUNERS
 
 TOY_CONFIG = """
@@ -313,3 +315,26 @@ def test_matrix_json_independent_of_blas_threads(tmp_path):
         )
         outputs.append((tmp_path / "runs" / "out" / "matrix.json").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "matrix"])
+def test_cmd_empty_train_split_exits_2(config_path, capsys, command):
+    text = config_path.read_text().replace("size = 64", "size = 4")
+    config_path.write_text(text.replace("train_fraction = 0.75", "train_fraction = 0.1"))
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [data]") and "train_fraction" in err, err
+
+
+def test_cmd_grad_check_reads_data_file(config_path, tmp_path, capsys):
+    data = tmp_path / "probe.rtds"
+    text = config_path.read_text().replace("[data]\n", f"[data]\nsource = file\npath = {data}\n")
+    config_path.write_text(text)
+    assert main(["grad-check", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "probe.rtds" in err, err
+
+    spec = DatasetSpec(num_classes=4, shape=(1, 8, 8), size=16, signal=3.0)
+    save_binary_dataset(synth_dataset(spec), data)
+    assert main(["grad-check", "--config", str(config_path)]) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out

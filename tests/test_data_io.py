@@ -237,7 +237,7 @@ def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
     # the first tensor's dtype byte set to codes the format does not define
     dtype_at = _first_dtype_byte(payload)
     assert payload[dtype_at] == 0
-    for code in (2, 255):
+    for code in (1, 2, 255):
         mutated = bytearray(payload)
         mutated[dtype_at] = code
         bad.write_bytes(_with_crc(bytes(mutated)))
@@ -368,7 +368,7 @@ def _reference_checkpoint_bytes(model, dtype_code: int = 0) -> bytes:
         payload += struct.pack("<H", len(nb)) + nb
         payload += struct.pack("<BB", dtype_code, p.data.ndim)
         payload += struct.pack(f"<{p.data.ndim}Q", *p.data.shape)
-        payload += np.asarray(p.data, dtype=("<f8", "<f4")[dtype_code]).tobytes()
+        payload += np.asarray(p.data, dtype="<f8").tobytes()
     crc = zlib.crc32(bytes(payload))
     return b"RTCK" + bytes(payload) + struct.pack("<I", crc)
 
@@ -429,7 +429,7 @@ def test_build_backbone_peak_is_parameter_bytes():
     assert peak < 1.25 * _param_bytes(model), (peak, _param_bytes(model))
 
 
-@pytest.mark.parametrize("dtype_code", [0, 1])
+@pytest.mark.parametrize("dtype_code", [0])
 def test_read_checkpoint_returns_float64_for_each_dtype_code(tmp_path, dtype_code):
     m = _four_kind_model()
     path = tmp_path / "m.rtck"
@@ -439,8 +439,7 @@ def test_read_checkpoint_returns_float64_for_each_dtype_code(tmp_path, dtype_cod
     assert list(tensors) == list(params)
     for name, values in tensors.items():
         assert values.dtype == np.float64, name
-        expected = params[name].data.astype(("<f8", "<f4")[dtype_code]).astype(np.float64)
-        assert values.tobytes() == expected.tobytes(), name
+        assert values.tobytes() == params[name].data.tobytes(), name
     back = load_checkpoint(path)
     for name, p in back.named_parameters():
         assert p.data.tobytes() == tensors[name].tobytes()

@@ -70,7 +70,7 @@ def _param(value):
 
 def test_sgd_plain_step():
     p = _param([1.0])
-    p.grad[...] = 0.5
+    p.grad = np.array([0.5])
     cfg = TrainConfig(optimizer="sgd", lr=0.1, momentum=0.0)
     opt = SGD([("w", p)], cfg)
     opt.step(lr=0.1)
@@ -80,12 +80,23 @@ def test_sgd_plain_step():
 def test_adamw_first_step_magnitude():
     # step 1 with constant grad g: m_hat = g, v_hat = g^2, update = lr * g/(|g|+eps)
     p = _param([1.0])
-    p.grad[...] = 0.3
+    p.grad = np.array([0.3])
     cfg = TrainConfig(optimizer="adamw", lr=0.01)
     opt = AdamW([("w", p)], cfg)
     opt.step(lr=0.01)
     expected = 1.0 - 0.01 * (0.3 / (0.3 + AdamW.eps))
     assert abs(p.data[0] - expected) < 1e-12
+
+
+def test_step_names_a_parameter_the_loss_never_reached():
+    used, unused = _param([1.0]), _param([2.0])
+    opt = SGD([("used", used), ("unused", unused)], TrainConfig(optimizer="sgd", lr=0.1))
+    (used * unused).sum().backward()
+    opt.step(lr=0.1)
+    opt.zero_grad()  # a stale grad must not stand in for a missing one
+    (used * used).sum().backward()
+    with pytest.raises(GradientError, match="'unused'"):
+        opt.step(lr=0.1)
 
 
 def test_missing_grad_is_contract_error():
