@@ -173,24 +173,24 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     MHA/FFN tuners consume the post-norm tensor fed to the parallel op;
     the block tuner consumes the block's raw input and adds to its output.
     Each tuner's ``delta`` picks what it reads: that tensor, or this block's
-    MHA query (and the MHA itself).
+    fused QKV projection (and the MHA itself).
     """
     block = model.blocks[index]
     h1 = block.norm1(x)
-    mha_out, q = block.mha(h1)
+    mha_out, qkv = block.mha(h1)
     u = x + mha_out
     tuner = model.tuners.get((index, "mha"))
     if tuner is not None:
-        u = u + tuner.delta(h1, q, block.mha)
+        u = u + tuner.delta(h1, qkv, block.mha)
 
     h2 = block.norm2(u)
     y = u + block.mlp(h2)
     tuner = model.tuners.get((index, "ffn"))
     if tuner is not None:
-        y = y + tuner.delta(h2, q, block.mha)
+        y = y + tuner.delta(h2, qkv, block.mha)
 
     tuner = model.tuners.get((index, "block"))
     if tuner is not None:
-        y = y + tuner.delta(x, q, block.mha)
+        y = y + tuner.delta(x, qkv, block.mha)
     return y
 

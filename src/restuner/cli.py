@@ -26,7 +26,7 @@ from .data_io import (
     synth_dataset,
 )
 from .tensor import Tensor, no_grad
-from .training import check_dataset, evaluate, grad_check, train
+from .training import DivergenceError, check_dataset, evaluate, grad_check, train
 from .tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner
 from .tuners import attach, count_trainable_params
 
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, FormatError, AttachError, OSError) as e:
+    except (ConfigError, FormatError, AttachError, DivergenceError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

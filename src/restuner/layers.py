@@ -122,24 +122,11 @@ class MHAConfig:
         return self.dim // self.heads
 
 
-def split_heads(qkv: Tensor, heads: int, head_dim: int):
-    """[B, N, 3*heads*head_dim] fused projection -> q, k, v, each [B, heads, N, head_dim]."""
-    B, N, _ = qkv.shape
-    qkv = qkv.reshape(B, N, 3, heads, head_dim).permute(2, 0, 3, 1, 4)
-    return qkv[0], qkv[1], qkv[2]
-
-
-def merge_heads(y: Tensor) -> Tensor:
-    """[B, heads, N, head_dim] -> [B, N, heads*head_dim]."""
-    B, heads, N, head_dim = y.shape
-    return y.permute(0, 2, 1, 3).reshape(B, N, heads * head_dim)
-
-
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with a fused QKV projection.
 
-    forward returns (output, per-head query) — the query is consumed by
-    prefix/prompt tuners, which reuse the backbone's query stream.
+    forward returns (output, fused qkv projection): prefix/prompt tuners
+    read its query third, reusing the backbone's query stream.
     """
 
     def __init__(self, cfg: MHAConfig, rng: np.random.Generator, trainable: bool = True):
@@ -149,9 +136,8 @@ class MultiHeadAttention(Module):
 
     def forward(self, x: Tensor):
         cfg = self.cfg
-        q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.head_dim)
-        y = merge_heads(T.attention(q, k, v, cfg.head_dim**-0.5))
-        return self.proj(y), q
+        qkv = self.qkv(x)
+        return self.proj(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5)), qkv
 
     __call__ = forward
 

@@ -429,31 +429,59 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     return _make(normed * gamma.data + beta.data, (x, gamma, beta), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v over the last two axes.
+def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) -> Tensor:
+    """Multi-head softmax(q @ k^T * scale) @ v over a fused QKV projection.
 
-    Batch axes broadcast, so K/V of shape [heads, L, d] serve a query of
-    shape [B, heads, N, d].
+    ``qkv`` is [B, N, 3*heads*d] and q is its first third. k and v are its
+    other two thirds or, given ``kv = (K, V)``, [heads, L, d] tensors
+    broadcast over the batch. Heads are split and merged as numpy views, and
+    the output is [B, N, heads*d]. The grads of q, k and v reach ``qkv`` as
+    one contribution: a zero-filled buffer that each slot is added into once.
     """
-    kt = k.data.swapaxes(-1, -2)
-    _check_matmul(q.data, kt)
-    probs = _softmax((q.data @ kt) * scale)
-    _check_matmul(probs, v.data)
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3*{heads}*d]")
+    B, N, width = qkv.data.shape
+    d = width // (3 * heads)
+    q, k, v = qkv.data.reshape(B, N, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    if kv is not None:
+        K, V = kv
+        if K.data.ndim != 3 or K.shape[::2] != (heads, d) or V.shape != K.shape:
+            raise ShapeError(f"attention: K {K.shape} and V {V.shape} must be [{heads}, L, {d}]")
+        k, v = K.data, V.data
+    kt = k.swapaxes(-1, -2)
+    probs = _softmax((q @ kt) * scale)
 
     def backward(g):
-        if v.requires_grad:
-            _accumulate(v, _unbroadcast(probs.swapaxes(-1, -2) @ g, v.data.shape))
-        if not (q.requires_grad or k.requires_grad):
-            return
-        g_probs = _unbroadcast(g @ v.data.swapaxes(-1, -2), probs.shape)
-        g_scores = _softmax_grad(probs, g_probs) * scale
-        if q.requires_grad:
-            _accumulate(q, _unbroadcast(g_scores @ kt.swapaxes(-1, -2), q.data.shape))
-        if k.requires_grad:
-            g_kt = _unbroadcast(q.data.swapaxes(-1, -2) @ g_scores, kt.shape)
-            _accumulate(k, g_kt.swapaxes(-1, -2))
+        g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
+        own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
+        need_k = own if kv is None else K.requires_grad
+        need_v = own if kv is None else V.requires_grad
+        if own:
+            buf = np.zeros((B, N, 3, heads, d))
+            slots = buf.transpose(2, 0, 3, 1, 4)
+        # v, then q, then k: the order in which the split chain added them
+        if need_v:
+            g_v = probs.swapaxes(-1, -2) @ g
+            if kv is None:
+                slots[2] += g_v
+            else:
+                _accumulate(V, _unbroadcast(g_v, v.shape))
+        if own or need_k:
+            g_probs = _unbroadcast(g @ v.swapaxes(-1, -2), probs.shape)
+            g_scores = _softmax_grad(probs, g_probs) * scale
+            if own:
+                slots[0] += g_scores @ kt.swapaxes(-1, -2)
+            if need_k:
+                g_k = _unbroadcast(q.swapaxes(-1, -2) @ g_scores, kt.shape).swapaxes(-1, -2)
+                if kv is None:
+                    slots[1] += g_k
+                else:
+                    _accumulate(K, g_k)
+        if own:
+            _accumulate(qkv, buf.reshape(B, N, width))
 
-    return _make(probs @ v.data, (q, k, v), backward)
+    y = (probs @ v).transpose(0, 2, 1, 3).reshape(B, N, heads * d)
+    return _make(y, (qkv,) if kv is None else (qkv, K, V), backward)
 
 
 # -- oracle -------------------------------------------------------------

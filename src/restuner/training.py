@@ -34,8 +34,14 @@ class TrainConfig:
     label_smoothing: float = 0.0
 
     def __post_init__(self):
+        for name in ("lr", "weight_decay", "momentum"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lr < 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -44,6 +50,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.schedule not in ("constant", "cosine"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or parameter."""
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
@@ -175,10 +185,10 @@ def train(
             model.training = True
             loss_sum = 0.0
             correct = 0
-            for idx in _batches(n, cfg.batch_size, rng):
+            for i, idx in enumerate(_batches(n, cfg.batch_size, rng)):
                 loss, n_correct = _train_step(
                     model, opt, dataset.images[idx], dataset.labels[idx], cfg.label_smoothing,
-                    lr_at(cfg, step, total_steps),
+                    lr_at(cfg, step, total_steps), f"epoch {epoch}, step {i}",
                 )
                 step += 1
                 loss_sum += loss * len(idx)
@@ -207,19 +217,27 @@ def train(
         if sink:
             sink.close()
     model.training = False
+    for name, p in opt.params:  # the last step's update is checked by no later loss
+        if not np.isfinite(p.data).all():
+            raise DivergenceError(f"training diverged: {name!r} is non-finite after the last step")
     return history
 
 
-def _train_step(model, opt, images, labels, smoothing: float, lr: float):
+def _train_step(model, opt, images, labels, smoothing: float, lr: float, where: str):
     """One optimizer step -> (loss value, correct count).
 
     Its graph lives only in this frame, so it is freed before the next forward.
+    A non-finite loss raises DivergenceError naming ``where`` before any update;
+    that error, not numpy's overflow warnings, reports a diverging run.
     """
-    logits = model(Tensor(images))
-    loss = cross_entropy(logits, labels, smoothing)
-    opt.zero_grad()
-    loss.backward()
-    opt.step(lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = model(Tensor(images))
+        loss = cross_entropy(logits, labels, smoothing)
+        if not math.isfinite(loss.item()):
+            raise DivergenceError(f"training diverged: loss is {loss.item()} at {where}")
+        opt.zero_grad()
+        loss.backward()
+        opt.step(lr)
     return loss.item(), int((logits.data.argmax(axis=-1) == labels).sum())
 
 

@@ -20,11 +20,9 @@ from .layers import (
     MultiHeadAttention,
     Parameter,
     kaiming_uniform,
-    merge_heads,
-    split_heads,
     trunc_normal,
 )
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 ATTACH_OPS = ("mha", "ffn", "block")
 
@@ -67,9 +65,9 @@ class Tuner(Module):
         """This tuner's option values, as the checkpoint echoes them."""
         return {name: getattr(self.cfg, name) for name in self.defaults()}
 
-    def delta(self, x: Tensor, q: Tensor, mha: MultiHeadAttention) -> Tensor:
-        """The tuner's output at a slot whose op reads ``x``; ``q`` and ``mha``
-        are the block's per-head query and attention."""
+    def delta(self, x: Tensor, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
+        """The tuner's output at a slot whose op reads ``x``; ``qkv`` and
+        ``mha`` are the block's fused QKV projection and attention."""
         return self(x)
 
 
@@ -108,8 +106,7 @@ class ResAttnTuner(Tuner):
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self.cfg
-        q, k, v = split_heads(self.qkv(x), cfg.heads, cfg.rank)
-        return self.o(merge_heads(T.attention(q, k, v, cfg.scale)))
+        return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
 
     __call__ = forward
 
@@ -138,14 +135,6 @@ class PrefixTunerConfig:
         return self.dim // self.heads
 
 
-def _check_query(cfg: PrefixTunerConfig, kind: str, q: Tensor) -> None:
-    _, heads, _, head_dim = q.shape
-    if heads != cfg.heads or head_dim != cfg.head_dim:
-        raise ShapeError(
-            f"{kind} tuner heads/head_dim ({cfg.heads},{cfg.head_dim}) vs query shape {q.shape}"
-        )
-
-
 class PrefixTuner(Tuner):
     """Attention of the backbone's queries over trainable keys/values.
 
@@ -164,16 +153,14 @@ class PrefixTuner(Tuner):
         self.V = Parameter(trunc_normal(rng, shape))
         self.o = LinearLayer(np.zeros((cfg.dim, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, q_backbone: Tensor) -> Tensor:
+    def forward(self, qkv: Tensor) -> Tensor:
         cfg = self.cfg
-        _check_query(cfg, self.kind, q_backbone)
-        y = T.attention(q_backbone, self.K, self.V, cfg.head_dim**-0.5)
-        return self.o(merge_heads(y))
+        return self.o(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5, kv=(self.K, self.V)))
 
     __call__ = forward
 
-    def delta(self, x, q, mha):
-        return self(q)
+    def delta(self, x, qkv, mha):
+        return self(qkv)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg
@@ -198,22 +185,20 @@ class PromptTuner(Tuner):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
-    def forward(self, q_backbone: Tensor, mha: MultiHeadAttention) -> Tensor:
+    def forward(self, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
         cfg = self.cfg
-        _check_query(cfg, self.kind, q_backbone)
         dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
         W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
         k_flat = self.P @ W[:, dim : 2 * dim]
         v_flat = self.P @ W[:, 2 * dim :]
         K = k_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
         V = v_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
-        y = T.attention(q_backbone, K, V, head_dim**-0.5)
-        return merge_heads(y) @ mha.proj.W
+        return T.attention(qkv, heads, head_dim**-0.5, kv=(K, V)) @ mha.proj.W
 
     __call__ = forward
 
-    def delta(self, x, q, mha):
-        return self(q, mha)
+    def delta(self, x, qkv, mha):
+        return self(qkv, mha)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         return self.cfg.length * self.cfg.dim

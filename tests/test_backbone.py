@@ -10,6 +10,7 @@ from restuner.backbone import (
     unfreeze_backbone,
 )
 from restuner.tensor import Tensor
+from restuner.training import cross_entropy
 from restuner.tuners import AttachSpec, attach
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
@@ -156,3 +157,23 @@ def test_initial_values_pinned():
         h.update(name.encode())
         h.update(p.data.tobytes())
     assert h.hexdigest() == "b60e32466ef4a4740274517cee01297976432eb28a1d6abaa28b1729396e8161"
+
+
+def test_vit_tiny_res_attn_step_records_167_nodes():
+    """The benchmark's train-vit step: vit-tiny-32px, res_attn r4h2 on every
+    MHA, B=1. Each attention is one node over its fused QKV projection (the
+    split-and-merge head chain recorded 328)."""
+    cfg = BackboneConfig(dim=192, depth=12, heads=3, patch=4, image_size=32,
+                         in_channels=3, num_classes=10, seed=0)
+    m = build_backbone(cfg)
+    attach(m, [AttachSpec(b, "mha", "res_attn", {"rank": 4, "heads": 2}) for b in range(12)])
+    images = np.random.default_rng(0).normal(size=(1, 3, 32, 32))
+    loss = cross_entropy(m(Tensor(images)), np.array([3]))
+    seen, stack, recorded = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            recorded += t._backward is not None
+            stack.extend(t._parents)
+    assert recorded == 167

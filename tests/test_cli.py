@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -338,3 +339,88 @@ def test_cmd_grad_check_reads_data_file(config_path, tmp_path, capsys):
     save_binary_dataset(synth_dataset(spec), data)
     assert main(["grad-check", "--config", str(config_path)]) == 0
     assert "RESULT: PASS" in capsys.readouterr().out
+
+
+_FOUR_KIND_CONFIG = """
+[backbone]
+dim = 16
+depth = 2
+heads = 2
+patch = 4
+image = 8
+classes = 4
+seed = 0
+[tuner]
+kind = res_attn
+op = mha
+blocks = 0
+qkv_bias = true
+[tuner]
+kind = prefix
+op = mha
+blocks = 1
+[tuner]
+kind = adapter
+op = ffn
+[tuner]
+kind = prompt
+op = block
+[train]
+epochs = 3
+batch = 16
+lr = 0.01
+[data]
+size = 48
+signal = 3.0
+"""
+
+
+def test_fused_ops_train_the_checkpoint_their_primitive_chains_train(tmp_path, monkeypatch, capsys):
+    """One run with the fused ops, one with each replaced by the primitive
+    chain it fuses: the two checkpoints must be the same bytes."""
+    import restuner.layers
+    from test_tensor import composed_layer_norm, composed_linear, composed_mha_attention
+
+    path = tmp_path / "four.cfg"
+    path.write_text(_FOUR_KIND_CONFIG)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "fused")]) == 0
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(T, "linear", counted("linear", composed_linear))
+    monkeypatch.setattr(restuner.layers, "layer_norm", counted("layer_norm", composed_layer_norm))
+    monkeypatch.setattr(T, "attention", counted("attention", composed_mha_attention))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "chain")]) == 0
+    assert sorted(calls) == ["attention", "layer_norm", "linear"]
+    fused = (tmp_path / "fused" / "model.rtck").read_bytes()
+    assert (tmp_path / "chain" / "model.rtck").read_bytes() == fused
+
+
+@pytest.mark.parametrize("command", ["train", "matrix"])
+def test_cmd_non_finite_loss_exits_2(config_path, tmp_path, capsys, command):
+    config_path.write_text(config_path.read_text().replace("lr = 0.01", "lr = 1e200"))
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: training diverged: loss is (nan|inf) at epoch 0, step \d+\n$", err), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert not (tmp_path / "run" / "model.rtck").exists()
+    assert not (tmp_path / "run" / "matrix.json").exists()
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [("lr = nan", "lr"), ("lr = inf", "lr"), ("weight_decay = nan", "weight_decay"),
+     ("momentum = -inf", "momentum"), ("beta1 = 1.0", "beta1"), ("beta2 = 1.0", "beta2"),
+     ("beta2 = -0.5", "beta2")],
+)
+def test_cmd_non_finite_or_out_of_range_train_float_exits_2(config_path, capsys, line, key):
+    config_path.write_text(config_path.read_text().replace("lr = 0.01", line))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [train]: {key} must be"), err

@@ -100,12 +100,12 @@ def test_mha_matches_loop_oracle(heads):
     cfg = MHAConfig(dim=dim, heads=heads)
     mha = MultiHeadAttention(cfg, rng)
     x = rng.normal(size=(2, 3, dim))
-    y, q = mha(Tensor(x))
+    y, qkv = mha(Tensor(x))
     expected = naive_attention(
         x, mha.qkv.W.data, mha.qkv.b.data, mha.proj.W.data, mha.proj.b.data, heads
     )
     assert np.abs(y.data - expected).max() < 1e-10
-    assert q.shape == (2, heads, 3, dim // heads)
+    assert qkv.shape == (2, 3, 3 * dim)
 
 
 def test_mha_random_shape_sweep():

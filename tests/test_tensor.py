@@ -302,6 +302,27 @@ def composed_attention(q, k, v, scale):
     return T.softmax_lastdim((q @ k.permute(axes)) * scale) @ v
 
 
+def split_heads(qkv, heads):
+    """[B, N, 3*heads*d] -> q, k, v, each [B, heads, N, d]: reshape, permute, getitem."""
+    B, N, width = qkv.shape
+    qkv = qkv.reshape(B, N, 3, heads, width // (3 * heads)).permute(2, 0, 3, 1, 4)
+    return qkv[0], qkv[1], qkv[2]
+
+
+def merge_heads(y):
+    """[B, heads, N, d] -> [B, N, heads*d]: permute, reshape."""
+    B, heads, N, d = y.shape
+    return y.permute(0, 2, 1, 3).reshape(B, N, heads * d)
+
+
+def composed_mha_attention(qkv, heads, scale, kv=None):
+    """The chain ``T.attention`` fuses: split the heads, attend, merge them."""
+    q, k, v = split_heads(qkv, heads)
+    if kv is not None:
+        k, v = kv
+    return merge_heads(composed_attention(q, k, v, scale))
+
+
 def prompt_kv(P, W, heads):
     """Prompt-style K and V: both derived from one shared parameter P."""
     L, dim = P.shape
@@ -332,28 +353,30 @@ FUSED_CASES = {
         lambda x, g, b: composed_layer_norm(x, g, b) + x,
         [_R.normal(size=(2, 3, 5)), _R.normal(size=5), _R.normal(size=5)],
     ),
-    # q, k and v are one tensor, so the order of its three grad terms shows
-    "attention_one_input": (
-        lambda x: T.attention(x, x, x, 0.5),
-        lambda x: composed_attention(x, x, x, 0.5),
-        [_R.normal(size=(2, 2, 3, 4))],
-    ),
+    # q, k and v are thirds of one tensor, whose grads reach it as one buffer
     "attention_self": (
-        lambda q, k, v: T.attention(q, k, v, 0.5),
-        lambda q, k, v: composed_attention(q, k, v, 0.5),
-        [_R.normal(size=(2, 2, 3, 4)) for _ in range(3)],
+        lambda x: T.attention(x, 2, 0.3),
+        lambda x: composed_mha_attention(x, 2, 0.3),
+        [_R.normal(size=(2, 3, 24))],
     ),
     # prefix: K/V are [heads, L, d] parameters broadcast over the batch
     "attention_prefix_broadcast": (
-        lambda q, k, v: T.attention(q, k, v, 0.5),
-        lambda q, k, v: composed_attention(q, k, v, 0.5),
-        [_R.normal(size=(3, 2, 4, 4)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
+        lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
+        lambda x, k, v: composed_mha_attention(x, 2, 0.3, kv=(k, v)),
+        [_R.normal(size=(3, 4, 24)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
     ),
     # prompt: K and V both derive from one parameter P
     "attention_prompt_shared": (
-        lambda q, P: T.attention(q, *prompt_kv(P, _W_KV, 2), 0.5),
-        lambda q, P: composed_attention(q, *prompt_kv(P, _W_KV, 2), 0.5),
-        [_R.normal(size=(3, 2, 4, 4)), _R.normal(size=(5, 8))],
+        lambda x, P: T.attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
+        lambda x, P: composed_mha_attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
+        [_R.normal(size=(3, 4, 24)), _R.normal(size=(5, 8))],
+    ),
+    # a block's MHA and a prefix tuner read one qkv: two attention nodes add into it
+    "attention_shared_qkv": (
+        lambda x, k, v: T.attention(x, 2, 0.3) + T.attention(x, 2, 0.3, kv=(k, v)),
+        lambda x, k, v: (composed_mha_attention(x, 2, 0.3)
+                         + composed_mha_attention(x, 2, 0.3, kv=(k, v))),
+        [_R.normal(size=(2, 3, 24)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
     ),
 }
 
@@ -399,20 +422,29 @@ def test_fused_ops_record_one_node():
     rng = np.random.default_rng(43)
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     W, gamma, b = (Tensor(rng.normal(size=s)) for s in ((4, 4), (4,), (4,)))
+    qkv = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
+    K, V = (Tensor(rng.normal(size=(2, 5, 2))) for _ in range(2))
     for out, parents in [
         (T.linear(x, W, b), (x, W, b)),
         (T.layer_norm(x, gamma, b), (x, gamma, b)),
-        (T.attention(x, x, x, 0.5), (x, x, x)),
+        (T.attention(qkv, 2, 0.5), (qkv,)),
+        (T.attention(qkv, 2, 0.5, kv=(K, V)), (qkv, K, V)),
     ]:
         assert out._backward is not None and out._parents == parents
 
 
 def test_attention_shape_errors():
-    q = Tensor(np.zeros((2, 3, 4)))
-    with pytest.raises(ShapeError):
-        T.attention(q, Tensor(np.zeros((2, 3, 5))), Tensor(np.zeros((2, 3, 4))), 1.0)
-    with pytest.raises(ShapeError):
-        T.attention(q, Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 4, 4))), 1.0)
+    for qkv_shape, kv_shape in [
+        ((2, 3, 10), None),  # width not 3 * heads * d
+        ((2, 3, 4, 6), None),  # not [B, N, width]
+        ((2, 3, 12), ((3, 5, 2), (3, 5, 2))),  # K/V head count
+        ((2, 3, 12), ((2, 5, 3), (2, 5, 3))),  # K/V width
+        ((2, 3, 12), ((2, 5, 2), (2, 6, 2))),  # V not shaped like K
+        ((2, 3, 12), ((2, 2), (2, 2))),  # K/V not [heads, L, d]
+    ]:
+        kv = None if kv_shape is None else tuple(Tensor(np.zeros(s)) for s in kv_shape)
+        with pytest.raises(ShapeError, match="attention"):
+            T.attention(Tensor(np.zeros(qkv_shape)), 2, 1.0, kv=kv)
 
 
 @pytest.mark.parametrize("second_use", ["mul", "getitem"])

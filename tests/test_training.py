@@ -11,6 +11,7 @@ from restuner.tensor import GradientError, Tensor, finite_diff_grad, rel_error
 from restuner.training import (
     AdamW,
     SGD,
+    DivergenceError,
     TrainConfig,
     cross_entropy,
     evaluate,
@@ -169,6 +170,23 @@ def test_class_count_mismatch():
     ds = synth_dataset(DatasetSpec(num_classes=3, shape=(1, 8, 8), size=12, seed=0))
     with pytest.raises(ValueError):
         train(m, ds, TrainConfig(epochs=1), quiet=True)
+
+
+def test_train_stops_on_a_non_finite_loss_before_updating():
+    m = build_backbone(TOY)
+    m.blocks[1].mlp.fc1.W.data[0, 0] = np.nan  # a frozen weight: every loss is NaN
+    head = [p.data.copy() for p in (m.head.W, m.head.b)]
+    with pytest.raises(DivergenceError, match=r"loss is nan at epoch 0, step 0$"):
+        train(m, toy_dataset(size=32), TrainConfig(epochs=2, batch_size=16), quiet=True)
+    assert all(np.array_equal(p.data, h) for p, h in zip((m.head.W, m.head.b), head))
+
+
+def test_train_rejects_a_parameter_the_last_step_made_non_finite():
+    # one SGD step of lr * weight_decay * W overflows to inf, and no later loss sees it
+    cfg = TrainConfig(optimizer="sgd", lr=1e10, weight_decay=1e300, momentum=0.0,
+                      epochs=1, batch_size=64)
+    with pytest.raises(DivergenceError, match="'head.W' is non-finite after the last step"):
+        train(build_backbone(TOY), toy_dataset(size=64), cfg, quiet=True)
 
 
 def test_metrics_records(tmp_path):
