@@ -323,6 +323,12 @@ def composed_mha_attention(qkv, heads, scale, kv=None):
     return merge_heads(composed_attention(q, k, v, scale))
 
 
+def own_kv(qkv, heads):
+    """K and V as [heads, N, d]: the k and v thirds of a batch-of-one qkv."""
+    _, k, v = split_heads(qkv, heads)
+    return k[0], v[0]
+
+
 def prompt_kv(P, W, heads):
     """Prompt-style K and V: both derived from one shared parameter P."""
     L, dim = P.shape
@@ -358,6 +364,12 @@ FUSED_CASES = {
         lambda x: T.attention(x, 2, 0.3),
         lambda x: composed_mha_attention(x, 2, 0.3),
         [_R.normal(size=(2, 3, 24))],
+    ),
+    # one input reaches the node twice: as qkv, and as K/V cut from its own thirds
+    "attention_one_input": (
+        lambda x: T.attention(x, 2, 0.3, kv=own_kv(x, 2)),
+        lambda x: composed_mha_attention(x, 2, 0.3, kv=own_kv(x, 2)),
+        [_R.normal(size=(1, 3, 24))],
     ),
     # prefix: K/V are [heads, L, d] parameters broadcast over the batch
     "attention_prefix_broadcast": (
