@@ -49,6 +49,8 @@ class BackboneConfig:
                      "num_classes", "mlp_ratio"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.image_size % self.patch != 0:

@@ -206,13 +206,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="restuner", description="residual-tuner experiment runner")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train per a run config")
     t.add_argument("--config", required=True)
-    t.add_argument("--seed", type=int, default=None)
+    t.add_argument("--seed", type=_nonnegative_int, default=None)
     t.add_argument("--out", default=None)
     t.set_defaults(fn=cmd_train)
 

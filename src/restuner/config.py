@@ -35,6 +35,8 @@ class DataSection:
             raise ConfigError(f"task must be 'a' or 'b', got {self.task!r}")
         if not 0.0 < self.train_fraction <= 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

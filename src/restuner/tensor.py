@@ -16,6 +16,10 @@ The hot paths are fused ops, one graph node each: ``linear``,
 and in the same order, the numpy arithmetic of the primitive chain it
 replaces, so its values and grads equal that chain's bit for bit.
 
+GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
+``scipy.special.erf``, and equals it bit for bit; numpy is the only
+dependency.
+
 A finite-difference oracle (`finite_diff_grad`) is provided for
 independent gradient verification; it never touches autodiff state.
 """
@@ -26,7 +30,6 @@ import contextlib
 import math
 
 import numpy as np
-from scipy.special import erf as _erf_np
 
 _GRAD_ENABLED = True
 
@@ -233,8 +236,10 @@ def power(a: Tensor, p: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    phi_cdf = 0.5 * (1.0 + _erf_np(a.data / math.sqrt(2.0)))
+    """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2)))."""
+    phi_cdf = erf_inplace(np.divide(a.data, math.sqrt(2.0), out=np.empty(a.data.shape)))
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
 
     def backward(g):
         _accumulate(a, g * _gelu_grad(a.data, phi_cdf))
@@ -246,6 +251,96 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """GELU derivative Phi(x) + x * phi(x), given the forward pass's Phi(x)."""
     pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return cdf + x * pdf
+
+
+# Cephes ndtr.c coefficients: erf = x*T(x^2)/U(x^2) for |x| <= 1, and
+# erfc = exp(-x^2)*P(x)/Q(x) below 8, exp(-x^2)*R(x)/S(x) from 8 on.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_MAXLOG = 7.09782712893383996732e2  # log(DBL_MAX)
+_ERF_CHUNK = 1 << 15  # elements per scratch array, so erf allocates no full-size temporary
+
+
+def _polevl(x, coef: tuple):
+    """Horner's rule, highest coefficient first, on floats or arrays."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef: tuple):
+    """``_polevl`` with an implicit leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf_tail(x: np.ndarray) -> np.ndarray:
+    """erf where |x| > 1, as Cephes computes it: sign(x) * (1 - erfc(|x|)).
+
+    erfc(a) is exp(-a^2) * P(a)/Q(a) below 8 and R(a)/S(a) from 8 on, or 0
+    where -a^2 < -MAXLOG. exp is libm's (``math.exp``), which Cephes calls;
+    numpy's SIMD exp differs from it in the last bit on some inputs.
+    """
+    a = np.abs(x)
+    low = a < 8.0
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite a, zeroed below
+        z = -a * a
+        num = np.where(low, _polevl(a, _ERFC_P), _polevl(a, _ERFC_R))
+        den = np.where(low, _p1evl(a, _ERFC_Q), _p1evl(a, _ERFC_S))
+        y = np.fromiter(map(math.exp, z.tolist()), np.float64, z.size) * num / den
+    y[z < -_MAXLOG] = 0.0
+    return np.copysign(1.0 - y, x)
+
+
+def erf_inplace(x: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous float64 array ``x`` with erf(x); returns ``x``.
+
+    A port of Cephes ``ndtr.c``, bit for bit ``scipy.special.erf``. Elements
+    with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner order, one
+    chunk at a time in scratch arrays; the rare |x| > 1 go to ``_erf_tail``.
+    """
+    if x.dtype != np.float64 or not x.flags.c_contiguous:
+        raise ValueError("erf_inplace needs a C-contiguous float64 array")
+    flat = x.reshape(-1)
+    n = min(_ERF_CHUNK, flat.size)
+    z, num, den = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        xs = flat[lo : lo + _ERF_CHUNK]
+        zs, ns, ds = z[: xs.size], num[: xs.size], den[: xs.size]
+        tail = np.flatnonzero(np.abs(xs, out=zs) > 1.0)
+        tail_x = xs[tail]
+        xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
+        # x * _polevl(z, T) / _p1evl(z, U) with z = x * x, in the scratch arrays
+        np.multiply(xs, xs, out=zs)
+        np.multiply(zs, _ERF_T[0], out=ns)
+        ns += _ERF_T[1]
+        for c in _ERF_T[2:]:
+            ns *= zs
+            ns += c
+        np.add(zs, _ERF_U[0], out=ds)
+        for c in _ERF_U[1:]:
+            ds *= zs
+            ds += c
+        ns *= xs
+        np.divide(ns, ds, out=xs)
+        if tail.size:
+            xs[tail] = _erf_tail(tail_x)
+    return x
 
 
 # -- structural ---------------------------------------------------------

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError(f"label smoothing must be in [0,1), got {self.label_smoothing}")
         if self.optimizer not in ("adamw", "sgd"):
@@ -250,20 +256,35 @@ def _emit(record, sink, quiet):
 
 
 def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
-    """(accuracy, mean loss) with ``model.training`` off, recording no graph; deterministic."""
+    """(accuracy, mean loss) with ``model.training`` off, recording no graph; deterministic.
+
+    Whole batches run up to two at a time on worker threads, and their
+    losses and correct counts are added in batch order, so the result does
+    not depend on the worker count.
+    """
     check_dataset(model, dataset)
     n = len(dataset.labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     model.training = False
+
+    def run(idx):
+        logits = model(Tensor(dataset.images[idx]))
+        labels = dataset.labels[idx]
+        loss = cross_entropy(logits, labels).item() * len(idx)
+        return loss, int((logits.data.argmax(axis=-1) == labels).sum())
+
+    # A second batch keeps the other core busy while numpy's elementwise
+    # kernels run on one thread. The cap of two bounds memory at two batches
+    # in flight, whatever the core count.
+    workers = min(2, len(os.sched_getaffinity(0)))
     loss_sum = 0.0
     correct = 0
-    with T.no_grad():
-        for idx in _batches(n, batch_size, rng=None):
-            logits = model(Tensor(dataset.images[idx]))
-            labels = dataset.labels[idx]
-            loss_sum += cross_entropy(logits, labels).item() * len(idx)
-            correct += int((logits.data.argmax(axis=-1) == labels).sum())
+    # no_grad is a process-wide switch, so it is set once around every worker
+    with T.no_grad(), ThreadPoolExecutor(workers) as pool:
+        for loss, n_correct in pool.map(run, _batches(n, batch_size, rng=None)):
+            loss_sum += loss
+            correct += n_correct
     return correct / n, loss_sum / n
 
 

@@ -424,3 +424,49 @@ def test_cmd_non_finite_or_out_of_range_train_float_exits_2(config_path, capsys,
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: [train]: {key} must be"), err
+
+
+@pytest.mark.parametrize(
+    "section, anchor",
+    [("backbone", "classes = 4\n"), ("train", "batch = 16\n"), ("data", "train_fraction = 0.75\n")],
+)
+def test_cmd_negative_config_seed_exits_2(config_path, capsys, section, anchor):
+    text = config_path.read_text()
+    assert anchor + "seed = 0" in text
+    config_path.write_text(text.replace(anchor + "seed = 0", anchor + "seed = -1"))
+    for command in ("train", "matrix"):
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}]: seed must be >= 0"), err
+
+
+def test_cmd_train_negative_seed_flag_exits_2(config_path, tmp_path, capsys):
+    assert main(["train", "--config", str(config_path), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --seed: must be >= 0" in err, err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+@pytest.mark.parametrize("command", ["train", "matrix"])
+def test_cmd_epochs_below_one_exits_2(config_path, tmp_path, capsys, command, epochs):
+    config_path.write_text(config_path.read_text().replace("epochs = 6", f"epochs = {epochs}"))
+    assert main([command, "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [train]: epochs must be >= 1, got {epochs}"), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import restuner
+
+    src = str(Path(restuner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, restuner.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]", out.stdout

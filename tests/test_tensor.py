@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,51 @@ def test_gelu_grad():
         T.gelu(x).sum().backward()
         fd = finite_diff_grad(lambda t: T.gelu(t).sum(), x)
         assert rel_error(x.grad, fd) < 1e-7
+
+
+def _erf_oracle_inputs() -> np.ndarray:
+    """Over 2M draws plus the branch edges (0, 1, 8, the MAXLOG cut near
+    26.64), huge, infinite, NaN and subnormal values."""
+    rng = np.random.default_rng(9)
+    edges = [0.0, 1.0, 8.0, 1e300, np.inf, 5e-324, np.finfo(float).tiny / 3, np.finfo(float).tiny]
+    for v in (1.0, 8.0):
+        edges += [np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    edges = np.array(edges)
+    return np.concatenate([
+        rng.normal(size=1_100_000), rng.uniform(-40.0, 40.0, size=1_100_000),
+        edges, -edges, np.linspace(26.0, 27.0, 20_001), -np.linspace(26.0, 27.0, 20_001), [np.nan],
+    ])
+
+
+def test_erf_port_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    x = _erf_oracle_inputs()
+    expected = special.erf(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T.erf_inplace(x.copy())
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def test_gelu_matches_scipy_expression_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(10)
+    # more than one 32k-element chunk with a ragged last one, a transposed
+    # (non-contiguous) input, a 0-d one, and a tail share like a trained layer's
+    x = rng.normal(scale=2.0, size=(3, 65, 400))
+    for data in (x, x.transpose(2, 1, 0), np.array(-1.7)):
+        expected = data * (0.5 * (1.0 + special.erf(data / math.sqrt(2.0))))
+        assert np.array_equal(T.gelu(Tensor(data)).data, expected)
+
+
+def test_erf_inplace_rejects_arrays_it_cannot_write_in_place():
+    x = np.zeros((4, 4))
+    with pytest.raises(ValueError):
+        T.erf_inplace(x.T)
+    with pytest.raises(ValueError):
+        T.erf_inplace(np.zeros(4, dtype=np.float32))
 
 
 def test_getitem_concat_broadcast_grads():

@@ -1,10 +1,13 @@
 import gc
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import restuner.tensor as T
+import restuner.training as training
 from restuner.backbone import BackboneConfig, build_backbone, trainable_parameters
 from restuner.data_io import DatasetSpec, synth_dataset
 from restuner.tensor import GradientError, Tensor, finite_diff_grad, rel_error
@@ -237,6 +240,45 @@ def test_evaluate_matches_graph_recording_loop():
         loss_sum += loss.item() * len(labels)
         correct += int((logits.data.argmax(axis=-1) == labels).sum())
     assert evaluate(m, ds, batch_size=8) == (correct / 20, loss_sum / 20)
+
+
+def _serial_evaluate(model, ds, batch_size):
+    """The single-threaded loop evaluate runs batch by batch, as the oracle."""
+    loss_sum, correct = 0.0, 0
+    with T.no_grad():
+        for lo in range(0, len(ds), batch_size):
+            logits = model(Tensor(ds.images[lo : lo + batch_size]))
+            labels = ds.labels[lo : lo + batch_size]
+            loss_sum += cross_entropy(logits, labels).item() * len(labels)
+            correct += int((logits.data.argmax(axis=-1) == labels).sum())
+    return correct / len(ds), loss_sum / len(ds)
+
+
+@pytest.mark.parametrize("batch_size", [4, 1])
+def test_evaluate_equals_serial_loop_and_records_no_graph_in_workers(monkeypatch, batch_size):
+    m = build_backbone(TOY)
+    attach(m, [AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2}),
+               AttachSpec(1, "ffn", "adapter", {})])
+    ds = toy_dataset(size=21)  # more batches than workers, and a ragged last batch
+    expected = _serial_evaluate(m, ds, batch_size)
+    seen = []
+
+    def recording_cross_entropy(logits, labels, smoothing=0.0):
+        seen.append((threading.get_ident(), logits.requires_grad, logits._backward))
+        return cross_entropy(logits, labels, smoothing)
+
+    monkeypatch.setattr(training, "cross_entropy", recording_cross_entropy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        got = evaluate(m, ds, batch_size=batch_size)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert len(seen) == math.ceil(21 / batch_size)
+    assert all(tid != threading.get_ident() for tid, _, _ in seen)  # ran in the workers
+    assert not any(grad or backward for _, grad, backward in seen)
+    assert T._GRAD_ENABLED  # recording is back on in the caller
 
 
 def test_evaluate_deterministic_and_empty():

@@ -230,8 +230,7 @@ def test_adapter_hand_composite():
     t.down.b.data[...] = 0.0
     t.up.W.data[...] = np.array([[1.0, 0.0], [0.0, 2.0]])
     x = np.array([[[0.7, -0.4]]])
-    from scipy.special import erf
-
+    erf = np.vectorize(math.erf)
     g = x * 0.5 * (1 + erf(x / math.sqrt(2)))
     expected = g * np.array([1.0, 2.0])
     assert np.abs(t(Tensor(x)).data - expected).max() < 1e-12
