@@ -14,7 +14,9 @@ holds it, so a grad is never copied or zero-filled to make that safe.
 The hot paths are fused ops, one graph node each: ``linear``,
 ``layer_norm`` and ``attention``. Each repeats, expression for expression
 and in the same order, the numpy arithmetic of the primitive chain it
-replaces, so its values and grads equal that chain's bit for bit.
+replaces, so its values and grads equal that chain's bit for bit. Their
+forward passes, and GELU's, write in place only into arrays they allocated
+themselves, never into an input, an upstream grad or an array a tensor holds.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
@@ -236,15 +238,37 @@ def power(a: Tensor, p: float) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2)))."""
-    phi_cdf = erf_inplace(np.divide(a.data, math.sqrt(2.0), out=np.empty(a.data.shape)))
-    phi_cdf += 1.0
-    phi_cdf *= 0.5
+    """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))).
+
+    Forward and backward run one ``_ERF_CHUNK`` slice at a time, with erf's
+    scratch arrays reused across the call, so the only full-size arrays are
+    the output and, when a backward pass will read it, Phi(x). Without that
+    pass Phi(x) is computed in the output's own slice.
+    """
+    x = a.data.reshape(-1)  # a view unless the input is not C-contiguous
+    out = np.empty(a.data.shape)
+    out_f = out.reshape(-1)
+    cdf_f = np.empty(x.size) if _GRAD_ENABLED and a.requires_grad else None
+    scratch = [np.empty(min(_ERF_CHUNK, x.size)) for _ in range(3)]
+    for lo in range(0, x.size, _ERF_CHUNK):
+        hi = lo + _ERF_CHUNK
+        xs = x[lo:hi]
+        c = out_f[lo:hi] if cdf_f is None else cdf_f[lo:hi]  # Phi(x), in out's slice if no backward reads it
+        np.divide(xs, math.sqrt(2.0), out=c)
+        _erf_chunk(c, *(buf[: xs.size] for buf in scratch))
+        c += 1.0
+        c *= 0.5
+        np.multiply(xs, c, out=out_f[lo:hi])
 
     def backward(g):
-        _accumulate(a, g * _gelu_grad(a.data, phi_cdf))
+        xf, gf, gx = a.data.reshape(-1), g.reshape(-1), np.empty(a.data.shape)
+        gx_f = gx.reshape(-1)
+        for lo in range(0, xf.size, _ERF_CHUNK):
+            hi = lo + _ERF_CHUNK
+            np.multiply(gf[lo:hi], _gelu_grad(xf[lo:hi], cdf_f[lo:hi]), out=gx_f[lo:hi])
+        _accumulate(a, gx)
 
-    return _make(a.data * phi_cdf, (a,), backward)
+    return _make(out, (a,), backward)
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -310,37 +334,44 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
 def erf_inplace(x: np.ndarray) -> np.ndarray:
     """Overwrite the C-contiguous float64 array ``x`` with erf(x); returns ``x``.
 
-    A port of Cephes ``ndtr.c``, bit for bit ``scipy.special.erf``. Elements
-    with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner order, one
-    chunk at a time in scratch arrays; the rare |x| > 1 go to ``_erf_tail``.
+    A port of Cephes ``ndtr.c``, bit for bit ``scipy.special.erf``, computed
+    one ``_ERF_CHUNK`` slice at a time by ``_erf_chunk``.
     """
     if x.dtype != np.float64 or not x.flags.c_contiguous:
         raise ValueError("erf_inplace needs a C-contiguous float64 array")
     flat = x.reshape(-1)
-    n = min(_ERF_CHUNK, flat.size)
-    z, num, den = np.empty(n), np.empty(n), np.empty(n)
+    scratch = [np.empty(min(_ERF_CHUNK, flat.size)) for _ in range(3)]
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo : lo + _ERF_CHUNK]
-        zs, ns, ds = z[: xs.size], num[: xs.size], den[: xs.size]
-        tail = np.flatnonzero(np.abs(xs, out=zs) > 1.0)
-        tail_x = xs[tail]
-        xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
-        # x * _polevl(z, T) / _p1evl(z, U) with z = x * x, in the scratch arrays
-        np.multiply(xs, xs, out=zs)
-        np.multiply(zs, _ERF_T[0], out=ns)
-        ns += _ERF_T[1]
-        for c in _ERF_T[2:]:
-            ns *= zs
-            ns += c
-        np.add(zs, _ERF_U[0], out=ds)
-        for c in _ERF_U[1:]:
-            ds *= zs
-            ds += c
-        ns *= xs
-        np.divide(ns, ds, out=xs)
-        if tail.size:
-            xs[tail] = _erf_tail(tail_x)
+        _erf_chunk(xs, *(buf[: xs.size] for buf in scratch))
     return x
+
+
+def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -> None:
+    """Overwrite the 1-d ``xs`` with erf(xs), using ``zs``, ``ns`` and ``ds``,
+    each shaped like ``xs``, as scratch.
+
+    Elements with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner
+    order as in-place numpy ops; the rare |x| > 1 go to ``_erf_tail``.
+    """
+    tail = np.flatnonzero(np.abs(xs, out=zs) > 1.0)
+    tail_x = xs[tail]
+    xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
+    # x * _polevl(z, T) / _p1evl(z, U) with z = x * x, in the scratch arrays
+    np.multiply(xs, xs, out=zs)
+    np.multiply(zs, _ERF_T[0], out=ns)
+    ns += _ERF_T[1]
+    for c in _ERF_T[2:]:
+        ns *= zs
+        ns += c
+    np.add(zs, _ERF_U[0], out=ds)
+    for c in _ERF_U[1:]:
+        ds *= zs
+        ds += c
+    ns *= xs
+    np.divide(ns, ds, out=xs)
+    if tail.size:
+        xs[tail] = _erf_tail(tail_x)
 
 
 # -- structural ---------------------------------------------------------
@@ -450,9 +481,13 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- softmax ------------------------------------------------------------
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of ``x`` over the last axis, shifted by the row max, into
+    ``out``, which may be ``x`` itself when the caller owns it."""
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -461,7 +496,7 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max-subtraction)."""
-    y = _softmax(a.data)
+    y = _softmax(a.data, np.empty(a.data.shape))
 
     def backward(g):
         _accumulate(a, _softmax_grad(y, g))
@@ -500,9 +535,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     scale = 1.0 / x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * scale
     xc = x.data - mu
-    var_eps = (xc * xc).sum(axis=-1, keepdims=True) * scale + eps
+    normed = np.multiply(xc, xc)  # xc * xc, then overwritten with xc * inv
+    var_eps = normed.sum(axis=-1, keepdims=True) * scale + eps
     inv = var_eps**-0.5
-    normed = xc * inv
+    np.multiply(xc, inv, out=normed)
 
     def backward(g):
         if beta.requires_grad:
@@ -521,7 +557,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         g_mu = _unbroadcast(g_xc, mu.shape) * -1.0
         _accumulate(x, np.broadcast_to(g_mu * scale, x.data.shape))
 
-    return _make(normed * gamma.data + beta.data, (x, gamma, beta), backward)
+    out = normed * gamma.data
+    out += beta.data
+    return _make(out, (x, gamma, beta), backward)
 
 
 def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) -> Tensor:
@@ -544,7 +582,9 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
             raise ShapeError(f"attention: K {K.shape} and V {V.shape} must be [{heads}, L, {d}]")
         k, v = K.data, V.data
     kt = k.swapaxes(-1, -2)
-    probs = _softmax((q @ kt) * scale)
+    probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
+    probs *= scale
+    _softmax(probs, probs)
 
     def backward(g):
         g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge

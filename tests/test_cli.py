@@ -1,9 +1,12 @@
+import ctypes
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
+import restuner.cli as cli
 import restuner.tensor as T
 from restuner.backbone import BackboneConfig, build_backbone
 from restuner.cli import main
@@ -178,14 +181,22 @@ def test_cmd_train_malformed_config(tmp_path, capsys):
         ("size = 64", "size = 2", "size"),  # below the class count
         ("[data]\n", "[data]\ntask = c\n", "task"),
         ("train_fraction = 0.75", "train_fraction = 0", "train_fraction"),
+        ("signal = 3.0", "signal = nan", "signal must be finite"),
+        ("signal = 3.0", "signal = inf", "signal must be finite"),
+        ("signal = 3.0", "noise = nan", "noise must be finite"),
+        ("signal = 3.0", "noise = -inf", "noise must be finite"),
+        ("signal = 3.0", "task = b\nrotation = inf", "rotation must be finite"),
+        ("signal = 3.0", "rotation = nan", "rotation must be finite"),
     ],
 )
 def test_cmd_bad_data_section_exits_2(config_path, capsys, old, new, key):
     config_path.write_text(config_path.read_text().replace(old, new))
     for command in ("train", "grad-check", "matrix"):
-        assert main([command, "--config", str(config_path)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(config_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: [data]") and key in err, err
+        assert err.startswith("error: [data]") and key in err and "Traceback" not in err, err
 
 
 def test_cmd_grad_check_more_classes_than_probe_images(tmp_path, capsys):
@@ -470,3 +481,81 @@ def test_cli_import_loads_no_scipy():
     probe = "import sys, restuner.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+# -- heap policy ----------------------------------------------------------
+
+
+class _RecordingLibc:
+    """Stands in for ``ctypes.CDLL``: records every ``mallopt`` call."""
+
+    calls: list = []
+
+    def __init__(self, name, *args, **kwargs):
+        self.mallopt = lambda param, value: self.calls.append(("mallopt", param, value)) or 1
+
+
+def test_main_sets_heap_policy_once_before_dispatch(config_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(_RecordingLibc, "calls", events)
+    monkeypatch.setattr(ctypes, "CDLL", _RecordingLibc)
+    monkeypatch.setattr(cli, "cmd_count_params", lambda args: events.append("dispatch") or 0)
+    assert main(["count-params", "--config", str(config_path)]) == 0
+    assert events == [("mallopt", cli.M_TOP_PAD, cli.HEAP_TOP_PAD), "dispatch"]
+
+
+class _NoMallopt:
+    def __init__(self, name, *args, **kwargs):
+        pass
+
+
+def _no_libc(name, *args, **kwargs):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_NoMallopt, _no_libc])
+def test_main_runs_where_mallopt_is_missing(config_path, monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["count-params", "--config", str(config_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] > 0
+
+
+def test_library_never_sets_heap_policy(tmp_path):
+    """Importing restuner and calling its functions leaves the allocator
+    alone; only ``cli.main``, the process entry point, calls ``mallopt``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import restuner
+
+    src = str(Path(restuner.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = f"""
+import ctypes
+calls = []
+class Recording(ctypes.CDLL):
+    @property
+    def mallopt(self):
+        return lambda *args: calls.append(args) or 1
+ctypes.CDLL = Recording
+import restuner, restuner.cli
+from restuner import (BackboneConfig, DatasetSpec, TrainConfig, attach, build_backbone,
+                      evaluate, grad_check, load_checkpoint, save_checkpoint, synth_dataset, train)
+from restuner.tuners import AttachSpec
+ds = synth_dataset(DatasetSpec(num_classes=2, shape=(1, 4, 4), size=8))
+model = build_backbone(BackboneConfig(dim=8, depth=1, heads=2, patch=2, image_size=4,
+                                      in_channels=1, num_classes=2))
+attach(model, [AttachSpec(block_index=0, op="ffn", kind="adapter")])
+train(model, ds, TrainConfig(epochs=1, batch_size=4), quiet=True)
+evaluate(model, ds)
+grad_check(model, ds.images[:2], ds.labels[:2])
+save_checkpoint(model, {str(tmp_path / "m.rtck")!r})
+load_checkpoint({str(tmp_path / "m.rtck")!r})
+library_calls = len(calls)
+restuner.cli.main(["eval", "--checkpoint", {str(tmp_path / "missing.rtck")!r}, "--data", "x"])
+print(library_calls, len(calls))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["0", "1"], out.stdout + out.stderr

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -216,6 +218,60 @@ def test_erf_inplace_rejects_arrays_it_cannot_write_in_place():
         T.erf_inplace(x.T)
     with pytest.raises(ValueError):
         T.erf_inplace(np.zeros(4, dtype=np.float32))
+
+
+def _backward_from(out: Tensor, g: np.ndarray) -> None:
+    """Run backward with the array ``g`` itself, not a copy, as ``out``'s grad."""
+    T._make(np.zeros(()), (out,), lambda _: T._accumulate(out, g)).backward()
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "size", [T._ERF_CHUNK - 1, T._ERF_CHUNK, T._ERF_CHUNK + 1, 2 * T._ERF_CHUNK + 7]
+)
+def test_gelu_chunk_boundaries_match_composed_expression_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    strided = rng.normal(scale=2.0, size=2 * size)
+    g = rng.normal(size=2 * size)[1::2]  # a non-contiguous upstream grad
+    for data in (strided[: size].copy(), strided[::2]):  # contiguous, then not
+        cdf = 0.5 * (1.0 + T.erf_inplace(data / math.sqrt(2.0)))
+        with T.no_grad():
+            assert _same_bits(T.gelu(Tensor(data)).data, data * cdf)
+        x = Tensor(data, requires_grad=True)
+        out = T.gelu(x)
+        assert _same_bits(out.data, data * cdf)
+        _backward_from(out, g)
+        assert _same_bits(x.grad, g * T._gelu_grad(data, cdf))
+
+
+def _gelu_peak_bytes(x: Tensor) -> tuple[int, int]:
+    """(peak bytes traced during ``gelu(x)``, its output's bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.gelu(x)
+        return tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_gelu_without_grad_allocates_its_output_and_one_slice_of_scratch():
+    # few |x / sqrt(2)| > 1, as in the benchmark workloads, so erf's tail
+    # path (a Python list per slice) stays small
+    data = np.random.default_rng(45).normal(scale=0.5, size=8 * T._ERF_CHUNK + 3)
+    x = Tensor(data, requires_grad=True)
+    # erf's three slice-sized scratch arrays plus a slice's mask and indices
+    scratch = 4 * T._ERF_CHUNK * 8
+    with T.no_grad():
+        peak, out_bytes = _gelu_peak_bytes(x)
+    assert out_bytes <= peak <= out_bytes + scratch, (peak, out_bytes)
+    # a recording call keeps a full-size Phi(x) for its backward, which the bound catches
+    peak, out_bytes = _gelu_peak_bytes(x)
+    assert peak > out_bytes + scratch, (peak, out_bytes)
 
 
 def test_getitem_concat_broadcast_grads():
@@ -474,6 +530,26 @@ def test_fused_op_grads_vs_finite_differences(name):
             return (fused(*others) * Tensor(w)).sum()
 
         assert rel_error(leaf.grad, finite_diff_grad(loss, Tensor(arrays[i].copy()))) < 1e-6, (name, i)
+
+
+def _digest(a: np.ndarray) -> bytes:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).digest()
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES) + ["gelu"])
+def test_op_never_writes_its_inputs_or_upstream_grad(name):
+    """Forward and backward write only into arrays they allocated: every
+    input's data, the output and the upstream grad keep their bytes."""
+    build, arrays = (T.gelu, [_R.normal(size=(2, 3, 5))]) if name == "gelu" else FUSED_CASES[name][::2]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    before = [_digest(t.data) for t in leaves]
+    out = build(*leaves)
+    g = np.random.default_rng(44).normal(size=out.shape)
+    held = [_digest(out.data), _digest(g)]
+    _backward_from(out, g)
+    assert all(t.grad is not None for t in leaves)
+    assert [_digest(t.data) for t in leaves] == before
+    assert [_digest(out.data), _digest(g)] == held
 
 
 def test_fused_ops_record_one_node():
