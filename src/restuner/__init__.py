@@ -2,13 +2,7 @@
 
 from .tensor import Tensor, finite_diff_grad, rel_error
 from .layers import LayerNorm, LinearLayer, MHAConfig, MLP, MultiHeadAttention, Parameter
-from .backbone import (
-    BackboneConfig,
-    ModelGraph,
-    build_backbone,
-    trainable_parameters,
-    unfreeze_backbone,
-)
+from .backbone import BackboneConfig, ModelGraph, build_backbone, trainable_parameters
 from .tuners import (
     AdapterConfig,
     AdapterTuner,

@@ -146,12 +146,6 @@ def build_backbone(cfg: BackboneConfig) -> ModelGraph:
     return ModelGraph(cfg)
 
 
-def unfreeze_backbone(model: ModelGraph) -> None:
-    """Make every parameter trainable."""
-    for p in model.parameters():
-        p.requires_grad = True
-
-
 def trainable_parameters(model: ModelGraph):
     """(name, param) pairs for trainable params, stable-ordered by name."""
     return sorted(

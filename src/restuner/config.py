@@ -8,7 +8,6 @@ tuner option would invalidate an experiment.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .backbone import BackboneConfig, ConfigError
@@ -38,9 +37,6 @@ class DataSection:
             raise ConfigError(f"train_fraction must be in (0, 1], got {self.train_fraction}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for key, value in (("signal", self.signal), ("noise", self.noise), ("rotation", self.rotation_deg)):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
 
 
 @dataclass

@@ -66,6 +66,9 @@ class DatasetSpec:
             raise ValueError(f"size {self.size} is below the class count {self.num_classes}")
         if 2 * self.num_classes > int(np.prod(self.shape)):
             raise ValueError(f"image too small for {self.num_classes} classes: {self.shape}")
+        for key, value in (("signal", self.signal), ("noise", self.noise), ("rotation", self.rotation_deg)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
 
 
 def _class_directions(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:

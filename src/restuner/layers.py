@@ -83,14 +83,9 @@ class LinearLayer(Module):
 
 
 def make_linear(
-    rng: np.random.Generator,
-    d_in: int,
-    d_out: int,
-    bias: bool = True,
-    std: float = 0.02,
-    trainable: bool = True,
+    rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True, trainable: bool = True
 ) -> LinearLayer:
-    W = trunc_normal(rng, (d_in, d_out), std=std)
+    W = trunc_normal(rng, (d_in, d_out))
     b = np.zeros(d_out) if bias else None
     return LinearLayer(W, b, trainable=trainable)
 

@@ -11,12 +11,15 @@ contribution as is (often an array another tensor also holds) and adds
 later ones out of place. No grad array is written in place once a tensor
 holds it, so a grad is never copied or zero-filled to make that safe.
 
-The hot paths are fused ops, one graph node each: ``linear``,
-``layer_norm`` and ``attention``. Each repeats, expression for expression
-and in the same order, the numpy arithmetic of the primitive chain it
-replaces, so its values and grads equal that chain's bit for bit. Their
-forward passes, and GELU's, write in place only into arrays they allocated
-themselves, never into an input, an upstream grad or an array a tensor holds.
+The module holds only the ops the model records. The hot paths are fused
+ops, one graph node each: ``linear``, ``layer_norm`` and ``attention``. Each
+repeats, expression for expression and in the same order, the numpy
+arithmetic of the primitive chain it replaces, so its values and grads
+equal that chain's bit for bit. Their forward passes, and GELU's, write in
+place only into arrays they allocated themselves, never into an input, an
+upstream grad or an array a tensor holds. The chains, and the reference
+primitives they are built from (``matmul``, ``mul``, ``softmax_lastdim``
+and so on), live in the test suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
@@ -115,61 +118,13 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # -- operator sugar -------------------------------------------------
+    # -- operator sugar: the two that the model uses -----------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __rsub__(self, other):
-        return add(-self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return mul_scalar(self, 1.0 / float(other))
-        return mul(self, power(other, -1.0))
-
-    def __pow__(self, p):
-        return power(self, float(p))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return add(self, other)
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def permute(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return permute(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-
-def _as_tensor(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=np.float64))
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -211,30 +166,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _make(a.data + b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
-def mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * s)
-
-    return _make(a.data * s, (a,), backward)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _make(a.data**p, (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -331,22 +262,6 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
     return np.copysign(1.0 - y, x)
 
 
-def erf_inplace(x: np.ndarray) -> np.ndarray:
-    """Overwrite the C-contiguous float64 array ``x`` with erf(x); returns ``x``.
-
-    A port of Cephes ``ndtr.c``, bit for bit ``scipy.special.erf``, computed
-    one ``_ERF_CHUNK`` slice at a time by ``_erf_chunk``.
-    """
-    if x.dtype != np.float64 or not x.flags.c_contiguous:
-        raise ValueError("erf_inplace needs a C-contiguous float64 array")
-    flat = x.reshape(-1)
-    scratch = [np.empty(min(_ERF_CHUNK, flat.size)) for _ in range(3)]
-    for lo in range(0, flat.size, _ERF_CHUNK):
-        xs = flat[lo : lo + _ERF_CHUNK]
-        _erf_chunk(xs, *(buf[: xs.size] for buf in scratch))
-    return x
-
-
 def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -> None:
     """Overwrite the 1-d ``xs`` with erf(xs), using ``zs``, ``ns`` and ``ds``,
     each shaped like ``xs``, as scratch.
@@ -389,15 +304,6 @@ def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
     if b.requires_grad:
         _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_matmul(a.data, b.data)
-
-    def backward(g):
-        _matmul_backward(a, b, g)
-
-    return _make(a.data @ b.data, (a, b), backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -444,7 +350,6 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -466,18 +371,6 @@ def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
     return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
 
 
-# -- reductions ---------------------------------------------------------
-
-
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
-
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
 # -- softmax ------------------------------------------------------------
 
 
@@ -492,16 +385,6 @@ def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis (max-subtraction)."""
-    y = _softmax(a.data, np.empty(a.data.shape))
-
-    def backward(g):
-        _accumulate(a, _softmax_grad(y, g))
-
-    return _make(y, (a,), backward)
 
 
 # -- fused ops ----------------------------------------------------------

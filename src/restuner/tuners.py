@@ -189,11 +189,12 @@ class PromptTuner(Tuner):
         cfg = self.cfg
         dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
         W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
-        k_flat = self.P @ W[:, dim : 2 * dim]
-        v_flat = self.P @ W[:, 2 * dim :]
-        K = k_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
-        V = v_flat.reshape(cfg.length, heads, head_dim).permute(1, 0, 2)
-        return T.attention(qkv, heads, head_dim**-0.5, kv=(K, V)) @ mha.proj.W
+        split = (cfg.length, heads, head_dim)  # then permuted to [heads, L, head_dim]
+        K, V = (
+            T.permute(T.reshape(T.linear(self.P, W[:, lo : lo + dim]), split), (1, 0, 2))
+            for lo in (dim, 2 * dim)
+        )
+        return T.linear(T.attention(qkv, heads, head_dim**-0.5, kv=(K, V)), mha.proj.W)
 
     __call__ = forward
 

@@ -1,0 +1,144 @@
+"""Reference ops for the oracle tests, kept out of ``restuner.tensor``.
+
+The model records only fused ops. The primitives here record one graph
+node each through the engine's own plumbing (``_make``, ``_accumulate``,
+``_unbroadcast``) and reuse its kernels, so a chain of them is the exact
+computation that a fused op repeats bit for bit. ``composed_*`` are those
+chains; ``split_heads``, ``merge_heads``, ``own_kv`` and ``prompt_kv``
+build attention's K/V the way a tuner or a chain would.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from restuner import tensor as T
+from restuner.tensor import Tensor, _accumulate, _make, _unbroadcast
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    T._check_matmul(a.data, b.data)
+
+    def backward(g):
+        T._matmul_backward(a, b, g)
+
+    return _make(a.data @ b.data, (a, b), backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+
+    return _make(a.data * b.data, (a, b), backward)
+
+
+def mul_scalar(a: Tensor, s: float) -> Tensor:
+    def backward(g):
+        _accumulate(a, g * s)
+
+    return _make(a.data * s, (a,), backward)
+
+
+def power(a: Tensor, p: float) -> Tensor:
+    def backward(g):
+        _accumulate(a, g * p * a.data ** (p - 1.0))
+
+    return _make(a.data**p, (a,), backward)
+
+
+def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis (max-subtraction)."""
+    y = T._softmax(a.data, np.empty(a.data.shape))
+
+    def backward(g):
+        _accumulate(a, T._softmax_grad(y, g))
+
+    return _make(y, (a,), backward)
+
+
+def erf(x) -> np.ndarray:
+    """erf(x) as a new array, through GELU's own chunk kernel."""
+    out = np.array(x, dtype=np.float64)
+    flat = out.reshape(-1)
+    scratch = [np.empty(min(T._ERF_CHUNK, flat.size)) for _ in range(3)]
+    for lo in range(0, flat.size, T._ERF_CHUNK):
+        xs = flat[lo : lo + T._ERF_CHUNK]
+        T._erf_chunk(xs, *(buf[: xs.size] for buf in scratch))
+    return out
+
+
+def weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
+    """sum(out * w): a scalar loss whose grad w.r.t. ``out`` is ``w``."""
+    return tensor_sum(mul(out, Tensor(w)))
+
+
+# -- the chains the fused ops replace -------------------------------------
+
+
+def composed_linear(x, W, b=None):
+    y = matmul(x, W)
+    return y if b is None else T.add(y, b)
+
+
+def composed_layer_norm(x, gamma, beta, eps=1e-6):
+    scale = 1.0 / x.shape[-1]  # a mean is a sum times the reciprocal count
+    mu = mul_scalar(tensor_sum(x, axis=-1, keepdims=True), scale)
+    xc = T.add(x, mul_scalar(mu, -1.0))  # x - mu
+    var = mul_scalar(tensor_sum(mul(xc, xc), axis=-1, keepdims=True), scale)
+    inv = power(T.add(var, Tensor(eps)), -0.5)
+    return T.add(mul(mul(xc, inv), gamma), beta)
+
+
+def composed_attention(q, k, v, scale):
+    axes = list(range(len(k.shape)))
+    axes[-2:] = axes[-1], axes[-2]  # k^T over the last two axes
+    return matmul(softmax_lastdim(mul_scalar(matmul(q, T.permute(k, axes)), scale)), v)
+
+
+def split_heads(qkv, heads):
+    """[B, N, 3*heads*d] -> q, k, v, each [B, heads, N, d]: reshape, permute, getitem."""
+    B, N, width = qkv.shape
+    qkv = T.permute(T.reshape(qkv, (B, N, 3, heads, width // (3 * heads))), (2, 0, 3, 1, 4))
+    return qkv[0], qkv[1], qkv[2]
+
+
+def merge_heads(y):
+    """[B, heads, N, d] -> [B, N, heads*d]: permute, reshape."""
+    B, heads, N, d = y.shape
+    return T.reshape(T.permute(y, (0, 2, 1, 3)), (B, N, heads * d))
+
+
+def composed_mha_attention(qkv, heads, scale, kv=None):
+    """The chain ``T.attention`` fuses: split the heads, attend, merge them."""
+    q, k, v = split_heads(qkv, heads)
+    if kv is not None:
+        k, v = kv
+    return merge_heads(composed_attention(q, k, v, scale))
+
+
+def own_kv(qkv, heads):
+    """K and V as [heads, N, d]: the k and v thirds of a batch-of-one qkv."""
+    _, k, v = split_heads(qkv, heads)
+    return k[0], v[0]
+
+
+def prompt_kv(P, W, heads):
+    """Prompt-style K and V: both derived from one shared parameter P."""
+    L, dim = P.shape
+    K, V = (
+        T.permute(T.reshape(matmul(P, Tensor(part)), (L, heads, dim // heads)), (1, 0, 2))
+        for part in (W[:, :dim], W[:, dim:])
+    )
+    return K, V

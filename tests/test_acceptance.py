@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from restuner.backbone import BackboneConfig, build_backbone, unfreeze_backbone
+from restuner.backbone import BackboneConfig, build_backbone
 from restuner.cli import main
 from restuner.data_io import (
     DatasetSpec,
@@ -152,7 +152,8 @@ def test_criterion_6_transfer_beats_linear_probe():
     ds_b = synth_dataset(spec, "b")
 
     pretrained = build_backbone(cfg)
-    unfreeze_backbone(pretrained)
+    for p in pretrained.parameters():  # pre-train the whole backbone on task A
+        p.requires_grad = True
     train(pretrained, ds_a, TrainConfig(epochs=30, batch_size=32, lr=1e-2, seed=seed), quiet=True)
     snapshot = {n: p.data.copy() for n, p in pretrained.named_parameters()}
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from restuner.backbone import (
     build_backbone,
     patchify,
     trainable_parameters,
-    unfreeze_backbone,
 )
 from restuner.tensor import Tensor
 from restuner.training import cross_entropy
@@ -143,7 +144,8 @@ def test_backbone_built_frozen_without_grad_buffers():
     m = build_backbone(TOY)
     for name, p in m.named_parameters():
         assert p.requires_grad == name.startswith("head.") and p.grad is None, name
-    unfreeze_backbone(m)
+    for p in m.parameters():
+        p.requires_grad = True
     for name, p in m.named_parameters():
         assert p.requires_grad and p.grad is None, name
 
@@ -169,11 +171,37 @@ def test_vit_tiny_res_attn_step_records_167_nodes():
     attach(m, [AttachSpec(b, "mha", "res_attn", {"rank": 4, "heads": 2}) for b in range(12)])
     images = np.random.default_rng(0).normal(size=(1, 3, 32, 32))
     loss = cross_entropy(m(Tensor(images)), np.array([3]))
-    seen, stack, recorded = set(), [loss], 0
+    assert sum(_recorded_ops(loss).values()) == 167
+
+
+def _recorded_ops(loss) -> Counter:
+    """Graph nodes reachable from ``loss``, counted by the op that recorded them."""
+    ops, seen, stack = Counter(), set(), [loss]
     while stack:
         t = stack.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            recorded += t._backward is not None
+            if t._backward is not None:
+                ops[t._backward.__qualname__.split(".", 1)[0]] += 1
             stack.extend(t._parents)
-    assert recorded == 167
+    return ops
+
+
+def test_four_kind_step_records_only_the_engine_ops():
+    """Every tuner kind, with prompt at an MHA and at a whole block, records
+    only the ops ``restuner.tensor`` defines for the model."""
+    m = build_backbone(TOY)
+    attach(m, [
+        AttachSpec(0, "mha", "res_attn"), AttachSpec(0, "ffn", "adapter"),
+        AttachSpec(0, "block", "prompt"), AttachSpec(1, "mha", "prompt"),
+        AttachSpec(1, "block", "prefix"),
+    ])
+    images = np.random.default_rng(1).normal(size=(2, 1, 8, 8))
+    loss = cross_entropy(m(Tensor(images)), np.array([0, 3]))
+    ops = _recorded_ops(loss)
+    assert set(ops) <= {"add", "attention", "broadcast_to", "concat", "cross_entropy", "gelu",
+                        "getitem", "layer_norm", "linear", "permute", "reshape"}, ops
+    # four tuners and block 1's MHA; block 0's reads no trainable input
+    assert ops["attention"] == 5 and ops["reshape"] == ops["permute"] == 2 * 2  # K and V per prompt
+    loss.backward()
+    assert all(p.grad is not None for _, p in trainable_parameters(m))

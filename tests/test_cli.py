@@ -390,7 +390,7 @@ def test_fused_ops_train_the_checkpoint_their_primitive_chains_train(tmp_path, m
     """One run with the fused ops, one with each replaced by the primitive
     chain it fuses: the two checkpoints must be the same bytes."""
     import restuner.layers
-    from test_tensor import composed_layer_norm, composed_linear, composed_mha_attention
+    from primitives import composed_layer_norm, composed_linear, composed_mha_attention
 
     path = tmp_path / "four.cfg"
     path.write_text(_FOUR_KIND_CONFIG)

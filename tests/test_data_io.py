@@ -60,6 +60,11 @@ def test_spec_validation():
         DatasetSpec(num_classes=0)
     with pytest.raises(ValueError):
         DatasetSpec(num_classes=8, size=4)
+    # unchecked, signal=nan made all-NaN images and rotation_deg=inf warned in cos
+    for field, key in (("signal", "signal"), ("noise", "noise"), ("rotation_deg", "rotation")):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                DatasetSpec(**{field: value})
 
 
 def test_split_fractions():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from primitives import mul, tensor_sum, weighted_sum
 from restuner import tensor as T
 from restuner.layers import (
     LayerNorm,
@@ -74,15 +75,15 @@ def test_layer_norm_grads():
     x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
     g = Parameter(rng.normal(size=5))
     b = Parameter(rng.normal(size=5))
-    w = Tensor(rng.normal(size=(2, 5)))
+    w = rng.normal(size=(2, 5))
 
     def loss_of(t):
-        return (layer_norm(t, g, b) * w).sum()
+        return weighted_sum(layer_norm(t, g, b), w)
 
     loss_of(x).backward()
     assert rel_error(x.grad, finite_diff_grad(loss_of, x)) < 1e-6
-    assert rel_error(g.grad, finite_diff_grad(lambda t: (layer_norm(x, t, b) * w).sum(), g)) < 1e-6
-    assert rel_error(b.grad, finite_diff_grad(lambda t: (layer_norm(x, g, t) * w).sum(), b)) < 1e-6
+    assert rel_error(g.grad, finite_diff_grad(lambda t: weighted_sum(layer_norm(x, t, b), w), g)) < 1e-6
+    assert rel_error(b.grad, finite_diff_grad(lambda t: weighted_sum(layer_norm(x, g, t), w), b)) < 1e-6
 
 
 def test_gelu_values():
@@ -182,7 +183,7 @@ def test_mlp_grad_check():
     x = Tensor(rng.normal(size=(1, 2, 3)), requires_grad=True)
 
     def loss_of(t):
-        return (mlp(t) * mlp(t)).sum()
+        return tensor_sum(mul(mlp(t), mlp(t)))
 
     loss_of(x).backward()
     assert rel_error(x.grad, finite_diff_grad(loss_of, x)) < 1e-5

@@ -8,6 +8,7 @@ import pytest
 
 import restuner.tensor as T
 import restuner.training as training
+from primitives import mul, tensor_sum
 from restuner.backbone import BackboneConfig, build_backbone, trainable_parameters
 from restuner.data_io import DatasetSpec, synth_dataset
 from restuner.tensor import GradientError, Tensor, finite_diff_grad, rel_error
@@ -95,10 +96,10 @@ def test_adamw_first_step_magnitude():
 def test_step_names_a_parameter_the_loss_never_reached():
     used, unused = _param([1.0]), _param([2.0])
     opt = SGD([("used", used), ("unused", unused)], TrainConfig(optimizer="sgd", lr=0.1))
-    (used * unused).sum().backward()
+    tensor_sum(mul(used, unused)).backward()
     opt.step(lr=0.1)
     opt.zero_grad()  # a stale grad must not stand in for a missing one
-    (used * used).sum().backward()
+    tensor_sum(mul(used, used)).backward()
     with pytest.raises(GradientError, match="'unused'"):
         opt.step(lr=0.1)
 
