@@ -14,7 +14,6 @@ import numpy as np
 
 from .layers import (
     LayerNorm,
-    LinearLayer,
     MHAConfig,
     Module,
     MultiHeadAttention,

@@ -5,8 +5,11 @@ stores a backward closure that receives the output's grad as its argument,
 so no node refers to its own output and a graph is freed by reference
 counting as soon as its loss dies. Inside ``no_grad()`` ops record nothing.
 ``backward`` on a scalar walks the recorded graph once in reverse
-topological order. Every tensor, leaf or op output, follows one grad rule:
-``backward`` drops each reachable grad, a tensor takes its first
+topological order. It fills ``grad`` on leaves only: an op output's grad
+is complete when the walk reaches the op, only the op's own closure reads
+it, and the walk releases it as soon as that closure returns, so a step's
+memory is its forward graph plus the grads in flight. Every grad follows
+one rule: ``backward`` drops each reachable grad, a tensor takes its first
 contribution as is (often an array another tensor also holds) and adds
 later ones out of place. No grad array is written in place once a tensor
 holds it, so a grad is never copied or zero-filled to make that safe.
@@ -86,11 +89,14 @@ class Tensor:
     # -- graph plumbing -------------------------------------------------
 
     def backward(self) -> None:
-        """Fill ``grad`` on every requires_grad tensor this scalar depends on.
+        """Fill ``grad`` on every requires_grad leaf this scalar depends on.
 
-        A tensor the loss does not reach keeps ``grad`` as it was. Repeated
-        calls without re-recording produce identical grads: each call drops
-        every reachable tensor's grad before accumulating.
+        An op output's grad is released once its op's backward has used it,
+        so after the call every reachable op output, this scalar included,
+        has ``grad`` None. A tensor the loss does not reach keeps ``grad`` as
+        it was. The graph itself is kept, so repeated calls without
+        re-recording produce identical grads: each call drops every
+        reachable tensor's grad before accumulating.
         """
         if self.data.size != 1:
             raise GradientError(
@@ -117,6 +123,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar: the two that the model uses -----------------
 

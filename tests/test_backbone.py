@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -161,35 +163,67 @@ def test_initial_values_pinned():
     assert h.hexdigest() == "b60e32466ef4a4740274517cee01297976432eb28a1d6abaa28b1729396e8161"
 
 
-def test_vit_tiny_res_attn_step_records_167_nodes():
-    """The benchmark's train-vit step: vit-tiny-32px, res_attn r4h2 on every
-    MHA, B=1. Each attention is one node over its fused QKV projection (the
-    split-and-merge head chain recorded 328)."""
+def _vit_tiny_res_attn():
+    """The benchmark's train-vit model, vit-tiny-32px with res_attn r4h2 on
+    every MHA, and one B=1 image."""
     cfg = BackboneConfig(dim=192, depth=12, heads=3, patch=4, image_size=32,
                          in_channels=3, num_classes=10, seed=0)
     m = build_backbone(cfg)
     attach(m, [AttachSpec(b, "mha", "res_attn", {"rank": 4, "heads": 2}) for b in range(12)])
-    images = np.random.default_rng(0).normal(size=(1, 3, 32, 32))
+    return m, np.random.default_rng(0).normal(size=(1, 3, 32, 32))
+
+
+def test_vit_tiny_res_attn_step_records_167_nodes():
+    """The benchmark's train-vit step. Each attention is one node over its
+    fused QKV projection (the split-and-merge head chain recorded 328)."""
+    m, images = _vit_tiny_res_attn()
     loss = cross_entropy(m(Tensor(images)), np.array([3]))
     assert sum(_recorded_ops(loss).values()) == 167
 
 
-def _recorded_ops(loss) -> Counter:
-    """Graph nodes reachable from ``loss``, counted by the op that recorded them."""
-    ops, seen, stack = Counter(), set(), [loss]
+def test_vit_tiny_backward_keeps_grads_only_on_leaves():
+    """Backward releases each op output's grad once its op has used it, so
+    the train-vit step's memory stays its forward graph. Backward's traced
+    peak above the forward was 57% of the forward's bytes while every op
+    output kept its grad, and is 6% (the grads in flight); 15% lies between."""
+    m, images = _vit_tiny_res_attn()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = cross_entropy(m(Tensor(images)), np.array([3]))
+        forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert backward_peak - forward < 0.15 * (forward - base), (backward_peak - forward, forward - base)
+    assert all(t.grad is None for t in _graph(loss) if t._backward is not None)
+    assert all(p.grad is not None for _, p in trainable_parameters(m))
+
+
+def _graph(loss) -> list:
+    """Every tensor reachable from ``loss``, each once."""
+    nodes, seen, stack = [], set(), [loss]
     while stack:
         t = stack.pop()
         if id(t) not in seen:
             seen.add(id(t))
-            if t._backward is not None:
-                ops[t._backward.__qualname__.split(".", 1)[0]] += 1
+            nodes.append(t)
             stack.extend(t._parents)
-    return ops
+    return nodes
 
 
-def test_four_kind_step_records_only_the_engine_ops():
-    """Every tuner kind, with prompt at an MHA and at a whole block, records
-    only the ops ``restuner.tensor`` defines for the model."""
+def _recorded_ops(loss) -> Counter:
+    """Graph nodes reachable from ``loss``, counted by the op that recorded them."""
+    return Counter(t._backward.__qualname__.split(".", 1)[0]
+                   for t in _graph(loss) if t._backward is not None)
+
+
+def _four_kind_step():
+    """A toy model with every tuner kind, prompt at an MHA and at a whole
+    block, and the loss of one B=2 step."""
     m = build_backbone(TOY)
     attach(m, [
         AttachSpec(0, "mha", "res_attn"), AttachSpec(0, "ffn", "adapter"),
@@ -197,7 +231,13 @@ def test_four_kind_step_records_only_the_engine_ops():
         AttachSpec(1, "block", "prefix"),
     ])
     images = np.random.default_rng(1).normal(size=(2, 1, 8, 8))
-    loss = cross_entropy(m(Tensor(images)), np.array([0, 3]))
+    return m, cross_entropy(m(Tensor(images)), np.array([0, 3]))
+
+
+def test_four_kind_step_records_only_the_engine_ops():
+    """Every tuner kind records only the ops ``restuner.tensor`` defines for
+    the model."""
+    m, loss = _four_kind_step()
     ops = _recorded_ops(loss)
     assert set(ops) <= {"add", "attention", "broadcast_to", "concat", "cross_entropy", "gelu",
                         "getitem", "layer_norm", "linear", "permute", "reshape"}, ops
@@ -205,3 +245,18 @@ def test_four_kind_step_records_only_the_engine_ops():
     assert ops["attention"] == 5 and ops["reshape"] == ops["permute"] == 2 * 2  # K and V per prompt
     loss.backward()
     assert all(p.grad is not None for _, p in trainable_parameters(m))
+
+
+def test_four_kind_backward_twice_gives_identical_leaf_grads():
+    """Releasing op outputs' grads keeps the graph, so a second backward on
+    it refills every leaf grad bit for bit."""
+    m, loss = _four_kind_step()
+    loss.backward()
+    first = {name: p.grad.copy() for name, p in trainable_parameters(m)}
+    loss.backward()  # drops the leaf grads before it refills them
+    assert all(np.array_equal(p.grad, first[name]) for name, p in trainable_parameters(m))
+    for _, p in trainable_parameters(m):
+        p.grad = None  # as ``Optimizer.zero_grad`` leaves them
+    loss.backward()
+    assert all(np.array_equal(p.grad, first[name]) for name, p in trainable_parameters(m))
+    assert all(t.grad is None for t in _graph(loss) if t._backward is not None)

@@ -6,14 +6,12 @@ import pytest
 from primitives import mul, tensor_sum, weighted_sum
 from restuner import tensor as T
 from restuner.layers import (
-    LayerNorm,
     LinearLayer,
     MHAConfig,
     MLP,
     MultiHeadAttention,
     Parameter,
     layer_norm,
-    make_linear,
 )
 from restuner.tensor import ShapeError, Tensor, finite_diff_grad, rel_error
 

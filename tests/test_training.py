@@ -9,7 +9,7 @@ import pytest
 import restuner.tensor as T
 import restuner.training as training
 from primitives import mul, tensor_sum
-from restuner.backbone import BackboneConfig, build_backbone, trainable_parameters
+from restuner.backbone import BackboneConfig, build_backbone
 from restuner.data_io import DatasetSpec, synth_dataset
 from restuner.tensor import GradientError, Tensor, finite_diff_grad, rel_error
 from restuner.training import (
