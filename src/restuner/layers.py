@@ -52,10 +52,11 @@ class Module:
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) resampled until within 2 std (ViT-style init)."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while idx.size:  # only the entries just redrawn can still be out of range
+        flat[idx] = rng.normal(0.0, std, size=idx.size)
+        idx = idx[np.abs(flat[idx]) > 2.0 * std]
     return out
 
 

@@ -1,18 +1,28 @@
 """Dense float64 tensors with reverse-mode autodiff.
 
-The graph is define-by-run: every op links its output to its inputs and
-stores a backward closure that receives the output's grad as its argument,
-so no node refers to its own output and a graph is freed by reference
-counting as soon as its loss dies. Inside ``no_grad()`` ops record nothing.
-``backward`` on a scalar walks the recorded graph once in reverse
-topological order. It fills ``grad`` on leaves only: an op output's grad
-is complete when the walk reaches the op, only the op's own closure reads
-it, and the walk releases it as soon as that closure returns, so a step's
-memory is its forward graph plus the grads in flight. Every grad follows
-one rule: ``backward`` drops each reachable grad, a tensor takes its first
-contribution as is (often an array another tensor also holds) and adds
-later ones out of place. No grad array is written in place once a tensor
-holds it, so a grad is never copied or zero-filled to make that safe.
+The graph is define-by-run, and its vertices hold no values. An op that
+records returns a ``Tensor`` holding its output array, and gives it a
+*vertex*: a ``Tensor`` whose ``data`` is one shared zero-size array, which
+receives the output's grad and carries the op's parents and backward
+closure. The output carries the same parents and closure, so a walk from a
+loss reaches the whole graph. A leaf is its own vertex. Parents are
+vertices, and each backward closure captures only the vertices, shapes and
+arrays that it reads, so an op output that no backward reads is freed as
+soon as its consumers have run, and a recorded graph holds only the arrays
+its backward passes need. A closure receives its output's grad as its
+argument and refers to no output, so a graph has no reference cycle and is
+freed by reference counting as soon as its loss dies. Inside ``no_grad()``
+ops record nothing.
+
+``backward`` on a scalar walks the vertices once in reverse topological
+order. It fills ``grad`` on leaves only: a vertex's grad is complete when
+the walk reaches it, only its op's closure reads it, and the walk releases
+it as soon as that closure returns, so a step's memory is its saved arrays
+plus the grads in flight. Every grad follows one rule: ``backward`` drops
+each reachable grad, a tensor takes its first contribution as is (often an
+array another tensor also holds) and adds later ones out of place. No grad
+array is written in place once a tensor holds it, so a grad is never
+copied or zero-filled to make that safe.
 
 The module holds only the ops the model records. The hot paths are fused
 ops, one graph node each: ``linear``, ``layer_norm`` and ``attention``. Each
@@ -40,6 +50,8 @@ import math
 import numpy as np
 
 _GRAD_ENABLED = True
+_NO_DATA = np.empty(0)  # every vertex's ``data``: a vertex holds no value
+_NO_DATA.flags.writeable = False
 
 
 @contextlib.contextmanager
@@ -63,9 +75,13 @@ class GradientError(RuntimeError):
 
 
 class Tensor:
-    """N-d float64 value, optionally participating in the gradient graph."""
+    """N-d float64 value, optionally participating in the gradient graph.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    ``_vertex`` is the recorded op output's vertex, or None for a leaf (and a
+    vertex), which is its own vertex.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_vertex")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -73,6 +89,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._vertex = None
 
     @property
     def shape(self):
@@ -91,10 +108,12 @@ class Tensor:
     def backward(self) -> None:
         """Fill ``grad`` on every requires_grad leaf this scalar depends on.
 
-        An op output's grad is released once its op's backward has used it,
-        so after the call every reachable op output, this scalar included,
-        has ``grad`` None. A tensor the loss does not reach keeps ``grad`` as
-        it was. The graph itself is kept, so repeated calls without
+        The walk runs over vertices, from this scalar's. A vertex's grad is
+        released once its op's backward has used it, and an op output itself
+        never takes a grad, so after the call every reachable op output and
+        vertex, this scalar included, has ``grad`` None. A tensor the loss
+        does not reach keeps ``grad`` as it was. The graph itself, closures
+        and their saved arrays included, is kept, so repeated calls without
         re-recording produce identical grads: each call drops every
         reachable tensor's grad before accumulating.
         """
@@ -102,9 +121,10 @@ class Tensor:
             raise GradientError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
+        root = self._vertex or self
         topo: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -119,7 +139,7 @@ class Tensor:
                     stack.append((p, False))
         for node in topo:
             node.grad = None
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -135,20 +155,25 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """The op output holding ``data``; when it records, its parents are the
+    inputs' vertices and its own vertex takes the same parents and closure."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        vertex = out._vertex = Tensor(_NO_DATA, requires_grad=True)
         out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+        out._parents = vertex._parents = tuple(p._vertex or p for p in parents)
+        out._backward = vertex._backward = backward
     return out
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add one grad contribution to ``t.grad``, never writing into an array.
+    """Add one grad contribution to the grad of ``t``'s vertex, never writing
+    into an array.
 
     The first contribution is stored as is, even when other tensors hold
     the same array or a view of it; each later one makes a new sum.
     """
+    t = t._vertex or t
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -166,11 +191,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    va, a_shape, vb, b_shape = a._vertex or a, a.data.shape, b._vertex or b, b.data.shape
+
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if va.requires_grad:
+            _accumulate(va, _unbroadcast(g, a_shape))
+        if vb.requires_grad:
+            _accumulate(vb, _unbroadcast(g, b_shape))
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -198,13 +225,15 @@ def gelu(a: Tensor) -> Tensor:
         c *= 0.5
         np.multiply(xs, c, out=out_f[lo:hi])
 
+    va, x_data = a._vertex or a, a.data
+
     def backward(g):
-        xf, gf, gx = a.data.reshape(-1), g.reshape(-1), np.empty(a.data.shape)
+        xf, gf, gx = x_data.reshape(-1), g.reshape(-1), np.empty(x_data.shape)
         gx_f = gx.reshape(-1)
         for lo in range(0, xf.size, _ERF_CHUNK):
             hi = lo + _ERF_CHUNK
             np.multiply(gf[lo:hi], _gelu_grad(xf[lo:hi], cdf_f[lo:hi]), out=gx_f[lo:hi])
-        _accumulate(a, gx)
+        _accumulate(va, gx)
 
     return _make(out, (a,), backward)
 
@@ -306,11 +335,14 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
 
 
-def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+def _matmul_backward(g: np.ndarray, a: Tensor, b: Tensor, a_shape: tuple, b_shape: tuple,
+                     a_data: np.ndarray | None, b_data: np.ndarray | None) -> None:
+    """Add the grads of ``a @ b`` into whichever of ``a`` and ``b`` requires
+    grad. ``a``'s grad reads ``b_data``, and ``b``'s reads ``a_data``."""
     if a.requires_grad:
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        _accumulate(a, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
     if b.requires_grad:
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        _accumulate(b, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -318,8 +350,10 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
 
+    va, a_shape = a._vertex or a, a.data.shape
+
     def backward(g):
-        _accumulate(a, g.reshape(a.data.shape))
+        _accumulate(va, g.reshape(a_shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
 
@@ -329,9 +363,10 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"invalid permutation {axes} for ndim {a.data.ndim}")
     inverse = tuple(np.argsort(axes))
+    va = a._vertex or a
 
     def backward(g):
-        _accumulate(a, g.transpose(inverse))
+        _accumulate(va, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
@@ -344,14 +379,15 @@ def _is_basic_index(idx) -> bool:
 
 def getitem(a: Tensor, idx) -> Tensor:
     basic = _is_basic_index(idx)
+    va, a_shape = a._vertex or a, a.data.shape
 
     def backward(g):
-        buf = np.zeros_like(a.data)
+        buf = np.zeros(a_shape)
         if basic:
             buf[idx] += g
         else:  # advanced indices may repeat a target; add.at accumulates repeats
             np.add.at(buf, idx, g)
-        _accumulate(a, buf)
+        _accumulate(va, buf)
 
     return _make(a.data[idx], (a,), backward)
 
@@ -360,9 +396,10 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    vertices = [t._vertex or t for t in tensors]
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+        for t, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(lo), int(hi))
@@ -372,8 +409,10 @@ def concat(tensors: list, axis: int = 0) -> Tensor:
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
+    va, a_shape = a._vertex or a, a.data.shape
+
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(va, _unbroadcast(g, a_shape))
 
     return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
 
@@ -407,11 +446,15 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     y = x.data @ W.data
     if b is not None:
         y += b.data
+    vx, x_shape, vW, W_shape = x._vertex or x, x.data.shape, W._vertex or W, W.data.shape
+    vb, b_shape = (None, None) if b is None else (b._vertex or b, b.data.shape)
+    W_data = W.data if x.requires_grad else None  # read by x's grad
+    x_data = x.data if W.requires_grad else None  # read by W's grad
 
     def backward(g):
-        if b is not None and b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        _matmul_backward(x, W, g)
+        if vb is not None and vb.requires_grad:
+            _accumulate(vb, _unbroadcast(g, b_shape))
+        _matmul_backward(g, vx, vW, x_shape, W_shape, x_data, W_data)
 
     return _make(y, (x, W) if b is None else (x, W, b), backward)
 
@@ -429,26 +472,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     var_eps = normed.sum(axis=-1, keepdims=True) * scale + eps
     inv = var_eps**-0.5
     np.multiply(xc, inv, out=normed)
+    if _GRAD_ENABLED and gamma.requires_grad:  # gamma's grad reads normed
+        out = normed * gamma.data
+    else:  # the same ops in normed's own buffer, which no backward reads
+        out, normed = np.multiply(normed, gamma.data, out=normed), None
+    out += beta.data
+    vx, vgamma, gamma_shape = x._vertex or x, gamma._vertex or gamma, gamma.data.shape
+    vbeta, beta_shape = beta._vertex or beta, beta.data.shape
+    gamma_data = gamma.data if x.requires_grad else None  # read by x's grad
 
     def backward(g):
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            _accumulate(gamma, _unbroadcast(g * normed, gamma.data.shape))
-        if not x.requires_grad:
+        if vbeta.requires_grad:
+            _accumulate(vbeta, _unbroadcast(g, beta_shape))
+        if normed is not None:
+            _accumulate(vgamma, _unbroadcast(g * normed, gamma_shape))
+        if gamma_data is None:
             return
-        g_normed = g * gamma.data
+        g_normed = g * gamma_data
         g_xc = g_normed * inv
         g_var = _unbroadcast(g_normed * xc, inv.shape) * -0.5 * var_eps**-1.5
         sq_term = g_var * scale * xc
         g_xc += sq_term  # xc * xc adds into xc twice, one term at a time
         g_xc += sq_term
-        _accumulate(x, g_xc)  # the centred path, then the mean path
-        g_mu = _unbroadcast(g_xc, mu.shape) * -1.0
-        _accumulate(x, np.broadcast_to(g_mu * scale, x.data.shape))
+        _accumulate(vx, g_xc)  # the centred path, then the mean path
+        g_mu = _unbroadcast(g_xc, inv.shape) * -1.0  # mu is shaped like inv
+        _accumulate(vx, np.broadcast_to(g_mu * scale, xc.shape))
 
-    out = normed * gamma.data
-    out += beta.data
     return _make(out, (x, gamma, beta), backward)
 
 
@@ -475,38 +524,45 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
     probs *= scale
     _softmax(probs, probs)
+    y = (probs @ v).transpose(0, 2, 1, 3).reshape(B, N, heads * d)
+    own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
+    vqkv = qkv._vertex or qkv
+    if kv is None:
+        parents, vK, vV, need_k, need_v = (qkv,), None, None, own, own
+    else:
+        parents, vK, vV = (qkv, K, V), K._vertex or K, V._vertex or V
+        need_k, need_v = K.requires_grad, V.requires_grad
+    kt_shape, v_shape = kt.shape, v.shape
+    # each grad keeps only what it reads: k's reads q, q's reads k, both read v
+    q, kt, v = (q if need_k else None), (kt if own else None), (v if own or need_k else None)
 
     def backward(g):
         g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
-        own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
-        need_k = own if kv is None else K.requires_grad
-        need_v = own if kv is None else V.requires_grad
         if own:
             buf = np.zeros((B, N, 3, heads, d))
             slots = buf.transpose(2, 0, 3, 1, 4)
         # v, then q, then k: the order in which the split chain added them
         if need_v:
             g_v = probs.swapaxes(-1, -2) @ g
-            if kv is None:
+            if vK is None:
                 slots[2] += g_v
             else:
-                _accumulate(V, _unbroadcast(g_v, v.shape))
+                _accumulate(vV, _unbroadcast(g_v, v_shape))
         if own or need_k:
             g_probs = _unbroadcast(g @ v.swapaxes(-1, -2), probs.shape)
             g_scores = _softmax_grad(probs, g_probs) * scale
             if own:
                 slots[0] += g_scores @ kt.swapaxes(-1, -2)
             if need_k:
-                g_k = _unbroadcast(q.swapaxes(-1, -2) @ g_scores, kt.shape).swapaxes(-1, -2)
-                if kv is None:
+                g_k = _unbroadcast(q.swapaxes(-1, -2) @ g_scores, kt_shape).swapaxes(-1, -2)
+                if vK is None:
                     slots[1] += g_k
                 else:
-                    _accumulate(K, g_k)
+                    _accumulate(vK, g_k)
         if own:
-            _accumulate(qkv, buf.reshape(B, N, width))
+            _accumulate(vqkv, buf.reshape(B, N, width))
 
-    y = (probs @ v).transpose(0, 2, 1, 3).reshape(B, N, heads * d)
-    return _make(y, (qkv,) if kv is None else (qkv, K, V), backward)
+    return _make(y, parents, backward)
 
 
 # -- oracle -------------------------------------------------------------

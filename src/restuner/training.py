@@ -77,9 +77,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) ->
     log_probs = z - logsumexp
     loss_val = -(target * log_probs).sum() / B
 
+    vlogits = logits._vertex or logits
+
     def backward(g):
         probs = np.exp(log_probs)
-        T._accumulate(logits, g * (probs - target) / B)
+        T._accumulate(vlogits, g * (probs - target) / B)
 
     return T._make(np.asarray(loss_val), (logits,), backward)
 

@@ -20,7 +20,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     T._check_matmul(a.data, b.data)
 
     def backward(g):
-        T._matmul_backward(a, b, g)
+        T._matmul_backward(g, a, b, a.data.shape, b.data.shape, a.data, b.data)
 
     return _make(a.data @ b.data, (a, b), backward)
 

@@ -12,6 +12,7 @@ from restuner.layers import (
     MultiHeadAttention,
     Parameter,
     layer_norm,
+    trunc_normal,
 )
 from restuner.tensor import ShapeError, Tensor, finite_diff_grad, rel_error
 
@@ -195,3 +196,17 @@ def test_mlp_grad_check():
 def test_mha_config_validation():
     with pytest.raises(ValueError):
         MHAConfig(dim=7, heads=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 192), (192, 576), (768, 192), (7,), (3, 5)])
+def test_trunc_normal_draws_like_whole_array_resampling(shape):
+    """Re-testing only the entries just redrawn makes the same draws, in the
+    same order, as re-testing the whole array each round."""
+    rng = np.random.default_rng(sum(shape))
+    ref = rng.normal(0.0, 0.02, size=shape)
+    bad = np.abs(ref) > 0.04
+    while bad.any():
+        ref[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+        bad = np.abs(ref) > 0.04
+    out = trunc_normal(np.random.default_rng(sum(shape)), shape)
+    assert np.array_equal(out, ref) and out.shape == shape

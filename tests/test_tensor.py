@@ -3,6 +3,7 @@ import hashlib
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from restuner.tensor import (
     finite_diff_grad,
     rel_error,
 )
+from restuner.training import cross_entropy
 
 # The matmul tests run bias-free ``T.linear``: the product the model records.
 
@@ -548,3 +550,79 @@ def test_shared_first_grad_is_never_written_through(second_use):
     extra = w2 if second_use == "mul" else np.array([10.0, 20.0, 0.0])
     assert np.array_equal(b.grad, w1)
     assert np.array_equal(a.grad, w1 + extra)
+
+
+# Which input arrays a recorded graph keeps once the caller has dropped its
+# inputs and the op's output. Each input is [shape, recorded]: a recorded
+# input is an op output over a trainable leaf, so the graph reaches it only
+# through its vertex; any other input is a frozen leaf, which the graph
+# holds as a parent. The set names the recorded inputs whose arrays the
+# op's backward reads and must keep.
+SAVED_CASES = {
+    "linear_frozen_W": (T.linear, [[(2, 3, 4), True], [(4, 5), False], [(5,), False]], set()),
+    # W's grad reads x and x's grad reads W; b's grad reads neither
+    "linear_trainable_W": (T.linear, [[(2, 3, 4), True], [(4, 5), True], [(5,), True]], {0, 1}),
+    "linear_frozen_x": (T.linear, [[(2, 3, 4), False], [(4, 5), True]], set()),
+    "layer_norm_frozen_gamma": (
+        T.layer_norm, [[(2, 3, 5), True], [(5,), False], [(5,), False]], set(),
+    ),
+    # x's grad reads gamma; x itself is read only through the centred copy
+    "layer_norm_trainable_gamma": (
+        T.layer_norm, [[(2, 3, 5), True], [(5,), True], [(5,), True]], {1},
+    ),
+    "add": (T.add, [[(2, 3), True], [(3,), True]], set()),
+    "reshape": (lambda a: T.reshape(a, (6,)), [[(2, 3), True]], set()),
+    "permute": (lambda a: T.permute(a, (1, 0)), [[(2, 3), True]], set()),
+    "getitem": (lambda a: a[:, 1], [[(2, 3), True]], set()),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [[(2, 3), True], [(2, 2), True]], set()),
+    "broadcast_to": (lambda a: T.broadcast_to(a, (4, 3)), [[(1, 3), True]], set()),
+    "gelu": (T.gelu, [[(2, 3), True]], {0}),
+    "attention_self": (lambda x: T.attention(x, 2, 0.3), [[(2, 3, 24), True]], {0}),
+    # q's grad reads frozen K and V, not qkv
+    "attention_frozen_kv": (
+        lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
+        [[(2, 3, 24), True], [(2, 5, 4), False], [(2, 5, 4), False]], set(),
+    ),
+    # K's grad reads q (of the frozen qkv) and, through the softmax grad, V;
+    # V's reads only the probabilities, so nothing reads K
+    "attention_trainable_kv": (
+        lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
+        [[(2, 3, 24), False], [(2, 5, 4), True], [(2, 5, 4), True]], {2},
+    ),
+    "cross_entropy": (lambda z: cross_entropy(z, np.array([2, 0])), [[(2, 4), True]], set()),
+}
+
+
+def _build_saved_case(name, recorded_inputs):
+    """The case's op on fresh inputs; returns (output, trainable leaves, weakrefs
+    to the recorded inputs' arrays by position)."""
+    build, specs, _ = SAVED_CASES[name]
+    rng = np.random.default_rng(45)
+    inputs, leaves, refs = [], [], {}
+    for i, (shape, recorded) in enumerate(specs):
+        t = Tensor(rng.normal(size=shape), requires_grad=recorded)
+        if recorded:
+            leaves.append(t)
+            if recorded_inputs:
+                t = t + Tensor(0.0)
+                refs[i] = weakref.ref(t.data)
+        inputs.append(t)
+    return build(*inputs), leaves, refs
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_CASES))
+def test_backward_keeps_only_the_input_arrays_it_reads(name):
+    out, leaves, refs = _build_saved_case(name, recorded_inputs=True)
+    g = np.random.default_rng(46).normal(size=out.shape)
+    vertex = out._vertex
+    root = T._make(np.zeros(()), (out,), lambda _: T._accumulate(vertex, g))
+    del out
+    assert {i for i, ref in refs.items() if ref() is not None} == SAVED_CASES[name][2]
+    root.backward()
+    first = [t.grad.copy() for t in leaves]
+    root.backward()
+    assert all(np.array_equal(t.grad, f) for t, f in zip(leaves, first))
+    # the same op on the leaves themselves gives the same grads, bit for bit
+    out, direct, _ = _build_saved_case(name, recorded_inputs=False)
+    _backward_from(out, g)
+    assert all(np.array_equal(t.grad, f) for t, f in zip(direct, first))
