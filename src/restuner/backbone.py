@@ -18,6 +18,7 @@ from .layers import (
     Module,
     MultiHeadAttention,
     MLP,
+    INIT_STD,
     Parameter,
     make_linear,
     trunc_normal,
@@ -77,11 +78,11 @@ class Block(Module):
         self.mlp = MLP(cfg.dim, rng, ratio=cfg.mlp_ratio, trainable=False)
 
 
-def sinusoidal_positions(n: int, dim: int, scale: float = 0.02) -> np.ndarray:
+def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
     """Fixed sin/cos position table [n, dim].
 
-    Scaled down to the same magnitude as the 0.02-std projections so the
-    position signal does not drown the patch content at desk scale.
+    Scaled by ``INIT_STD``, down to the magnitude of the projections' init,
+    so the position signal does not drown the patch content at desk scale.
     """
     pos = np.arange(n)[:, None]
     i = np.arange(dim)[None, :]
@@ -89,7 +90,7 @@ def sinusoidal_positions(n: int, dim: int, scale: float = 0.02) -> np.ndarray:
     table = np.zeros((n, dim))
     table[:, 0::2] = np.sin(angle[:, 0::2])
     table[:, 1::2] = np.cos(angle[:, 1::2])
-    return scale * table
+    return INIT_STD * table
 
 
 class ModelGraph(Module):
@@ -118,7 +119,7 @@ class ModelGraph(Module):
         for (block, op), tuner in sorted(self.tuners.items(), key=slot_key):
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
-    def forward(self, images: Tensor) -> Tensor:
+    def __call__(self, images: Tensor) -> Tensor:
         """Patch-embed -> blocks -> final norm -> class token -> head logits."""
         cfg = self.cfg
         data = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
@@ -136,8 +137,6 @@ class ModelGraph(Module):
             x = block_forward(self, i, x)
         x = self.final_norm(x)
         return self.head(x[:, 0, :])
-
-    __call__ = forward
 
 
 def build_backbone(cfg: BackboneConfig) -> ModelGraph:

@@ -118,11 +118,22 @@ def _dataset_record(pixels: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("pixels", "<f4", (pixels,))])
 
 
+def _check_finite(pixels: np.ndarray, message: str) -> None:
+    """Raise FormatError(message naming the item) at the first record with a non-finite pixel."""
+    for i, row in enumerate(pixels):  # one record at a time: no full-size mask
+        if not np.isfinite(row).all():
+            raise FormatError(message.format(i))
+
+
 def save_binary_dataset(ds: Dataset, path) -> None:
+    """Write ``ds`` to ``path``. A pixel that is not a finite float32 raises
+    FormatError naming its item before any byte is written."""
     n, c, h, w = ds.images.shape
     rec = np.empty(n, dtype=_dataset_record(c * h * w))
     rec["label"] = ds.labels
-    rec["pixels"] = ds.images.reshape(n, c * h * w)
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, reported below
+        rec["pixels"] = ds.images.reshape(n, c * h * w)
+    _check_finite(rec["pixels"], "dataset item {} has a pixel value that is not a finite float32")
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIIII", DATASET_VERSION, n, ds.num_classes, c, h, w))
@@ -154,9 +165,7 @@ def load_binary_dataset(path) -> Dataset:
     if bad.size:
         i = int(bad[0])
         raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
-    for i, pixels in enumerate(rec["pixels"]):  # one record at a time: no full-size mask
-        if not np.isfinite(pixels).all():
-            raise FormatError(f"non-finite pixel value in item {i}")
+    _check_finite(rec["pixels"], "non-finite pixel value in item {}")
     images = rec["pixels"].reshape(count, c, h, w).astype(np.float64)
     return Dataset(images, rec["label"].astype(np.int64), classes)
 

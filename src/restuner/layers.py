@@ -49,14 +49,17 @@ class Module:
 # -- init helpers -------------------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) resampled until within 2 std (ViT-style init)."""
-    out = rng.normal(0.0, std, size=shape)
+INIT_STD = 0.02  # the ViT-style init's standard deviation
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) resampled until within 2 std (ViT-style init)."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
     flat = out.reshape(-1)
-    idx = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    idx = np.flatnonzero(np.abs(flat) > 2.0 * INIT_STD)
     while idx.size:  # only the entries just redrawn can still be out of range
-        flat[idx] = rng.normal(0.0, std, size=idx.size)
-        idx = idx[np.abs(flat[idx]) > 2.0 * std]
+        flat[idx] = rng.normal(0.0, INIT_STD, size=idx.size)
+        idx = idx[np.abs(flat[idx]) > 2.0 * INIT_STD]
     return out
 
 
@@ -77,10 +80,8 @@ class LinearLayer(Module):
         self.W = Parameter(W, trainable=trainable)
         self.b = Parameter(b, trainable=trainable) if b is not None else None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.W, self.b)
-
-    __call__ = forward
 
 
 def make_linear(
@@ -92,15 +93,12 @@ def make_linear(
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-6, trainable: bool = True):
+    def __init__(self, dim: int, trainable: bool = True):
         self.gamma = Parameter(np.ones(dim), trainable=trainable)
         self.beta = Parameter(np.zeros(dim), trainable=trainable)
-        self.eps = eps
 
-    def forward(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, self.eps)
-
-    __call__ = forward
+    def __call__(self, x: Tensor) -> Tensor:
+        return layer_norm(x, self.gamma, self.beta)
 
 
 @dataclass
@@ -121,7 +119,7 @@ class MHAConfig:
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with a fused QKV projection.
 
-    forward returns (output, fused qkv projection): prefix/prompt tuners
+    A call returns (output, fused qkv projection): prefix/prompt tuners
     read its query third, reusing the backbone's query stream.
     """
 
@@ -130,12 +128,10 @@ class MultiHeadAttention(Module):
         self.qkv = make_linear(rng, cfg.dim, 3 * cfg.dim, bias=cfg.qkv_bias, trainable=trainable)
         self.proj = make_linear(rng, cfg.dim, cfg.dim, bias=True, trainable=trainable)
 
-    def forward(self, x: Tensor):
+    def __call__(self, x: Tensor):
         cfg = self.cfg
         qkv = self.qkv(x)
         return self.proj(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5)), qkv
-
-    __call__ = forward
 
 
 class MLP(Module):
@@ -146,7 +142,5 @@ class MLP(Module):
         self.fc1 = make_linear(rng, dim, hidden, trainable=trainable)
         self.fc2 = make_linear(rng, hidden, dim, trainable=trainable)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
-
-    __call__ = forward

@@ -5,14 +5,16 @@ records returns a ``Tensor`` holding its output array, and gives it a
 *vertex*: a ``Tensor`` whose ``data`` is one shared zero-size array, which
 receives the output's grad and carries the op's parents and backward
 closure. The output carries the same parents and closure, so a walk from a
-loss reaches the whole graph. A leaf is its own vertex. Parents are
-vertices, and each backward closure captures only the vertices, shapes and
-arrays that it reads, so an op output that no backward reads is freed as
-soon as its consumers have run, and a recorded graph holds only the arrays
-its backward passes need. A closure receives its output's grad as its
-argument and refers to no output, so a graph has no reference cycle and is
+loss reaches the whole graph. A leaf is its own vertex. ``_make`` records
+the parents as vertices, and ``backward`` calls each closure as
+``closure(grad, *parent_vertices)``: an op's closure takes ``(g, va, ...)``
+and adds into the vertices it is handed with ``_accumulate``. A closure
+therefore holds no tensor, only the shapes, flags and arrays it reads, so
+an op output that no backward reads is freed as soon as its consumers have
+run, and a recorded graph holds only the arrays its backward passes need.
+No closure refers to an output, so a graph has no reference cycle and is
 freed by reference counting as soon as its loss dies. Inside ``no_grad()``
-ops record nothing.
+ops record nothing. No other module builds a graph node.
 
 ``backward`` on a scalar walks the vertices once in reverse topological
 order. It fills ``grad`` on leaves only: a vertex's grad is complete when
@@ -24,15 +26,16 @@ array another tensor also holds) and adds later ones out of place. No grad
 array is written in place once a tensor holds it, so a grad is never
 copied or zero-filled to make that safe.
 
-The module holds only the ops the model records. The hot paths are fused
-ops, one graph node each: ``linear``, ``layer_norm`` and ``attention``. Each
-repeats, expression for expression and in the same order, the numpy
-arithmetic of the primitive chain it replaces, so its values and grads
-equal that chain's bit for bit. Their forward passes, and GELU's, write in
-place only into arrays they allocated themselves, never into an input, an
-upstream grad or an array a tensor holds. The chains, and the reference
-primitives they are built from (``matmul``, ``mul``, ``softmax_lastdim``
-and so on), live in the test suite's ``tests/primitives.py``.
+The module holds only the ops the model records, the ``cross_entropy``
+loss included. The hot paths are fused ops, one graph node each:
+``linear``, ``layer_norm`` and ``attention``. Each repeats, expression for
+expression and in the same order, the numpy arithmetic of the primitive
+chain it replaces, so its values and grads equal that chain's bit for bit.
+Their forward passes, and GELU's, write in place only into arrays they
+allocated themselves, never into an input, an upstream grad or an array a
+tensor holds. The chains, and the reference primitives they are built from
+(``matmul``, ``mul``, ``softmax_lastdim`` and so on), live in the test
+suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
@@ -118,9 +121,7 @@ class Tensor:
         reachable tensor's grad before accumulating.
         """
         if self.data.size != 1:
-            raise GradientError(
-                f"backward requires a scalar loss, got shape {self.data.shape}"
-            )
+            raise GradientError(f"backward requires a scalar loss, got shape {self.data.shape}")
         root = self._vertex or self
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -129,20 +130,16 @@ class Tensor:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
         for node in topo:
             node.grad = None
         root.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                node._backward(node.grad, *node._parents)
                 node.grad = None
 
     # -- operator sugar: the two that the model uses -----------------
@@ -156,7 +153,8 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """The op output holding ``data``; when it records, its parents are the
-    inputs' vertices and its own vertex takes the same parents and closure."""
+    inputs' vertices, which ``backward`` takes after the output's grad, and
+    its own vertex takes the same parents and closure."""
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         vertex = out._vertex = Tensor(_NO_DATA, requires_grad=True)
@@ -167,13 +165,9 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add one grad contribution to the grad of ``t``'s vertex, never writing
-    into an array.
-
-    The first contribution is stored as is, even when other tensors hold
-    the same array or a view of it; each later one makes a new sum.
-    """
-    t = t._vertex or t
+    """Add ``g`` to vertex ``t``'s grad, never writing into an array: the
+    first contribution is stored as is, even when other tensors hold it or
+    a view of it, and each later one makes a new sum."""
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -191,9 +185,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    va, a_shape, vb, b_shape = a._vertex or a, a.data.shape, b._vertex or b, b.data.shape
+    a_shape, b_shape = a.data.shape, b.data.shape
 
-    def backward(g):
+    def backward(g, va, vb):
         if va.requires_grad:
             _accumulate(va, _unbroadcast(g, a_shape))
         if vb.requires_grad:
@@ -225,9 +219,9 @@ def gelu(a: Tensor) -> Tensor:
         c *= 0.5
         np.multiply(xs, c, out=out_f[lo:hi])
 
-    va, x_data = a._vertex or a, a.data
+    x_data = a.data
 
-    def backward(g):
+    def backward(g, va):
         xf, gf, gx = x_data.reshape(-1), g.reshape(-1), np.empty(x_data.shape)
         gx_f = gx.reshape(-1)
         for lo in range(0, xf.size, _ERF_CHUNK):
@@ -335,24 +329,14 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
 
 
-def _matmul_backward(g: np.ndarray, a: Tensor, b: Tensor, a_shape: tuple, b_shape: tuple,
-                     a_data: np.ndarray | None, b_data: np.ndarray | None) -> None:
-    """Add the grads of ``a @ b`` into whichever of ``a`` and ``b`` requires
-    grad. ``a``'s grad reads ``b_data``, and ``b``'s reads ``a_data``."""
-    if a.requires_grad:
-        _accumulate(a, _unbroadcast(g @ b_data.swapaxes(-1, -2), a_shape))
-    if b.requires_grad:
-        _accumulate(b, _unbroadcast(a_data.swapaxes(-1, -2) @ g, b_shape))
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
 
-    va, a_shape = a._vertex or a, a.data.shape
+    a_shape = a.data.shape
 
-    def backward(g):
+    def backward(g, va):
         _accumulate(va, g.reshape(a_shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
@@ -363,30 +347,19 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"invalid permutation {axes} for ndim {a.data.ndim}")
     inverse = tuple(np.argsort(axes))
-    va = a._vertex or a
 
-    def backward(g):
+    def backward(g, va):
         _accumulate(va, g.transpose(inverse))
 
     return _make(a.data.transpose(axes), (a,), backward)
 
 
-def _is_basic_index(idx) -> bool:
-    """True for ints, slices, Ellipsis and None: no element is selected twice."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items)
-
-
 def getitem(a: Tensor, idx) -> Tensor:
-    basic = _is_basic_index(idx)
-    va, a_shape = a._vertex or a, a.data.shape
+    a_shape = a.data.shape
 
-    def backward(g):
+    def backward(g, va):
         buf = np.zeros(a_shape)
-        if basic:
-            buf[idx] += g
-        else:  # advanced indices may repeat a target; add.at accumulates repeats
-            np.add.at(buf, idx, g)
+        np.add.at(buf, idx, g)  # an advanced index may select an element twice
         _accumulate(va, buf)
 
     return _make(a.data[idx], (a,), backward)
@@ -394,24 +367,22 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 def concat(tensors: list, axis: int = 0) -> Tensor:
     data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    vertices = [t._vertex or t for t in tensors]
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backward(g):
-        for t, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+    def backward(g, *vertices):
+        for v, lo, hi in zip(vertices, offsets[:-1], offsets[1:]):
+            if v.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(lo), int(hi))
-                _accumulate(t, g[tuple(sl)])
+                _accumulate(v, g[tuple(sl)])
 
     return _make(data, tuple(tensors), backward)
 
 
 def broadcast_to(a: Tensor, shape: tuple) -> Tensor:
-    va, a_shape = a._vertex or a, a.data.shape
+    a_shape = a.data.shape
 
-    def backward(g):
+    def backward(g, va):
         _accumulate(va, _unbroadcast(g, a_shape))
 
     return _make(np.broadcast_to(a.data, shape).copy(), (a,), backward)
@@ -446,30 +417,33 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     y = x.data @ W.data
     if b is not None:
         y += b.data
-    vx, x_shape, vW, W_shape = x._vertex or x, x.data.shape, W._vertex or W, W.data.shape
-    vb, b_shape = (None, None) if b is None else (b._vertex or b, b.data.shape)
+    x_shape, W_shape = x.data.shape, W.data.shape
+    b_shape = None if b is None else b.data.shape
     W_data = W.data if x.requires_grad else None  # read by x's grad
     x_data = x.data if W.requires_grad else None  # read by W's grad
 
-    def backward(g):
+    def backward(g, vx, vW, vb=None):
         if vb is not None and vb.requires_grad:
             _accumulate(vb, _unbroadcast(g, b_shape))
-        _matmul_backward(g, vx, vW, x_shape, W_shape, x_data, W_data)
+        if vx.requires_grad:
+            _accumulate(vx, _unbroadcast(g @ W_data.swapaxes(-1, -2), x_shape))
+        if vW.requires_grad:
+            _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
 
     return _make(y, (x, W) if b is None else (x, W, b), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Zero-mean unit-variance over the last axis, then affine.
 
     The chain it fuses: mu = mean(x); xc = x - mu; var = mean(xc * xc);
-    inv = (var + eps) ** -0.5; out = xc * inv * gamma + beta.
+    inv = (var + 1e-6) ** -0.5; out = xc * inv * gamma + beta.
     """
     scale = 1.0 / x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) * scale
     xc = x.data - mu
     normed = np.multiply(xc, xc)  # xc * xc, then overwritten with xc * inv
-    var_eps = normed.sum(axis=-1, keepdims=True) * scale + eps
+    var_eps = normed.sum(axis=-1, keepdims=True) * scale + 1e-6
     inv = var_eps**-0.5
     np.multiply(xc, inv, out=normed)
     if _GRAD_ENABLED and gamma.requires_grad:  # gamma's grad reads normed
@@ -477,11 +451,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     else:  # the same ops in normed's own buffer, which no backward reads
         out, normed = np.multiply(normed, gamma.data, out=normed), None
     out += beta.data
-    vx, vgamma, gamma_shape = x._vertex or x, gamma._vertex or gamma, gamma.data.shape
-    vbeta, beta_shape = beta._vertex or beta, beta.data.shape
+    gamma_shape, beta_shape = gamma.data.shape, beta.data.shape
     gamma_data = gamma.data if x.requires_grad else None  # read by x's grad
 
-    def backward(g):
+    def backward(g, vx, vgamma, vbeta):
         if vbeta.requires_grad:
             _accumulate(vbeta, _unbroadcast(g, beta_shape))
         if normed is not None:
@@ -515,28 +488,24 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     B, N, width = qkv.data.shape
     d = width // (3 * heads)
     q, k, v = qkv.data.reshape(B, N, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
+    parents, need_k, need_v = (qkv,), own, own
     if kv is not None:
         K, V = kv
         if K.data.ndim != 3 or K.shape[::2] != (heads, d) or V.shape != K.shape:
             raise ShapeError(f"attention: K {K.shape} and V {V.shape} must be [{heads}, L, {d}]")
         k, v = K.data, V.data
+        parents, need_k, need_v = (qkv, K, V), K.requires_grad, V.requires_grad
     kt = k.swapaxes(-1, -2)
     probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
     probs *= scale
     _softmax(probs, probs)
     y = (probs @ v).transpose(0, 2, 1, 3).reshape(B, N, heads * d)
-    own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
-    vqkv = qkv._vertex or qkv
-    if kv is None:
-        parents, vK, vV, need_k, need_v = (qkv,), None, None, own, own
-    else:
-        parents, vK, vV = (qkv, K, V), K._vertex or K, V._vertex or V
-        need_k, need_v = K.requires_grad, V.requires_grad
     kt_shape, v_shape = kt.shape, v.shape
     # each grad keeps only what it reads: k's reads q, q's reads k, both read v
     q, kt, v = (q if need_k else None), (kt if own else None), (v if own or need_k else None)
 
-    def backward(g):
+    def backward(g, vqkv, vK=None, vV=None):
         g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
         if own:
             buf = np.zeros((B, N, 3, heads, d))
@@ -563,6 +532,28 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
             _accumulate(vqkv, buf.reshape(B, N, width))
 
     return _make(y, parents, backward)
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
+    """Mean batch cross-entropy of softmax(logits) vs (smoothed) labels."""
+    B, K = logits.shape
+    labels = np.asarray(labels)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= K:
+        raise ValueError(f"labels out of range [0, {K})")
+    target = np.full((B, K), smoothing / K)
+    target[np.arange(B), labels] += 1.0 - smoothing
+
+    z = logits.data
+    zmax = z.max(axis=-1, keepdims=True)
+    logsumexp = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
+    log_probs = z - logsumexp
+    loss_val = -(target * log_probs).sum() / B
+
+    def backward(g, vlogits):
+        probs = np.exp(log_probs)
+        _accumulate(vlogits, g * (probs - target) / B)
+
+    return _make(np.asarray(loss_val), (logits,), backward)
 
 
 # -- oracle -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Training over the trainable subset only: loss, optimizers, grad check.
+"""Training over the trainable subset only: optimizers, train and eval loops, grad check.
 
 The frozen backbone never receives grads (its params opt out of the
 graph), so a step can only move tuner + head weights. Metrics are emitted
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import ConfigError, ModelGraph, trainable_parameters
-from .tensor import GradientError, Tensor
+from .tensor import GradientError, Tensor, cross_entropy
 
 
 @dataclass
@@ -62,28 +62,9 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or parameter."""
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
-    """Mean batch cross-entropy of softmax(logits) vs (smoothed) labels."""
-    B, K = logits.shape
-    labels = np.asarray(labels)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= K:
-        raise ValueError(f"labels out of range [0, {K})")
-    target = np.full((B, K), smoothing / K)
-    target[np.arange(B), labels] += 1.0 - smoothing
-
-    z = logits.data
-    zmax = z.max(axis=-1, keepdims=True)
-    logsumexp = zmax + np.log(np.exp(z - zmax).sum(axis=-1, keepdims=True))
-    log_probs = z - logsumexp
-    loss_val = -(target * log_probs).sum() / B
-
-    vlogits = logits._vertex or logits
-
-    def backward(g):
-        probs = np.exp(log_probs)
-        T._accumulate(vlogits, g * (probs - target) / B)
-
-    return T._make(np.asarray(loss_val), (logits,), backward)
+def quiet_overflow():
+    """No numpy overflow warnings: DivergenceError reports a diverging run."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 class Optimizer:
@@ -238,7 +219,7 @@ def _train_step(model, opt, images, labels, smoothing: float, lr: float, where: 
     A non-finite loss raises DivergenceError naming ``where`` before any update;
     that error, not numpy's overflow warnings, reports a diverging run.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with quiet_overflow():
         logits = model(Tensor(images))
         loss = cross_entropy(logits, labels, smoothing)
         if not math.isfinite(loss.item()):
@@ -271,9 +252,10 @@ def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
     model.training = False
 
     def run(idx):
-        logits = model(Tensor(dataset.images[idx]))
-        labels = dataset.labels[idx]
-        loss = cross_entropy(logits, labels).item() * len(idx)
+        with quiet_overflow():  # numpy's error state is per thread
+            logits = model(Tensor(dataset.images[idx]))
+            labels = dataset.labels[idx]
+            loss = cross_entropy(logits, labels).item() * len(idx)
         return loss, int((logits.data.argmax(axis=-1) == labels).sum())
 
     # A second batch keeps the other core busy while numpy's elementwise

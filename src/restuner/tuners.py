@@ -104,11 +104,9 @@ class ResAttnTuner(Tuner):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         cfg = self.cfg
         return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
-
-    __call__ = forward
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg
@@ -153,11 +151,9 @@ class PrefixTuner(Tuner):
         self.V = Parameter(trunc_normal(rng, shape))
         self.o = LinearLayer(np.zeros((cfg.dim, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, qkv: Tensor) -> Tensor:
+    def __call__(self, qkv: Tensor) -> Tensor:
         cfg = self.cfg
         return self.o(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5, kv=(self.K, self.V)))
-
-    __call__ = forward
 
     def delta(self, x, qkv, mha):
         return self(qkv)
@@ -185,7 +181,7 @@ class PromptTuner(Tuner):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
-    def forward(self, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
+    def __call__(self, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
         cfg = self.cfg
         dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
         W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
@@ -195,8 +191,6 @@ class PromptTuner(Tuner):
             for lo in (dim, 2 * dim)
         )
         return T.linear(T.attention(qkv, heads, head_dim**-0.5, kv=(K, V)), mha.proj.W)
-
-    __call__ = forward
 
     def delta(self, x, qkv, mha):
         return self(qkv, mha)
@@ -228,10 +222,8 @@ class AdapterTuner(Tuner):
         )
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return self.up(T.gelu(self.down(x)))
-
-    __call__ = forward
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg

@@ -3,7 +3,9 @@
 The model records only fused ops. The primitives here record one graph
 node each through the engine's own plumbing (``_make``, ``_accumulate``,
 ``_unbroadcast``) and reuse its kernels, so a chain of them is the exact
-computation that a fused op repeats bit for bit. ``composed_*`` are those
+computation that a fused op repeats bit for bit. Like the engine's ops,
+each backward closure adds into the parents' vertices it is handed; unlike
+them, it keeps its input tensors. ``composed_*`` are those
 chains; ``split_heads``, ``merge_heads``, ``own_kv`` and ``prompt_kv``
 build attention's K/V the way a tuner or a chain would.
 """
@@ -19,41 +21,44 @@ from restuner.tensor import Tensor, _accumulate, _make, _unbroadcast
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     T._check_matmul(a.data, b.data)
 
-    def backward(g):
-        T._matmul_backward(g, a, b, a.data.shape, b.data.shape, a.data, b.data)
+    def backward(g, va, vb):
+        if va.requires_grad:
+            _accumulate(va, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if vb.requires_grad:
+            _accumulate(vb, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _make(a.data @ b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+    def backward(g, va, vb):
+        if va.requires_grad:
+            _accumulate(va, _unbroadcast(g * b.data, a.data.shape))
+        if vb.requires_grad:
+            _accumulate(vb, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(a.data * b.data, (a, b), backward)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * s)
+    def backward(g, va):
+        _accumulate(va, g * s)
 
     return _make(a.data * s, (a,), backward)
 
 
 def power(a: Tensor, p: float) -> Tensor:
-    def backward(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
+    def backward(g, va):
+        _accumulate(va, g * p * a.data ** (p - 1.0))
 
     return _make(a.data**p, (a,), backward)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    def backward(g):
+    def backward(g, va):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(va, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -62,8 +67,8 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis (max-subtraction)."""
     y = T._softmax(a.data, np.empty(a.data.shape))
 
-    def backward(g):
-        _accumulate(a, T._softmax_grad(y, g))
+    def backward(g, va):
+        _accumulate(va, T._softmax_grad(y, g))
 
     return _make(y, (a,), backward)
 
@@ -92,12 +97,12 @@ def composed_linear(x, W, b=None):
     return y if b is None else T.add(y, b)
 
 
-def composed_layer_norm(x, gamma, beta, eps=1e-6):
+def composed_layer_norm(x, gamma, beta):
     scale = 1.0 / x.shape[-1]  # a mean is a sum times the reciprocal count
     mu = mul_scalar(tensor_sum(x, axis=-1, keepdims=True), scale)
     xc = T.add(x, mul_scalar(mu, -1.0))  # x - mu
     var = mul_scalar(tensor_sum(mul(xc, xc), axis=-1, keepdims=True), scale)
-    inv = power(T.add(var, Tensor(eps)), -0.5)
+    inv = power(T.add(var, Tensor(1e-6)), -0.5)
     return T.add(mul(mul(xc, inv), gamma), beta)
 
 

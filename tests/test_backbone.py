@@ -241,6 +241,18 @@ def _recorded_ops(loss) -> Counter:
                    for t in _graph(loss) if t._backward is not None)
 
 
+def _ops_whose_closure_holds_a_tensor(loss) -> set:
+    """Ops in ``loss``'s graph whose backward closure keeps a Tensor, as a
+    cell or inside a list or tuple cell."""
+    ops = set()
+    for t in _graph(loss):
+        for cell in (t._backward and t._backward.__closure__) or ():
+            held = cell.cell_contents
+            if any(isinstance(x, Tensor) for x in (held if isinstance(held, (list, tuple)) else (held,))):
+                ops.add(t._backward.__qualname__.split(".", 1)[0])
+    return ops
+
+
 def _four_kind_step():
     """A toy model with every tuner kind, prompt at an MHA and at a whole
     block, and the loss of one B=2 step."""
@@ -265,6 +277,14 @@ def test_four_kind_step_records_only_the_engine_ops():
     assert ops["attention"] == 5 and ops["reshape"] == ops["permute"] == 2 * 2  # K and V per prompt
     loss.backward()
     assert all(p.grad is not None for _, p in trainable_parameters(m))
+
+
+def test_backward_closures_hold_no_tensor():
+    """Backward hands each closure its parents' vertices, so no closure in
+    the four-kind step's or the train-vit step's graph keeps a Tensor."""
+    m, images = _vit_tiny_res_attn()
+    assert _ops_whose_closure_holds_a_tensor(_four_kind_step()[1]) == set()
+    assert _ops_whose_closure_holds_a_tensor(cross_entropy(m(Tensor(images)), np.array([3]))) == set()
 
 
 def test_four_kind_backward_twice_gives_identical_leaf_grads():

@@ -151,9 +151,11 @@ def test_cmd_input_errors_exit_2(tmp_path, capsys, case, message):
     side = 16 if case.startswith("16-px") else 8
     classes = 10 if case.startswith("10 classes") else 4
     images = np.zeros((classes, 1, side, side))
-    if case == "NaN pixel":
-        images[1, 0, 2, 3] = np.nan
     save_binary_dataset(Dataset(images, np.arange(classes), classes), tmp_path / "d.rtds")
+    if case == "NaN pixel":  # the writer refuses one, so it goes into the file's bytes
+        with open(tmp_path / "d.rtds", "r+b") as f:
+            f.seek(28 + (4 + 4 * 64) + 4 + 4 * (2 * 8 + 3))  # item 1, pixel (0, 2, 3)
+            f.write(np.float32(np.nan).tobytes())
     argv = ["eval", "--checkpoint", str(tmp_path / "m.rtck"), "--data", str(tmp_path / "d.rtds")]
     if case == "checkpoint is a directory":
         argv[2] = str(tmp_path)
@@ -422,6 +424,25 @@ def test_cmd_non_finite_loss_exits_2(config_path, tmp_path, capsys, command):
     assert "Traceback" not in err and "Warning" not in err, err
     assert not (tmp_path / "run" / "model.rtck").exists()
     assert not (tmp_path / "run" / "matrix.json").exists()
+
+
+def test_cmd_train_signal_beyond_float32_exits_2_before_writing_a_dataset(config_path, tmp_path, capsys):
+    """The dataset writer names the item whose pixels float32 cannot hold,
+    writes no byte and lets numpy print no overflow warning."""
+    config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e150"))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: dataset item \d+ has a pixel value that is not a finite float32\n", err), err
+    assert not list((tmp_path / "run").glob("*.rtds"))
+
+
+def test_cmd_matrix_overflowing_signal_exits_2_with_one_line(config_path, capsys):
+    """The frozen-logit and zero-init probes and each cell's evaluate run
+    under the train step's error state, so divergence is the only report."""
+    config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e300"))
+    assert main(["matrix", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: training diverged: loss is (nan|inf) at epoch \d+, step \d+\n", err), err
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,16 @@ def test_dataset_label_out_of_range(tmp_path):
         load_binary_dataset(path)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e300, np.inf, np.nan])
+def test_save_dataset_rejects_a_pixel_float32_cannot_hold_before_writing(tmp_path, value):
+    ds = Dataset(np.zeros((7, 1, 2, 2)), np.zeros(7, dtype=np.int64), num_classes=4)
+    ds.images[5, 0, 1, 0] = value
+    path = tmp_path / "d.rtds"
+    with pytest.raises(FormatError, match="^dataset item 5 has a pixel value that is not a finite float32$"):
+        save_binary_dataset(ds, path)
+    assert not path.exists()
+
+
 # -- checkpoints --------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""No module imports a name at top level that nothing in it reads."""
+"""No module imports a name at top level that nothing in it reads, and only
+``restuner.tensor`` touches the autodiff graph's internals."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,32 @@ def test_scanner_finds_unused_and_ignores_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+GRAPH_INTERNALS = {"_make", "_accumulate", "_vertex"}
+# every package module but the engine, ``__init__.py`` included
+OUTSIDE_ENGINE = [p for p in sorted((ROOT / "src" / "restuner").glob("*.py")) if p.name != "tensor.py"]
+
+
+def graph_internals(source: str) -> set:
+    """The names in GRAPH_INTERNALS that the module imports, reads, binds or
+    accesses as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found & GRAPH_INTERNALS
+
+
+def test_graph_scanner_finds_imports_names_and_attributes():
+    source = "from .tensor import _make as m\nT._accumulate(t._vertex, g)\n_accumulated = 1\n"
+    assert graph_internals(source) == GRAPH_INTERNALS
+
+
+@pytest.mark.parametrize("path", OUTSIDE_ENGINE, ids=lambda p: p.name)
+def test_only_the_engine_touches_graph_internals(path):
+    assert graph_internals(path.read_text()) == set()

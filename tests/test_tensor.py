@@ -231,7 +231,7 @@ def test_gelu_matches_scipy_expression_bit_for_bit():
 
 def _backward_from(out: Tensor, g: np.ndarray) -> None:
     """Run backward with the array ``g`` itself, not a copy, as ``out``'s grad."""
-    T._make(np.zeros(()), (out,), lambda _: T._accumulate(out, g)).backward()
+    T._make(np.zeros(()), (out,), lambda _, vertex: T._accumulate(vertex, g)).backward()
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -614,8 +614,8 @@ def _build_saved_case(name, recorded_inputs):
 def test_backward_keeps_only_the_input_arrays_it_reads(name):
     out, leaves, refs = _build_saved_case(name, recorded_inputs=True)
     g = np.random.default_rng(46).normal(size=out.shape)
-    vertex = out._vertex
-    root = T._make(np.zeros(()), (out,), lambda _: T._accumulate(vertex, g))
+    root = T._make(np.zeros(()), (out,), lambda _, vertex: T._accumulate(vertex, g))
+    assert not any(isinstance(c.cell_contents, Tensor) for c in out._backward.__closure__)
     del out
     assert {i for i, ref in refs.items() if ref() is not None} == SAVED_CASES[name][2]
     root.backward()
