@@ -38,7 +38,11 @@ class FormatError(ValueError):
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # [n, C, H, W] float64
+    """Images and labels. ``images`` is float64 from ``synth_dataset`` and,
+    from ``load_binary_dataset``, a read-only float32 view of the file's
+    bytes: ``Tensor`` widens each batch exactly where it enters the model."""
+
+    images: np.ndarray  # [n, C, H, W] float32 or float64
     labels: np.ndarray  # [n] int64
     num_classes: int
 
@@ -141,6 +145,8 @@ def save_binary_dataset(ds: Dataset, path) -> None:
 
 
 def load_binary_dataset(path) -> Dataset:
+    """Read an RTDS file. The images are its float32 pixels as a read-only,
+    zero-copy view of the file's bytes, never widened to a float64 copy."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != DATASET_MAGIC:
@@ -166,7 +172,7 @@ def load_binary_dataset(path) -> Dataset:
         i = int(bad[0])
         raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
     _check_finite(rec["pixels"], "non-finite pixel value in item {}")
-    images = rec["pixels"].reshape(count, c, h, w).astype(np.float64)
+    images = rec["pixels"].reshape(count, c, h, w)  # a view of the file's bytes
     return Dataset(images, rec["label"].astype(np.int64), classes)
 
 

@@ -33,9 +33,10 @@ expression and in the same order, the numpy arithmetic of the primitive
 chain it replaces, so its values and grads equal that chain's bit for bit.
 Their forward passes, and GELU's, write in place only into arrays they
 allocated themselves, never into an input, an upstream grad or an array a
-tensor holds. The chains, and the reference primitives they are built from
-(``matmul``, ``mul``, ``softmax_lastdim`` and so on), live in the test
-suite's ``tests/primitives.py``.
+tensor holds. GELU's forward pass also computes its derivative, and that
+derivative is all its backward keeps. The chains, and the reference
+primitives they are built from (``matmul``, ``mul``, ``softmax_lastdim``
+and so on), live in the test suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
@@ -199,35 +200,34 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))).
 
-    Forward and backward run one ``_ERF_CHUNK`` slice at a time, with erf's
-    scratch arrays reused across the call, so the only full-size arrays are
-    the output and, when a backward pass will read it, Phi(x). Without that
-    pass Phi(x) is computed in the output's own slice.
+    The forward pass runs one ``_ERF_CHUNK`` slice at a time, with erf's
+    scratch arrays reused across the call. When a backward pass will read
+    it, each slice's Phi(x) goes into a full-size buffer, and once that
+    slice's output is written it is overwritten with the derivative
+    ``_gelu_grad(x, Phi(x))``. So the only full-size arrays are the output
+    and that derivative, the input is not kept, and backward is
+    ``g * derivative``. Without a backward pass Phi(x) is computed in the
+    output's own slice.
     """
     x = a.data.reshape(-1)  # a view unless the input is not C-contiguous
     out = np.empty(a.data.shape)
     out_f = out.reshape(-1)
-    cdf_f = np.empty(x.size) if _GRAD_ENABLED and a.requires_grad else None
+    deriv = np.empty(a.data.shape) if _GRAD_ENABLED and a.requires_grad else None
+    cdf_f = out_f if deriv is None else deriv.reshape(-1)  # Phi(x), in out if no backward reads it
     scratch = [np.empty(min(_ERF_CHUNK, x.size)) for _ in range(3)]
     for lo in range(0, x.size, _ERF_CHUNK):
         hi = lo + _ERF_CHUNK
-        xs = x[lo:hi]
-        c = out_f[lo:hi] if cdf_f is None else cdf_f[lo:hi]  # Phi(x), in out's slice if no backward reads it
+        xs, c = x[lo:hi], cdf_f[lo:hi]
         np.divide(xs, math.sqrt(2.0), out=c)
         _erf_chunk(c, *(buf[: xs.size] for buf in scratch))
         c += 1.0
         c *= 0.5
         np.multiply(xs, c, out=out_f[lo:hi])
-
-    x_data = a.data
+        if deriv is not None:
+            c[...] = _gelu_grad(xs, c)
 
     def backward(g, va):
-        xf, gf, gx = x_data.reshape(-1), g.reshape(-1), np.empty(x_data.shape)
-        gx_f = gx.reshape(-1)
-        for lo in range(0, xf.size, _ERF_CHUNK):
-            hi = lo + _ERF_CHUNK
-            np.multiply(gf[lo:hi], _gelu_grad(xf[lo:hi], cdf_f[lo:hi]), out=gx_f[lo:hi])
-        _accumulate(va, gx)
+        _accumulate(va, g * deriv)
 
     return _make(out, (a,), backward)
 

@@ -252,6 +252,16 @@ def test_cmd_grad_check_pass_and_corrupt(config_path, capsys, monkeypatch):
     assert "RESULT: FAIL" in capsys.readouterr().out
 
 
+def test_cmd_grad_check_prints_no_overflow_warning(config_path, capsys):
+    """Pixels of 1e300 overflow inside ``layer_norm``; as in ``train`` and
+    ``eval``, numpy's overflow warnings stay quiet (the suite makes a
+    RuntimeWarning an error)."""
+    config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e300"))
+    assert main(["grad-check", "--config", str(config_path)]) == 0
+    captured = capsys.readouterr()
+    assert "RESULT: PASS" in captured.out and "Warning" not in captured.err
+
+
 def test_cmd_matrix_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RES_TUNER_THREADS", "abc")  # no longer read
     path = tmp_path / "m.cfg"

@@ -15,6 +15,7 @@ from restuner.data_io import (
     synth_dataset,
 )
 from restuner.tensor import Tensor
+from restuner.training import TrainConfig, evaluate, train
 from restuner.tuners import AttachSpec, attach
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
@@ -85,6 +86,31 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.images, ds.images.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes
+
+
+def test_loaded_images_are_the_files_float32_and_train_like_their_float64_widening(tmp_path):
+    """A loaded dataset's images are a read-only float32 view of the file's
+    bytes. The model widens each batch exactly, so training and evaluating
+    on them give the checkpoint bytes and the (accuracy, loss) of their
+    float64 widening."""
+    path = tmp_path / "d.rtds"
+    save_binary_dataset(synth_dataset(SPEC), path)
+    ds = load_binary_dataset(path)
+    assert ds.images.dtype == np.float32 and not ds.images.flags.writeable
+    blob = ds.images
+    while isinstance(blob, np.ndarray):
+        blob = blob.base
+    assert blob == path.read_bytes()
+    assert np.shares_memory(ds.images, np.frombuffer(blob, np.uint8))
+
+    results = []
+    for data in (ds, Dataset(ds.images.astype(np.float64), ds.labels, ds.num_classes)):
+        model = build_backbone(TOY)
+        attach(model, FOUR_KINDS)
+        train(model, data, TrainConfig(epochs=2, batch_size=16), eval_dataset=data, quiet=True)
+        save_checkpoint(model, tmp_path / "m.rtck")
+        results.append(((tmp_path / "m.rtck").read_bytes(), evaluate(model, data)))
+    assert results[0] == results[1]
 
 
 def test_dataset_truncated(tmp_path):
