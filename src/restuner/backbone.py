@@ -24,7 +24,7 @@ from .layers import (
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor, broadcast_to, concat
-from .tuners import ATTACH_OPS, Tuner, slot_key
+from .tuners import Tuner, slot_key
 
 
 class ConfigError(ValueError):
@@ -167,29 +167,26 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     MHA/FFN tuners consume the post-norm tensor fed to the parallel op;
     the block tuner consumes the block's raw input and adds to its output.
     Each tuner's ``delta`` picks what it reads: that tensor, or this block's
-    fused QKV projection (and the MHA itself). Each local is dropped as soon
-    as nothing later in the block reads it, so the FFN runs without the
-    MHA's input and output and, unless a later tuner reads it, ``qkv``.
+    fused QKV projection (and the MHA itself). The MHA's input and output
+    are dropped once read, so the FFN runs without them.
     """
     block = model.blocks[index]
-    mha_tuner, ffn_tuner, block_tuner = (model.tuners.get((index, op)) for op in ATTACH_OPS)
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)
     u = x + mha_out
     del mha_out
-    if mha_tuner is not None:
-        u = u + mha_tuner.delta(h1, qkv, block.mha)
+    tuner = model.tuners.get((index, "mha"))
+    if tuner is not None:
+        u = u + tuner.delta(h1, qkv, block.mha)
     del h1
-    if ffn_tuner is None and block_tuner is None:
-        qkv = None  # no later tuner reads it
 
     h2 = block.norm2(u)
     y = u + block.mlp(h2)
-    del u
-    if ffn_tuner is not None:
-        y = y + ffn_tuner.delta(h2, qkv, block.mha)
-    del h2
+    tuner = model.tuners.get((index, "ffn"))
+    if tuner is not None:
+        y = y + tuner.delta(h2, qkv, block.mha)
 
-    if block_tuner is not None:
-        y = y + block_tuner.delta(x, qkv, block.mha)
+    tuner = model.tuners.get((index, "block"))
+    if tuner is not None:
+        y = y + tuner.delta(x, qkv, block.mha)
     return y
