@@ -70,7 +70,7 @@ class BackboneConfig:
 class Block(Module):
     """Pre-norm transformer block: x + MHA(n1(x)), then u + FFN(n2(u)). Built frozen."""
 
-    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
+    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None):
         mha_cfg = MHAConfig(cfg.dim, cfg.heads, qkv_bias=cfg.qkv_bias)
         self.norm1 = LayerNorm(cfg.dim, trainable=False)
         self.mha = MultiHeadAttention(mha_cfg, rng, trainable=False)
@@ -94,14 +94,12 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
 
 
 class ModelGraph(Module):
-    """Backbone + attached tuners + classifier head.
+    """Backbone + attached tuners + classifier head, with the weights drawn
+    from ``rng`` (zeros given None). The backbone is built frozen, so its
+    parameters never allocate a grad buffer; only the head is trainable
+    until tuners are attached."""
 
-    The backbone is built frozen, so its parameters never allocate a grad
-    buffer; only the head is trainable until tuners are attached.
-    """
-
-    def __init__(self, cfg: BackboneConfig):
-        rng = np.random.default_rng(cfg.seed)
+    def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         patch_dim = cfg.in_channels * cfg.patch * cfg.patch
         self.patch_embed = make_linear(rng, patch_dim, cfg.dim, trainable=False)
@@ -141,7 +139,7 @@ class ModelGraph(Module):
 
 def build_backbone(cfg: BackboneConfig) -> ModelGraph:
     """Deterministically seeded model; backbone frozen, head trainable."""
-    return ModelGraph(cfg)
+    return ModelGraph(cfg, np.random.default_rng(cfg.seed))
 
 
 def trainable_parameters(model: ModelGraph):

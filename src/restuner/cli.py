@@ -82,12 +82,9 @@ def cmd_train(args) -> int:
     out = Path(args.out or run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     train_ds, eval_ds = _load_datasets(run)
-    # round-trip through the on-disk format so eval-from-file is bit-exact
-    save_binary_dataset(train_ds, out / "train.rtds")
-    train_ds = load_binary_dataset(out / "train.rtds")
+    save_binary_dataset(train_ds, out / "train.rtds")  # the float32 pixels it trains on
     if len(eval_ds):
         save_binary_dataset(eval_ds, out / "eval.rtds")
-        eval_ds = load_binary_dataset(out / "eval.rtds")
     else:
         eval_ds = None
     model = build_backbone(run.backbone)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, ModelGraph, build_backbone
+from .backbone import BackboneConfig, ModelGraph
 from .tuners import AttachSpec, attach
 
 CHECKPOINT_MAGIC = b"RTCK"
@@ -38,11 +38,11 @@ class FormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Images and labels. ``images`` is float64 from ``synth_dataset`` and,
-    from ``load_binary_dataset``, a read-only float32 view of the file's
-    bytes: ``Tensor`` widens each batch exactly where it enters the model."""
+    """Images and labels. ``images`` is float32 from ``synth_dataset`` and,
+    from ``load_binary_dataset``, a read-only view of the file's bytes:
+    ``Tensor`` widens each batch exactly where it enters the model."""
 
-    images: np.ndarray  # [n, C, H, W] float32 or float64
+    images: np.ndarray  # [n, C, H, W] float32
     labels: np.ndarray  # [n] int64
     num_classes: int
 
@@ -92,9 +92,10 @@ def _class_directions(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def synth_dataset(spec: DatasetSpec, task: str = "a") -> Dataset:
-    """Class-conditional Gaussian blobs along per-class directions.
+    """Class-conditional float32 Gaussian blobs along per-class directions.
 
-    Deterministic per (spec, task); labels balanced within one."""
+    Deterministic per (spec, task); labels balanced within one. A pixel
+    float32 cannot hold raises FormatError naming its item."""
     if task not in ("a", "b"):
         raise ValueError(f"task must be 'a' or 'b', got {task!r}")
     dirs_a, dirs_b = _class_directions(spec)
@@ -103,9 +104,11 @@ def synth_dataset(spec: DatasetSpec, task: str = "a") -> Dataset:
     rng = np.random.default_rng(spec.seed + (0 if task == "a" else 1_000_003))
     labels = np.arange(spec.size) % k
     rng.shuffle(labels)
-    flat = spec.signal * dirs[labels] + spec.noise * rng.normal(size=(spec.size, dirs.shape[1]))
-    images = flat.reshape(spec.size, *spec.shape)
-    return Dataset(images, labels.astype(np.int64), k)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        flat = spec.signal * dirs[labels] + spec.noise * rng.normal(size=(spec.size, dirs.shape[1]))
+        flat = flat.astype(np.float32)
+    _check_finite(flat)
+    return Dataset(flat.reshape(spec.size, *spec.shape), labels.astype(np.int64), k)
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
@@ -122,11 +125,11 @@ def _dataset_record(pixels: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("pixels", "<f4", (pixels,))])
 
 
-def _check_finite(pixels: np.ndarray, message: str) -> None:
-    """Raise FormatError(message naming the item) at the first record with a non-finite pixel."""
+def _check_finite(pixels: np.ndarray) -> None:
+    """Raise FormatError naming the first item with a pixel that is not a finite float32."""
     for i, row in enumerate(pixels):  # one record at a time: no full-size mask
         if not np.isfinite(row).all():
-            raise FormatError(message.format(i))
+            raise FormatError(f"dataset item {i} has a pixel value that is not a finite float32")
 
 
 def save_binary_dataset(ds: Dataset, path) -> None:
@@ -137,7 +140,7 @@ def save_binary_dataset(ds: Dataset, path) -> None:
     rec["label"] = ds.labels
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, reported below
         rec["pixels"] = ds.images.reshape(n, c * h * w)
-    _check_finite(rec["pixels"], "dataset item {} has a pixel value that is not a finite float32")
+    _check_finite(rec["pixels"])
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIIII", DATASET_VERSION, n, ds.num_classes, c, h, w))
@@ -171,7 +174,7 @@ def load_binary_dataset(path) -> Dataset:
     if bad.size:
         i = int(bad[0])
         raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
-    _check_finite(rec["pixels"], "non-finite pixel value in item {}")
+    _check_finite(rec["pixels"])
     images = rec["pixels"].reshape(count, c, h, w)  # a view of the file's bytes
     return Dataset(images, rec["label"].astype(np.int64), classes)
 
@@ -301,11 +304,12 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path) -> ModelGraph:
-    """Rebuild the model from its config echo and restore every tensor."""
+    """Rebuild the model from its config echo, from zeros where a build
+    would draw weights, and restore every tensor."""
     config, tensors = read_checkpoint(path)
     try:
-        model = build_backbone(BackboneConfig(**config["backbone"]))
-        attach(model, [AttachSpec(**t) for t in config["tuners"]])
+        model = ModelGraph(BackboneConfig(**config["backbone"]), None)
+        attach(model, [AttachSpec(**t) for t in config["tuners"]], draw=False)
     except KeyError as e:
         raise FormatError(f"checkpoint config echo has no {e} key")
     except (TypeError, ValueError) as e:

@@ -46,14 +46,16 @@ class Module:
             yield p
 
 
-# -- init helpers -------------------------------------------------------
+# -- init helpers: each returns zeros given no rng, so a load draws nothing
 
 
 INIT_STD = 0.02  # the ViT-style init's standard deviation
 
 
-def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator | None, shape) -> np.ndarray:
     """Normal(0, INIT_STD) resampled until within 2 std (ViT-style init)."""
+    if rng is None:
+        return np.zeros(shape)
     out = rng.normal(0.0, INIT_STD, size=shape)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0 * INIT_STD)
@@ -63,12 +65,14 @@ def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
-def kaiming_uniform(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+def kaiming_uniform(rng: np.random.Generator | None, d_in: int, d_out: int) -> np.ndarray:
     """Kaiming-uniform with negative slope a = sqrt(5).
 
     gain^2 = 2 / (1 + a^2) = 1/3, bound = sqrt(3) * gain / sqrt(fan_in)
     = sqrt(1 / fan_in). fan_in is the input width d_in.
     """
+    if rng is None:
+        return np.zeros((d_in, d_out))
     bound = math.sqrt(1.0 / d_in)
     return rng.uniform(-bound, bound, size=(d_in, d_out))
 
@@ -80,12 +84,12 @@ class LinearLayer(Module):
         self.W = Parameter(W, trainable=trainable)
         self.b = Parameter(b, trainable=trainable) if b is not None else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.W, self.b)
+    def __call__(self, x: Tensor, gelu: bool = False) -> Tensor:
+        return T.linear(x, self.W, self.b, gelu=gelu)
 
 
 def make_linear(
-    rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True, trainable: bool = True
+    rng: np.random.Generator | None, d_in: int, d_out: int, bias: bool = True, trainable: bool = True
 ) -> LinearLayer:
     W = trunc_normal(rng, (d_in, d_out))
     b = np.zeros(d_out) if bias else None
@@ -123,7 +127,7 @@ class MultiHeadAttention(Module):
     read its query third, reusing the backbone's query stream.
     """
 
-    def __init__(self, cfg: MHAConfig, rng: np.random.Generator, trainable: bool = True):
+    def __init__(self, cfg: MHAConfig, rng: np.random.Generator | None, trainable: bool = True):
         self.cfg = cfg
         self.qkv = make_linear(rng, cfg.dim, 3 * cfg.dim, bias=cfg.qkv_bias, trainable=trainable)
         self.proj = make_linear(rng, cfg.dim, cfg.dim, bias=True, trainable=trainable)
@@ -135,12 +139,12 @@ class MultiHeadAttention(Module):
 
 
 class MLP(Module):
-    """Transformer FFN: linear -> GELU -> linear, hidden = ratio * dim."""
+    """Transformer FFN: linear -> GELU (fc1's epilogue) -> linear, hidden = ratio * dim."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, ratio: int = 4, trainable: bool = True):
+    def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4, trainable: bool = True):
         hidden = ratio * dim
         self.fc1 = make_linear(rng, dim, hidden, trainable=trainable)
         self.fc2 = make_linear(rng, hidden, dim, trainable=trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(x)))
+        return self.fc2(self.fc1(x, gelu=True))

@@ -28,15 +28,15 @@ copied or zero-filled to make that safe.
 
 The module holds only the ops the model records, the ``cross_entropy``
 loss included. The hot paths are fused ops, one graph node each:
-``linear``, ``layer_norm`` and ``attention``. Each repeats, expression for
-expression and in the same order, the numpy arithmetic of the primitive
-chain it replaces, so its values and grads equal that chain's bit for bit.
-Their forward passes, and GELU's, write in place only into arrays they
-allocated themselves, never into an input, an upstream grad or an array a
-tensor holds. GELU's forward pass also computes its derivative, and that
-derivative is all its backward keeps. The chains, and the reference
-primitives they are built from (``matmul``, ``mul``, ``softmax_lastdim``
-and so on), live in the test suite's ``tests/primitives.py``.
+``linear`` (with GELU as an optional epilogue), ``layer_norm`` and
+``attention``. Each repeats, expression for expression and in the same
+order, the numpy arithmetic of the primitive chain it replaces, so its
+values and grads equal that chain's bit for bit. Their forward passes write
+in place only into arrays they allocated themselves, never into an input,
+an upstream grad or an array a tensor holds; GELU overwrites ``linear``'s
+own product, keeping only its derivative for backward. The chains, and the
+reference primitives (``matmul``, ``gelu``, ``softmax_lastdim`` and so on),
+live in the test suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
@@ -197,39 +197,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x), Phi(x) = 0.5 * (1 + erf(x / sqrt(2))).
-
-    The forward pass runs one ``_ERF_CHUNK`` slice at a time, with erf's
-    scratch arrays reused across the call. When a backward pass will read
-    it, each slice's Phi(x) goes into a full-size buffer, and once that
-    slice's output is written it is overwritten with the derivative
-    ``_gelu_grad(x, Phi(x))``. So the only full-size arrays are the output
-    and that derivative, the input is not kept, and backward is
-    ``g * derivative``. Without a backward pass Phi(x) is computed in the
-    output's own slice.
-    """
-    x = a.data.reshape(-1)  # a view unless the input is not C-contiguous
-    out = np.empty(a.data.shape)
-    out_f = out.reshape(-1)
-    deriv = np.empty(a.data.shape) if _GRAD_ENABLED and a.requires_grad else None
-    cdf_f = out_f if deriv is None else deriv.reshape(-1)  # Phi(x), in out if no backward reads it
-    scratch = [np.empty(min(_ERF_CHUNK, x.size)) for _ in range(3)]
-    for lo in range(0, x.size, _ERF_CHUNK):
-        hi = lo + _ERF_CHUNK
-        xs, c = x[lo:hi], cdf_f[lo:hi]
+def _gelu_in_place(y: np.ndarray, keep_deriv: bool) -> np.ndarray | None:
+    """Overwrite the C-contiguous ``y`` with GELU, x * Phi(x) with Phi(x) =
+    0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time in reused
+    scratch. With ``keep_deriv`` each slice's Phi(x) is built in the one
+    full-size buffer it allocates, then overwritten by ``_gelu_grad(x,
+    Phi(x))``: that derivative is returned. Else Phi(x) takes a scratch slice."""
+    flat = y.reshape(-1)
+    deriv = np.empty(y.shape) if keep_deriv else None
+    scratch = [np.empty(min(_ERF_CHUNK, flat.size)) for _ in range(3 if keep_deriv else 4)]
+    for lo in range(0, flat.size, _ERF_CHUNK):
+        xs = flat[lo : lo + _ERF_CHUNK]
+        c = scratch[3][: xs.size] if deriv is None else deriv.reshape(-1)[lo : lo + _ERF_CHUNK]
         np.divide(xs, math.sqrt(2.0), out=c)
-        _erf_chunk(c, *(buf[: xs.size] for buf in scratch))
+        _erf_chunk(c, *(buf[: xs.size] for buf in scratch[:3]))
         c += 1.0
         c *= 0.5
-        np.multiply(xs, c, out=out_f[lo:hi])
-        if deriv is not None:
-            c[...] = _gelu_grad(xs, c)
-
-    def backward(g, va):
-        _accumulate(va, g * deriv)
-
-    return _make(out, (a,), backward)
+        grad = None if deriv is None else _gelu_grad(xs, c)  # reads x, so before x goes
+        xs *= c
+        if grad is not None:
+            c[...] = grad
+    return deriv
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
@@ -411,18 +399,23 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 # topological order, hence every grad sum, unchanged.
 
 
-def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ W (+ b): ``matmul`` then ``add``."""
+def linear(x: Tensor, W: Tensor, b: Tensor | None = None, gelu: bool = False) -> Tensor:
+    """x @ W (+ b): ``matmul`` then ``add``, then with ``gelu`` GELU in the
+    product's own buffer; backward first multiplies by GELU's derivative."""
     _check_matmul(x.data, W.data)
     y = x.data @ W.data
     if b is not None:
         y += b.data
+    parents = (x, W) if b is None else (x, W, b)
+    deriv = _gelu_in_place(y, _GRAD_ENABLED and any(p.requires_grad for p in parents)) if gelu else None
     x_shape, W_shape = x.data.shape, W.data.shape
     b_shape = None if b is None else b.data.shape
     W_data = W.data if x.requires_grad else None  # read by x's grad
     x_data = x.data if W.requires_grad else None  # read by W's grad
 
     def backward(g, vx, vW, vb=None):
+        if deriv is not None:
+            g = g * deriv
         if vb is not None and vb.requires_grad:
             _accumulate(vb, _unbroadcast(g, b_shape))
         if vx.requires_grad:
@@ -430,7 +423,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
         if vW.requires_grad:
             _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
 
-    return _make(y, (x, W) if b is None else (x, W, b), backward)
+    return _make(y, parents, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -278,7 +278,6 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
     Returns (report, all_pass) where report maps parameter name to
     {"rel_err", "pass"}. Intended for small configs only.
     """
-    images = np.asarray(images, dtype=np.float64)
     labels = np.asarray(labels)
 
     def loss_value(_param) -> float:

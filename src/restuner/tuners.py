@@ -97,7 +97,7 @@ class ResAttnTuner(Tuner):
     label = "Res-Attn."
     Config = ResAttnConfig
 
-    def __init__(self, cfg: ResAttnConfig, rng: np.random.Generator):
+    def __init__(self, cfg: ResAttnConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         rh = cfg.rank * cfg.heads
         qkv_b = np.zeros(3 * rh) if cfg.qkv_bias else None
@@ -144,7 +144,7 @@ class PrefixTuner(Tuner):
     label = "Res-Pre."
     Config = PrefixTunerConfig
 
-    def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator):
+    def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         shape = (cfg.heads, cfg.length, cfg.head_dim)
         self.K = Parameter(trunc_normal(rng, shape))
@@ -177,7 +177,7 @@ class PromptTuner(Tuner):
     label = "Res-Pro."
     Config = PrefixTunerConfig
 
-    def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator):
+    def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
@@ -209,13 +209,13 @@ class AdapterConfig:
 
 
 class AdapterTuner(Tuner):
-    """Parallel bottleneck adapter: down -> GELU -> zero-init up."""
+    """Parallel bottleneck adapter: down -> GELU (``down``'s epilogue) -> zero-init up."""
 
     kind = "adapter"
     label = "Res-Ada."
     Config = AdapterConfig
 
-    def __init__(self, cfg: AdapterConfig, rng: np.random.Generator):
+    def __init__(self, cfg: AdapterConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.down = LinearLayer(
             kaiming_uniform(rng, cfg.dim, cfg.bottleneck), np.zeros(cfg.bottleneck)
@@ -223,7 +223,7 @@ class AdapterTuner(Tuner):
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.up(T.gelu(self.down(x)))
+        return self.up(self.down(x, gelu=True))
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg
@@ -250,7 +250,7 @@ class AttachSpec:
             raise AttachError(f"unknown tuner kind {self.kind!r}; expected one of {TUNER_KINDS}")
 
 
-def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.Generator):
+def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.Generator | None):
     """Construct a tuner of the given kind for a backbone of width dim.
 
     Each option must have its default's type: a bool option takes only a
@@ -277,11 +277,13 @@ def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.G
     return cls(cfg, rng)
 
 
-def attach(model, specs) -> None:
+def attach(model, specs, draw: bool = True) -> None:
     """Attach tuners to a built model, one per (block, op) slot.
 
     The forward pass visits slots in a fixed (block, op) order, so the
-    result is independent of the order specs are listed in.
+    result is independent of the order specs are listed in. Each slot draws
+    from a generator seeded by the backbone seed and the slot, unless
+    ``draw`` is False: then its weights are zeros.
     """
     for spec in specs:
         if not 0 <= spec.block_index < model.cfg.depth:
@@ -292,7 +294,7 @@ def attach(model, specs) -> None:
         if slot in model.tuners:
             raise AttachError(f"slot (block={slot[0]}, op={slot[1]!r}) already has a tuner")
         seed = model.cfg.seed + 7919 * (1 + spec.block_index) + 104729 * ATTACH_OPS.index(spec.op)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed) if draw else None
         model.tuners[slot] = build_tuner(
             spec.kind, model.cfg.dim, model.cfg.heads, spec.options, rng
         )

@@ -12,6 +12,8 @@ build attention's K/V the way a tuner or a chain would.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from restuner import tensor as T
@@ -84,6 +86,18 @@ def erf(x) -> np.ndarray:
     return out
 
 
+def gelu(a: Tensor) -> Tensor:
+    """Exact GELU, x * Phi(x) with Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), as
+    its own node: the reference for ``linear``'s GELU epilogue. Its backward
+    is the upstream grad times the engine's ``_gelu_grad``."""
+    cdf = 0.5 * (1.0 + erf(a.data / math.sqrt(2.0)))
+
+    def backward(g, va):
+        _accumulate(va, g * T._gelu_grad(a.data, cdf))
+
+    return _make(a.data * cdf, (a,), backward)
+
+
 def weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
     """sum(out * w): a scalar loss whose grad w.r.t. ``out`` is ``w``."""
     return tensor_sum(mul(out, Tensor(w)))
@@ -92,9 +106,14 @@ def weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
 # -- the chains the fused ops replace -------------------------------------
 
 
-def composed_linear(x, W, b=None):
+def composed_linear(x, W, b=None, gelu=False):
+    """matmul, then add, then with ``gelu`` the reference GELU node."""
     y = matmul(x, W)
-    return y if b is None else T.add(y, b)
+    y = y if b is None else T.add(y, b)
+    return gelu_node(y) if gelu else y
+
+
+gelu_node = gelu  # ``composed_linear``'s flag shadows the name
 
 
 def composed_layer_norm(x, gamma, beta):

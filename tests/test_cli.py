@@ -126,6 +126,24 @@ def test_cmd_train_and_eval(config_path, tmp_path, capsys):
     assert abs(printed["loss"] - last_eval["loss"]) < 1e-12
 
 
+def test_cmd_train_trains_on_the_split_matrix_trains_on(config_path, tmp_path, capsys):
+    """``train`` writes its splits but trains on the float32 arrays it holds,
+    which are ``_load_datasets``' split, the one ``matrix`` trains on: the
+    checkpoint equals one trained in process on that split."""
+    from restuner.training import train
+    from restuner.tuners import attach
+
+    assert main(["train", "--config", str(config_path)]) == 0
+    run = load_run_config(config_path)
+    train_ds, eval_ds = cli._load_datasets(run)
+    assert train_ds.images.dtype == np.float32
+    model = build_backbone(run.backbone)
+    attach(model, run.tuner_specs)
+    train(model, train_ds, run.train, eval_dataset=eval_ds, quiet=True)
+    save_checkpoint(model, tmp_path / "in_process.rtck")
+    assert (tmp_path / "in_process.rtck").read_bytes() == (tmp_path / "run" / "model.rtck").read_bytes()
+
+
 def test_cmd_eval_missing_file(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "no.rtck"),
                  "--data", str(tmp_path / "no.rtds")]) == 2
@@ -252,14 +270,18 @@ def test_cmd_grad_check_pass_and_corrupt(config_path, capsys, monkeypatch):
     assert "RESULT: FAIL" in capsys.readouterr().out
 
 
+_NOT_FLOAT32 = r"error: dataset item \d+ has a pixel value that is not a finite float32\n"
+
+
 def test_cmd_grad_check_prints_no_overflow_warning(config_path, capsys):
-    """Pixels of 1e300 overflow inside ``layer_norm``; as in ``train`` and
-    ``eval``, numpy's overflow warnings stay quiet (the suite makes a
-    RuntimeWarning an error)."""
+    """Pixels of 1e300 are beyond float32, the one pixel precision, so
+    grad-check exits 2 naming the item before any model runs, and numpy
+    prints no warning (the suite makes a RuntimeWarning an error)."""
     config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e300"))
-    assert main(["grad-check", "--config", str(config_path)]) == 0
+    assert main(["grad-check", "--config", str(config_path)]) == 2
     captured = capsys.readouterr()
-    assert "RESULT: PASS" in captured.out and "Warning" not in captured.err
+    assert re.fullmatch(_NOT_FLOAT32, captured.err), captured.err
+    assert captured.out == ""
 
 
 def test_cmd_matrix_smoke(tmp_path, capsys, monkeypatch):
@@ -437,22 +459,35 @@ def test_cmd_non_finite_loss_exits_2(config_path, tmp_path, capsys, command):
 
 
 def test_cmd_train_signal_beyond_float32_exits_2_before_writing_a_dataset(config_path, tmp_path, capsys):
-    """The dataset writer names the item whose pixels float32 cannot hold,
-    writes no byte and lets numpy print no overflow warning."""
+    """``synth_dataset`` names the item whose pixels float32 cannot hold, so
+    no dataset file is written, and numpy prints no overflow warning."""
     config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e150"))
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: dataset item \d+ has a pixel value that is not a finite float32\n", err), err
+    assert re.fullmatch(_NOT_FLOAT32, err), err
     assert not list((tmp_path / "run").glob("*.rtds"))
 
 
 def test_cmd_matrix_overflowing_signal_exits_2_with_one_line(config_path, capsys):
-    """The frozen-logit and zero-init probes and each cell's evaluate run
-    under the train step's error state, so divergence is the only report."""
+    """Pixels of 1e300 are beyond float32, so the matrix stops at its
+    dataset, naming the item, before any cell trains."""
     config_path.write_text(config_path.read_text().replace("signal = 3.0", "signal = 1e300"))
     assert main(["matrix", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: training diverged: loss is (nan|inf) at epoch \d+, step \d+\n", err), err
+    assert re.fullmatch(_NOT_FLOAT32, err), err
+
+
+@pytest.mark.parametrize("line", ["noise = 1e308", "signal = 1e39"])
+@pytest.mark.parametrize("command", ["train", "matrix", "grad-check"])
+def test_cmd_pixels_float32_cannot_hold_exit_2_with_one_line(config_path, tmp_path, capsys, command, line):
+    """Every command trains on ``synth_dataset``'s float32 pixels, so each
+    stops at the same item with the same line and writes nothing."""
+    config_path.write_text(config_path.read_text().replace("signal = 3.0", line))
+    assert main([command, "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(_NOT_FLOAT32, captured.err), captured.err
+    assert captured.out == ""
+    assert not list((tmp_path / "run").glob("*"))
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,13 @@ def test_spec_validation():
                 DatasetSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("signal", 1e39), ("noise", 1e308), ("signal", -1e300)])
+def test_synth_images_are_float32_and_a_pixel_beyond_it_names_its_item(field, value):
+    assert synth_dataset(SPEC).images.dtype == np.float32
+    with pytest.raises(FormatError, match=r"^dataset item \d+ has a pixel value that is not a finite float32$"):
+        synth_dataset(DatasetSpec(num_classes=4, shape=(1, 8, 8), size=64, seed=0, **{field: value}))
+
+
 def test_split_fractions():
     ds = synth_dataset(SPEC)
     train, test = split_dataset(ds, 0.75, seed=0)
@@ -440,6 +447,25 @@ def test_streamed_checkpoint_matches_in_memory_reference(tmp_path, cfg):
     if cfg is BIG:
         assert len(ref) >= 8 << 20
     assert path.read_bytes() == ref
+
+
+def test_loaded_model_draws_nothing_and_reproduces_the_saved_model(tmp_path, monkeypatch):
+    """A load builds its model from zeros, drawing no weight, and takes every
+    tensor from the file: the loaded model's forward pass and its re-saved
+    bytes are the saved model's."""
+    m = _four_kind_model()
+    save_checkpoint(m, tmp_path / "m.rtck")
+
+    def no_draws(*_):
+        raise AssertionError("load_checkpoint drew from a generator")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", no_draws)
+        back = load_checkpoint(tmp_path / "m.rtck")
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 1, 8, 8)))
+    assert np.array_equal(back(x).data, m(x).data)
+    save_checkpoint(back, tmp_path / "again.rtck")
+    assert (tmp_path / "again.rtck").read_bytes() == (tmp_path / "m.rtck").read_bytes()
 
 
 def test_save_checkpoint_holds_no_payload_copy(tmp_path):

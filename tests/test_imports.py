@@ -69,3 +69,33 @@ def test_graph_scanner_finds_imports_names_and_attributes():
 @pytest.mark.parametrize("path", OUTSIDE_ENGINE, ids=lambda p: p.name)
 def test_only_the_engine_touches_graph_internals(path):
     assert graph_internals(path.read_text()) == set()
+
+
+def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):
+    """``restuner eval`` loads a checkpoint without drawing a weight it would
+    overwrite, so it never imports ``numpy.random`` (whose first generator
+    costs about 5.5 MiB of peak RSS), nor scipy."""
+    import os
+    import subprocess
+    import sys
+
+    import numpy as np
+
+    from restuner.backbone import BackboneConfig, build_backbone
+    from restuner.data_io import Dataset, save_binary_dataset, save_checkpoint
+    from restuner.tuners import AttachSpec, attach
+
+    model = build_backbone(BackboneConfig(dim=8, depth=1, heads=2, patch=4, image_size=8))
+    attach(model, [AttachSpec(0, "mha", "res_attn"), AttachSpec(0, "ffn", "adapter"),
+                   AttachSpec(0, "block", "prefix")])
+    save_checkpoint(model, tmp_path / "m.rtck")
+    images = np.linspace(-1.0, 1.0, 4 * 64, dtype=np.float32).reshape(4, 1, 8, 8)
+    save_binary_dataset(Dataset(images, np.arange(4) % 4, 4), tmp_path / "d.rtds")
+    probe = (
+        "import sys\nfrom restuner import cli\n"
+        f"code = cli.main(['eval', '--checkpoint', {str(tmp_path / 'm.rtck')!r}, '--data', {str(tmp_path / 'd.rtds')!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m == 'numpy.random' or m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 []", out.stdout

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from primitives import mul, tensor_sum, weighted_sum
+from primitives import gelu, mul, tensor_sum, weighted_sum
 from restuner import tensor as T
 from restuner.layers import (
     LinearLayer,
@@ -86,11 +86,13 @@ def test_layer_norm_grads():
 
 
 def test_gelu_values():
-    assert T.gelu(Tensor([0.0])).data[0] == 0.0
+    def gelu_of(v):  # GELU as the epilogue of x @ 1
+        return T.linear(Tensor([[v]]), Tensor([[1.0]]), gelu=True).data[0, 0]
+
+    assert gelu_of(0.0) == 0.0
     # x * Phi(x) - (-x) * Phi(-x) = x since Phi(x) + Phi(-x) = 1
     x = 1.5
-    diff = T.gelu(Tensor([x])).data[0] - T.gelu(Tensor([-x])).data[0]
-    assert abs(diff - x) < 1e-12
+    assert abs(gelu_of(x) - gelu_of(-x) - x) < 1e-12
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -172,7 +174,7 @@ def test_mlp_hand_composite():
     # tiny input through manually set weights, checked via the layer ops
     mlp = MLP(2, np.random.default_rng(5))
     x = Tensor(np.array([[[0.3, -1.2]]]))
-    via_layers = mlp.fc2(T.gelu(mlp.fc1(x)))
+    via_layers = mlp.fc2(gelu(mlp.fc1(x)))  # the reference GELU node, not fc1's epilogue
     assert np.array_equal(mlp(x).data, via_layers.data)
 
 

@@ -13,6 +13,7 @@ from primitives import (
     composed_linear,
     composed_mha_attention,
     erf as erf_port,
+    gelu,
     mul,
     mul_scalar,
     own_kv,
@@ -184,11 +185,16 @@ def test_finite_diff_rejects_bad_step():
         finite_diff_grad(tensor_sum, Tensor([1.0]), h=0.0)
 
 
+def _linear_gelu(x, W, b=None):
+    return T.linear(x, W, b, gelu=True)
+
+
 def test_gelu_grad():
+    one = Tensor([[1.0]])  # x @ 1 is x exactly, so this is GELU of x alone
     for v in (-2.0, -0.5, 0.3, 4.0):
-        x = Tensor([v], requires_grad=True)
-        tensor_sum(T.gelu(x)).backward()
-        fd = finite_diff_grad(lambda t: tensor_sum(T.gelu(t)), x)
+        x = Tensor([[v]], requires_grad=True)
+        tensor_sum(_linear_gelu(x, one)).backward()
+        fd = finite_diff_grad(lambda t: tensor_sum(_linear_gelu(t, one)), x)
         assert rel_error(x.grad, fd) < 1e-7
 
 
@@ -222,11 +228,13 @@ def test_gelu_matches_scipy_expression_bit_for_bit():
     special = pytest.importorskip("scipy.special")
     rng = np.random.default_rng(10)
     # more than one 32k-element chunk with a ragged last one, a transposed
-    # (non-contiguous) input, a 0-d one, and a tail share like a trained layer's
-    x = rng.normal(scale=2.0, size=(3, 65, 400))
-    for data in (x, x.transpose(2, 1, 0), np.array(-1.7)):
-        expected = data * (0.5 * (1.0 + special.erf(data / math.sqrt(2.0))))
-        assert np.array_equal(T.gelu(Tensor(data)).data, expected)
+    # (non-contiguous) input, and a tail share like a trained layer's
+    x = rng.normal(size=(3, 65, 8))
+    W, b = Tensor(rng.normal(scale=0.7, size=(8, 400))), Tensor(rng.normal(size=400))
+    for data in (x, x.transpose(1, 0, 2)):
+        pre = T.linear(Tensor(data), W, b).data
+        expected = pre * (0.5 * (1.0 + special.erf(pre / math.sqrt(2.0))))
+        assert np.array_equal(_linear_gelu(Tensor(data), W, b).data, expected)
 
 
 def _backward_from(out: Tensor, g: np.ndarray) -> None:
@@ -243,44 +251,70 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     "size", [T._ERF_CHUNK - 1, T._ERF_CHUNK, T._ERF_CHUNK + 1, 2 * T._ERF_CHUNK + 7]
 )
 def test_gelu_chunk_boundaries_match_composed_expression_bit_for_bit(size):
+    """``linear``'s GELU epilogue against the ``gelu(linear(x, W, b))``
+    chain, over outputs of ``size`` elements, with and without a graph."""
     rng = np.random.default_rng(size)
-    strided = rng.normal(scale=2.0, size=2 * size)
-    g = rng.normal(size=2 * size)[1::2]  # a non-contiguous upstream grad
-    for data in (strided[: size].copy(), strided[::2]):  # contiguous, then not
-        cdf = 0.5 * (1.0 + erf_port(data / math.sqrt(2.0)))
+    arrays = [rng.normal(scale=2.0, size=(size, 2)), rng.normal(size=(2, 1)), rng.normal(size=1)]
+    g = rng.normal(size=(2 * size, 1))[1::2]  # a non-contiguous upstream grad
+    results = []
+    for build in (_linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b))):
         with T.no_grad():
-            assert _same_bits(T.gelu(Tensor(data)).data, data * cdf)
-        x = Tensor(data, requires_grad=True)
-        out = T.gelu(x)
-        assert _same_bits(out.data, data * cdf)
+            bare = build(*map(Tensor, arrays)).data
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves)
         _backward_from(out, g)
-        assert _same_bits(x.grad, g * T._gelu_grad(data, cdf))
+        results.append([bare, out.data, *(t.grad for t in leaves)])
+    assert all(_same_bits(f, c) for f, c in zip(*results))
+    assert _same_bits(results[0][0], results[0][1])
 
 
-def _gelu_peak_bytes(x: Tensor) -> tuple[int, int]:
-    """(peak bytes traced during ``gelu(x)``, its output's bytes)."""
+def _gelu_peak_bytes(x: Tensor, W: Tensor) -> tuple[int, int]:
+    """(peak bytes traced during ``linear(x, W, gelu=True)``, its output's bytes)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = T.gelu(x)
+        out = _linear_gelu(x, W)
         return tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
     finally:
         tracemalloc.stop()
 
 
 def test_gelu_without_grad_allocates_its_output_and_one_slice_of_scratch():
+    """GELU runs in the product's own buffer: no pre-activation is kept
+    beside the output, so the peak is the output plus one slice's scratch."""
     # few |x / sqrt(2)| > 1, as in the benchmark workloads, so erf's tail
     # path (a Python list per slice) stays small
-    data = np.random.default_rng(45).normal(scale=0.5, size=8 * T._ERF_CHUNK + 3)
-    x = Tensor(data, requires_grad=True)
-    # erf's three slice-sized scratch arrays plus a slice's mask and indices
-    scratch = 4 * T._ERF_CHUNK * 8
+    data = np.random.default_rng(45).normal(scale=0.5, size=(8 * T._ERF_CHUNK + 3, 1))
+    x, W = Tensor(data, requires_grad=True), Tensor([[1.0]])
+    # erf's three slice-sized scratch arrays, Phi(x)'s and a slice's mask and indices
+    scratch = 5 * T._ERF_CHUNK * 8
     with T.no_grad():
-        peak, out_bytes = _gelu_peak_bytes(x)
+        peak, out_bytes = _gelu_peak_bytes(x, W)
     assert out_bytes <= peak <= out_bytes + scratch, (peak, out_bytes)
     # a recording call keeps a full-size derivative for its backward, which the bound catches
-    peak, out_bytes = _gelu_peak_bytes(x)
+    peak, out_bytes = _gelu_peak_bytes(x, W)
     assert peak > out_bytes + scratch, (peak, out_bytes)
+
+
+def test_gelu_epilogue_keeps_only_its_derivative():
+    """A recorded fused op keeps its derivative beside what ``linear``
+    keeps (W when x needs a grad, x when W does), never the product or
+    the output."""
+    rng = np.random.default_rng(47)
+    for x_grad, W_grad in ((True, False), (False, True), (True, True)):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=x_grad)
+        W = Tensor(rng.normal(size=(4, 5)), requires_grad=W_grad)
+        out = _linear_gelu(x, W, Tensor(rng.normal(size=5)))
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.ndim > 0]
+        expected = [a for a, keep in ((W.data, x_grad), (x.data, W_grad)) if keep]
+        derivs = [a for a in arrays if not any(a is e for e in expected)]
+        assert len(arrays) == len(expected) + 1, (x_grad, W_grad)
+        assert len(derivs) == 1 and derivs[0].shape == out.shape
+        assert not np.shares_memory(derivs[0], out.data)
+        output = weakref.ref(out.data)
+        del out, held, arrays, derivs
+        assert output() is None
 
 
 def test_getitem_concat_broadcast_grads():
@@ -313,7 +347,7 @@ def test_graph_is_freed_without_cycle_collector():
     gc.disable()
     try:
         for _ in range(3):
-            h = T.gelu(T.linear(x, w))
+            h = _linear_gelu(x, w)
             loss = tensor_sum(mul(softmax_lastdim(h), h[:, 0:1]))
             loss.backward()
         del h, loss
@@ -335,7 +369,7 @@ def test_intermediate_grad_allocated_by_backward():
 
 
 def _no_grad_probe(x):
-    return tensor_sum(softmax_lastdim(T.gelu(T.linear(x, T.permute(x, (0, 2, 1))))), axis=-1)
+    return tensor_sum(softmax_lastdim(_linear_gelu(x, T.permute(x, (0, 2, 1)))), axis=-1)
 
 
 def test_no_grad_records_no_graph_and_same_values():
@@ -405,6 +439,15 @@ FUSED_CASES = {
     ),
     "linear_2d_no_bias": (
         T.linear, composed_linear, [_R.normal(size=(3, 4)), _R.normal(size=(4, 2))],
+    ),
+    # GELU as the product's epilogue, against gelu(linear(x, W, b))
+    "linear_gelu": (
+        _linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b)),
+        [_R.normal(size=(2, 3, 4)), _R.normal(size=(4, 5)), _R.normal(size=5)],
+    ),
+    "linear_gelu_2d_no_bias": (
+        _linear_gelu, lambda x, W: gelu(T.linear(x, W)),
+        [_R.normal(size=(3, 4)), _R.normal(size=(4, 2))],
     ),
     "layer_norm": (
         T.layer_norm, composed_layer_norm,
@@ -494,8 +537,12 @@ def _digest(a: np.ndarray) -> bytes:
 @pytest.mark.parametrize("name", sorted(FUSED_CASES) + ["gelu"])
 def test_op_never_writes_its_inputs_or_upstream_grad(name):
     """Forward and backward write only into arrays they allocated: every
-    input's data, the output and the upstream grad keep their bytes."""
-    build, arrays = (T.gelu, [_R.normal(size=(2, 3, 5))]) if name == "gelu" else FUSED_CASES[name][::2]
+    input's data, the output and the upstream grad keep their bytes.
+    ``gelu`` is the GELU epilogue over more than one ``_ERF_CHUNK`` slice."""
+    if name == "gelu":
+        build, arrays = _linear_gelu, [_R.normal(size=(T._ERF_CHUNK + 5, 2)), _R.normal(size=(2, 1))]
+    else:
+        build, arrays = FUSED_CASES[name][::2]
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     before = [_digest(t.data) for t in leaves]
     out = build(*leaves)
@@ -515,6 +562,7 @@ def test_fused_ops_record_one_node():
     K, V = (Tensor(rng.normal(size=(2, 5, 2))) for _ in range(2))
     for out, parents in [
         (T.linear(x, W, b), (x, W, b)),
+        (_linear_gelu(x, W, b), (x, W, b)),
         (T.layer_norm(x, gamma, b), (x, gamma, b)),
         (T.attention(qkv, 2, 0.5), (qkv,)),
         (T.attention(qkv, 2, 0.5, kv=(K, V)), (qkv, K, V)),
@@ -576,8 +624,9 @@ SAVED_CASES = {
     "getitem": (lambda a: a[:, 1], [[(2, 3), True]], set()),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [[(2, 3), True], [(2, 2), True]], set()),
     "broadcast_to": (lambda a: T.broadcast_to(a, (4, 3)), [[(1, 3), True]], set()),
-    # the forward pass keeps the derivative it computed, not the input
-    "gelu": (T.gelu, [[(2, 3), True]], set()),
+    # GELU's epilogue keeps its derivative, not its input or its product
+    "gelu": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), False], [(5,), False]], set()),
+    "linear_gelu_trainable_W": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), True], [(5,), True]], {0, 1}),
     "attention_self": (lambda x: T.attention(x, 2, 0.3), [[(2, 3, 24), True]], {0}),
     # q's grad reads frozen K and V, not qkv
     "attention_frozen_kv": (

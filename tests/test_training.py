@@ -308,6 +308,16 @@ def test_grad_check_res_attn_toy():
     assert ok, {k: v["rel_err"] for k, v in report.items()}
 
 
+def test_grad_check_prints_no_overflow_warning():
+    """Library images of 1e300 (float64; no command can pass them) overflow
+    inside ``layer_norm``; as in ``train`` and ``evaluate``, numpy's overflow
+    warnings stay quiet (the suite makes a RuntimeWarning an error)."""
+    m = build_backbone(TOY)
+    ds = toy_dataset(size=4)
+    _, ok = grad_check(m, ds.images.astype(np.float64) * 1e300, ds.labels)
+    assert ok
+
+
 def test_grad_check_detects_corrupted_backward(monkeypatch):
     m = build_backbone(TOY)
     attach(m, [AttachSpec(0, "ffn", "adapter", {"bottleneck": 2})])
