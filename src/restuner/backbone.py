@@ -24,7 +24,7 @@ from .layers import (
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor, broadcast_to, concat
-from .tuners import Tuner, slot_key
+from .tuners import ATTACH_OPS, Tuner, slot_key
 
 
 class ConfigError(ValueError):
@@ -126,8 +126,7 @@ class ModelGraph(Module):
                 f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"
             )
         B = data.shape[0]
-        patches = Tensor(patchify(data, cfg.patch))
-        x = self.patch_embed(patches)
+        x = self.patch_embed(Tensor(patchify(data, cfg.patch)))  # keeps no patch tensor
         cls = broadcast_to(self.cls_token, (B, 1, cfg.dim))
         x = concat([cls, x], axis=1)
         x = x + Tensor(self.pos[None, :, :])
@@ -162,29 +161,33 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
 def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     """One pre-norm block with any tuners attached at its slots.
 
-    MHA/FFN tuners consume the post-norm tensor fed to the parallel op;
-    the block tuner consumes the block's raw input and adds to its output.
-    Each tuner's ``delta`` picks what it reads: that tensor, or this block's
-    fused QKV projection (and the MHA itself). The MHA's input and output
-    are dropped once read, so the FFN runs without them.
+    Each tuner reads what its class declares: the input of the op at its
+    slot (the post-norm tensor fed to the MHA or FFN, or the block's raw
+    input for the block tuner), or its own view of the query third of this
+    block's fused QKV projection. Each tensor is dropped after its last
+    reader: the MHA's input and output once the MHA stage ends, where the
+    block tuner's delta is computed (and later added last), and ``qkv``
+    before the FFN unless the FFN tuner reads q.
     """
     block = model.blocks[index]
+    mha_tuner, ffn_tuner, block_tuner = (model.tuners.get((index, op)) for op in ATTACH_OPS)
+
+    def delta(tuner, op_input):
+        return tuner(qkv[..., : x.shape[-1]] if tuner.reads_q else op_input, block.mha)
+
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)
     u = x + mha_out
     del mha_out
-    tuner = model.tuners.get((index, "mha"))
-    if tuner is not None:
-        u = u + tuner.delta(h1, qkv, block.mha)
+    if mha_tuner is not None:
+        u = u + delta(mha_tuner, h1)
     del h1
+    block_delta = None if block_tuner is None else delta(block_tuner, x)
+    if ffn_tuner is None or not ffn_tuner.reads_q:
+        qkv = None
 
     h2 = block.norm2(u)
     y = u + block.mlp(h2)
-    tuner = model.tuners.get((index, "ffn"))
-    if tuner is not None:
-        y = y + tuner.delta(h2, qkv, block.mha)
-
-    tuner = model.tuners.get((index, "block"))
-    if tuner is not None:
-        y = y + tuner.delta(x, qkv, block.mha)
-    return y
+    if ffn_tuner is not None:
+        y = y + delta(ffn_tuner, h2)
+    return y if block_delta is None else y + block_delta

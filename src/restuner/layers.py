@@ -139,7 +139,13 @@ class MultiHeadAttention(Module):
 
 
 class MLP(Module):
-    """Transformer FFN: linear -> GELU (fc1's epilogue) -> linear, hidden = ratio * dim."""
+    """Transformer FFN: linear -> GELU -> linear, hidden = ratio * dim.
+
+    An MLP whose input needs a grad runs as ``fc1`` with GELU as its
+    epilogue and then ``fc2``, two recorded nodes; the benchmark's traced
+    run counts both layer calls. Any other runs as one ``ffn``, which
+    streams the hidden layer in row blocks.
+    """
 
     def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4, trainable: bool = True):
         hidden = ratio * dim
@@ -147,4 +153,6 @@ class MLP(Module):
         self.fc2 = make_linear(rng, hidden, dim, trainable=trainable)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.fc2(self.fc1(x, gelu=True))
+        if x.requires_grad:
+            return self.fc2(self.fc1(x, gelu=True))
+        return T.ffn(x, self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b)

@@ -28,13 +28,15 @@ copied or zero-filled to make that safe.
 
 The module holds only the ops the model records, the ``cross_entropy``
 loss included. The hot paths are fused ops, one graph node each:
-``linear`` (with GELU as an optional epilogue), ``layer_norm`` and
+``linear`` (with GELU as an optional epilogue), ``ffn`` (linear, GELU,
+linear, streamed in row blocks of whole items), ``layer_norm`` and
 ``attention``. Each repeats, expression for expression and in the same
 order, the numpy arithmetic of the primitive chain it replaces, so its
 values and grads equal that chain's bit for bit. Their forward passes write
 in place only into arrays they allocated themselves, never into an input,
-an upstream grad or an array a tensor holds; GELU overwrites ``linear``'s
-own product, keeping only its derivative for backward. The chains, and the
+an upstream grad or an array a tensor holds; GELU overwrites its own
+product, keeping only its derivative for backward, and ``ffn`` keeps its
+hidden layer whole only when a backward pass reads it. The chains, and the
 reference primitives (``matmul``, ``gelu``, ``softmax_lastdim`` and so on),
 live in the test suite's ``tests/primitives.py``.
 
@@ -197,33 +199,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def _gelu_in_place(y: np.ndarray, keep_deriv: bool) -> np.ndarray | None:
+def _gelu_in_place(y: np.ndarray, deriv: np.ndarray | None, scratch: list | None = None) -> None:
     """Overwrite the C-contiguous ``y`` with GELU, x * Phi(x) with Phi(x) =
-    0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time in reused
-    scratch. With ``keep_deriv`` each slice's Phi(x) is built in the one
-    full-size buffer it allocates, then overwritten by ``_gelu_grad(x,
-    Phi(x))``: that derivative is returned. Else Phi(x) takes a scratch slice."""
+    0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time in
+    four slice-size ``scratch`` arrays, and write GELU's derivative into
+    ``deriv``, shaped like ``y``, unless it is None."""
+    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(4)]
     flat = y.reshape(-1)
-    deriv = np.empty(y.shape) if keep_deriv else None
-    scratch = [np.empty(min(_ERF_CHUNK, flat.size)) for _ in range(3 if keep_deriv else 4)]
+    dflat = None if deriv is None else deriv.reshape(-1)
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo : lo + _ERF_CHUNK]
-        c = scratch[3][: xs.size] if deriv is None else deriv.reshape(-1)[lo : lo + _ERF_CHUNK]
+        zs, ns, ds, c = (buf[: xs.size] for buf in scratch)
         np.divide(xs, math.sqrt(2.0), out=c)
-        _erf_chunk(c, *(buf[: xs.size] for buf in scratch[:3]))
+        _erf_chunk(c, zs, ns, ds)
         c += 1.0
         c *= 0.5
-        grad = None if deriv is None else _gelu_grad(xs, c)  # reads x, so before x goes
+        if dflat is not None:  # reads x, so before x goes; built in place, numpy skips the copy
+            dflat[lo : lo + xs.size] = _gelu_grad(xs, c, dflat[lo : lo + xs.size])
         xs *= c
-        if grad is not None:
-            c[...] = grad
-    return deriv
 
 
-def _gelu_grad(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """GELU derivative Phi(x) + x * phi(x), given the forward pass's Phi(x)."""
-    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return cdf + x * pdf
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU derivative Phi(x) + x * phi(x), given the forward pass's Phi(x):
+    x * phi(x) is built in ``out``, Phi(x) added into it, and ``out`` returned."""
+    np.multiply(x, -0.5, out=out)  # pdf = exp(-0.5 * x * x) / sqrt(2 pi)
+    out *= x
+    np.exp(out, out=out)
+    out /= math.sqrt(2.0 * math.pi)
+    out *= x
+    out += cdf
+    return out
 
 
 # Cephes ndtr.c coefficients: erf = x*T(x^2)/U(x^2) for |x| <= 1, and
@@ -285,11 +290,13 @@ def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -
     each shaped like ``xs``, as scratch.
 
     Elements with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner
-    order as in-place numpy ops; the rare |x| > 1 go to ``_erf_tail``.
+    order as in-place numpy ops; the rare |x| > 1 go to ``_erf_tail``. A
+    slice without them (NaN fails the test) skips the gather and scatter.
     """
-    tail = np.flatnonzero(np.abs(xs, out=zs) > 1.0)
-    tail_x = xs[tail]
-    xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
+    tail = None if np.abs(xs, out=zs).max() <= 1.0 else np.flatnonzero(zs > 1.0)
+    if tail is not None:
+        tail_x = xs[tail]
+        xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
     # x * _polevl(z, T) / _p1evl(z, U) with z = x * x, in the scratch arrays
     np.multiply(xs, xs, out=zs)
     np.multiply(zs, _ERF_T[0], out=ns)
@@ -303,7 +310,7 @@ def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -
         ds += c
     ns *= xs
     np.divide(ns, ds, out=xs)
-    if tail.size:
+    if tail is not None and tail.size:
         xs[tail] = _erf_tail(tail_x)
 
 
@@ -399,6 +406,18 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 # topological order, hence every grad sum, unchanged.
 
 
+def _linear_grads(g, vx, vW, vb, x_data, W_data, shapes: tuple) -> None:
+    """Add the grads of x @ W (+ b) into those of ``vx``, ``vW`` and ``vb``
+    that need one, in the chain's order: b's, x's (it reads W), W's (x)."""
+    x_shape, W_shape, b_shape = shapes
+    if vb is not None and vb.requires_grad:
+        _accumulate(vb, _unbroadcast(g, b_shape))
+    if vx.requires_grad:
+        _accumulate(vx, _unbroadcast(g @ W_data.swapaxes(-1, -2), x_shape))
+    if vW.requires_grad:
+        _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
+
+
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None, gelu: bool = False) -> Tensor:
     """x @ W (+ b): ``matmul`` then ``add``, then with ``gelu`` GELU in the
     product's own buffer; backward first multiplies by GELU's derivative."""
@@ -407,23 +426,65 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, gelu: bool = False) ->
     if b is not None:
         y += b.data
     parents = (x, W) if b is None else (x, W, b)
-    deriv = _gelu_in_place(y, _GRAD_ENABLED and any(p.requires_grad for p in parents)) if gelu else None
-    x_shape, W_shape = x.data.shape, W.data.shape
-    b_shape = None if b is None else b.data.shape
+    deriv = np.empty(y.shape) if gelu and _GRAD_ENABLED and any(p.requires_grad for p in parents) else None
+    if gelu:
+        _gelu_in_place(y, deriv)
+    shapes = (x.data.shape, W.data.shape, None if b is None else b.data.shape)
     W_data = W.data if x.requires_grad else None  # read by x's grad
     x_data = x.data if W.requires_grad else None  # read by W's grad
 
     def backward(g, vx, vW, vb=None):
-        if deriv is not None:
-            g = g * deriv
-        if vb is not None and vb.requires_grad:
-            _accumulate(vb, _unbroadcast(g, b_shape))
-        if vx.requires_grad:
-            _accumulate(vx, _unbroadcast(g @ W_data.swapaxes(-1, -2), x_shape))
-        if vW.requires_grad:
-            _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
+        _linear_grads(g if deriv is None else g * deriv, vx, vW, vb, x_data, W_data, shapes)
 
     return _make(y, parents, backward)
+
+
+def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """linear(x, W1, b1, gelu=True), then linear(., W2, b2), streamed.
+
+    Whole items along the first of three or more axes (a 2-d ``x`` is one
+    item) go through in row blocks of at most one ``_ERF_CHUNK`` of hidden
+    elements, or one item: fc1 into the block's buffer, GELU in place, fc2
+    into the output's slice. Each item takes the same products as the whole
+    chain, so the values are its bits. The hidden layer is kept at full size
+    only when W2's grad reads it, and GELU's derivative only when the op
+    records; backward runs fc2's grads, then fc1's.
+    """
+    _check_matmul(x.data, W1.data)
+    _check_matmul(W1.data, W2.data)
+    parents = (x, W1, b1, W2, b2)
+    records = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    hidden_shape = x.data.shape[:-1] + W1.data.shape[-1:]
+    n, item = hidden_shape[0], math.prod(hidden_shape[1:])
+    step = max(1, min(n, _ERF_CHUNK // max(1, item)) if x.data.ndim > 2 else n)
+    deriv = np.empty(hidden_shape) if records else None
+    hidden = np.empty(hidden_shape) if records and W2.requires_grad else None
+    block = np.empty((step,) + hidden_shape[1:]) if hidden is None else None
+    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4)]
+    out = np.empty(hidden_shape[:-1] + W2.data.shape[-1:])
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        h = hidden[rows] if block is None else block[: min(step, n - lo)]
+        np.matmul(x.data[rows], W1.data, out=h)
+        h += b1.data
+        _gelu_in_place(h, None if deriv is None else deriv[rows], scratch)
+        np.matmul(h, W2.data, out=out[rows])
+    out += b2.data
+    fc1_shapes = (x.data.shape, W1.data.shape, b1.data.shape)
+    fc2_shapes = (hidden_shape, W2.data.shape, b2.data.shape)
+    h_grad = x.requires_grad or W1.requires_grad or b1.requires_grad  # fc1's grads read it
+    W1_data = W1.data if x.requires_grad else None  # read by x's grad
+    x_data = x.data if W1.requires_grad else None  # read by W1's grad
+    W2_data = W2.data if h_grad else None  # read by the hidden layer's grad
+
+    def backward(g, vx, vW1, vb1, vW2, vb2):
+        vh = Tensor(_NO_DATA, requires_grad=h_grad)  # the hidden layer's vertex
+        _linear_grads(g, vh, vW2, vb2, hidden, W2_data, fc2_shapes)
+        if h_grad:
+            vh.grad *= deriv  # a fresh product, which no tensor holds
+            _linear_grads(vh.grad, vx, vW1, vb1, x_data, W1_data, fc1_shapes)
+
+    return _make(out, parents, backward)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -456,8 +517,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             return
         g_normed = g * gamma_data
         g_xc = g_normed * inv
-        g_var = _unbroadcast(g_normed * xc, inv.shape) * -0.5 * var_eps**-1.5
-        sq_term = g_var * scale * xc
+        g_normed *= xc  # g_normed's buffer then holds g_normed * xc and sq_term
+        g_var = _unbroadcast(g_normed, inv.shape) * -0.5 * var_eps**-1.5
+        sq_term = np.multiply(g_var * scale, xc, out=g_normed)
         g_xc += sq_term  # xc * xc adds into xc twice, one term at a time
         g_xc += sq_term
         _accumulate(vx, g_xc)  # the centred path, then the mean path
@@ -468,22 +530,26 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) -> Tensor:
-    """Multi-head softmax(q @ k^T * scale) @ v over a fused QKV projection.
+    """Multi-head softmax(q @ k^T * scale) @ v.
 
-    ``qkv`` is [B, N, 3*heads*d] and q is its first third. k and v are its
-    other two thirds or, given ``kv = (K, V)``, [heads, L, d] tensors
-    broadcast over the batch. Heads are split and merged as numpy views, and
-    the output is [B, N, heads*d]. The grads of q, k and v reach ``qkv`` as
-    one contribution: a zero-filled buffer that each slot is added into once.
+    Without ``kv``, ``qkv`` is a fused [B, N, 3*heads*d] projection whose
+    thirds are q, k and v. Given ``kv = (K, V)``, [heads, L, d] tensors
+    broadcast over the batch, ``qkv`` is q alone, [B, N, heads*d]. Heads
+    are split and merged as numpy views, and the output is [B, N, heads*d].
+    The grads of ``qkv``'s parts reach it as one contribution: a zero-filled
+    buffer that each part is added into once.
     """
-    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (3 * heads):
-        raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, 3*{heads}*d]")
+    parts = 3 if kv is None else 1
+    if qkv.data.ndim != 3 or qkv.data.shape[-1] % (parts * heads):
+        raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, {parts}*{heads}*d]")
     B, N, width = qkv.data.shape
-    d = width // (3 * heads)
-    q, k, v = qkv.data.reshape(B, N, 3, heads, d).transpose(2, 0, 3, 1, 4)
+    d = width // (parts * heads)
+    q, *k_v = qkv.data.reshape(B, N, parts, heads, d).transpose(2, 0, 3, 1, 4)
     own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
     parents, need_k, need_v = (qkv,), own, own
-    if kv is not None:
+    if kv is None:
+        k, v = k_v
+    else:
         K, V = kv
         if K.data.ndim != 3 or K.shape[::2] != (heads, d) or V.shape != K.shape:
             raise ShapeError(f"attention: K {K.shape} and V {V.shape} must be [{heads}, L, {d}]")
@@ -501,7 +567,7 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     def backward(g, vqkv, vK=None, vV=None):
         g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
         if own:
-            buf = np.zeros((B, N, 3, heads, d))
+            buf = np.zeros((B, N, parts, heads, d))
             slots = buf.transpose(2, 0, 3, 1, 4)
         # v, then q, then k: the order in which the split chain added them
         if need_v:

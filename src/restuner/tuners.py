@@ -1,9 +1,12 @@
 """Residual tuners attached in parallel to frozen backbone operations.
 
-Each tuner maps the operation's input to a same-width delta that is added
-to the operation's output. All four kinds are exactly zero at init (zero
-output projection, or zero prompt embeddings), so a freshly tuned model
-computes the identical function as the frozen one.
+Each tuner reads one input, which its class declares: the input of the
+operation at its slot (``res_attn``, ``adapter``), or the query third of
+its block's fused QKV projection (``prefix``, ``prompt``). It maps that to
+a same-width delta that is added to the operation's output. All four kinds
+are exactly zero at init (zero output projection, or zero prompt
+embeddings), so a freshly tuned model computes the identical function as
+the frozen one.
 """
 
 from __future__ import annotations
@@ -47,14 +50,17 @@ class Tuner(Module):
     """Each subclass is the one definition of its kind: ``kind`` names it in
     configs and checkpoints, ``label`` in the grids. ``Config`` fields with a
     default are its options, each an int or a bool; the rest (``dim``,
-    prefix/prompt ``heads``) come from the backbone. ``delta`` picks its
-    inputs in ``block_forward`` and ``analytic_params`` is its closed-form
-    parameter count.
+    prefix/prompt ``heads``) come from the backbone. ``reads_q`` declares
+    its input: the slot op's input, or with True the query third of its
+    block's fused QKV projection. It is called as ``tuner(input, mha)``, with
+    its block's frozen attention, which only ``prompt`` reads.
+    ``analytic_params`` is its closed-form parameter count.
     """
 
     kind: str
     label: str
     Config: type
+    reads_q = False
 
     @classmethod
     def defaults(cls) -> dict:
@@ -64,11 +70,6 @@ class Tuner(Module):
     def options(self) -> dict:
         """This tuner's option values, as the checkpoint echoes them."""
         return {name: getattr(self.cfg, name) for name in self.defaults()}
-
-    def delta(self, x: Tensor, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
-        """The tuner's output at a slot whose op reads ``x``; ``qkv`` and
-        ``mha`` are the block's fused QKV projection and attention."""
-        return self(x)
 
 
 @dataclass
@@ -104,7 +105,7 @@ class ResAttnTuner(Tuner):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, mha=None) -> Tensor:
         cfg = self.cfg
         return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
 
@@ -143,6 +144,7 @@ class PrefixTuner(Tuner):
     kind = "prefix"
     label = "Res-Pre."
     Config = PrefixTunerConfig
+    reads_q = True
 
     def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator | None):
         self.cfg = cfg
@@ -151,12 +153,9 @@ class PrefixTuner(Tuner):
         self.V = Parameter(trunc_normal(rng, shape))
         self.o = LinearLayer(np.zeros((cfg.dim, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, qkv: Tensor) -> Tensor:
+    def __call__(self, q: Tensor, mha=None) -> Tensor:
         cfg = self.cfg
-        return self.o(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5, kv=(self.K, self.V)))
-
-    def delta(self, x, qkv, mha):
-        return self(qkv)
+        return self.o(T.attention(q, cfg.heads, cfg.head_dim**-0.5, kv=(self.K, self.V)))
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg
@@ -176,12 +175,13 @@ class PromptTuner(Tuner):
     kind = "prompt"
     label = "Res-Pro."
     Config = PrefixTunerConfig
+    reads_q = True
 
     def __init__(self, cfg: PrefixTunerConfig, rng: np.random.Generator | None):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
-    def __call__(self, qkv: Tensor, mha: MultiHeadAttention) -> Tensor:
+    def __call__(self, q: Tensor, mha: MultiHeadAttention) -> Tensor:
         cfg = self.cfg
         dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
         W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
@@ -190,10 +190,7 @@ class PromptTuner(Tuner):
             T.permute(T.reshape(T.linear(self.P, W[:, lo : lo + dim]), split), (1, 0, 2))
             for lo in (dim, 2 * dim)
         )
-        return T.linear(T.attention(qkv, heads, head_dim**-0.5, kv=(K, V)), mha.proj.W)
-
-    def delta(self, x, qkv, mha):
-        return self(qkv, mha)
+        return T.linear(T.attention(q, heads, head_dim**-0.5, kv=(K, V)), mha.proj.W)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         return self.cfg.length * self.cfg.dim
@@ -209,7 +206,7 @@ class AdapterConfig:
 
 
 class AdapterTuner(Tuner):
-    """Parallel bottleneck adapter: down -> GELU (``down``'s epilogue) -> zero-init up."""
+    """Parallel bottleneck adapter: down -> GELU -> zero-init up, one streamed ``ffn``."""
 
     kind = "adapter"
     label = "Res-Ada."
@@ -222,8 +219,8 @@ class AdapterTuner(Tuner):
         )
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.up(self.down(x, gelu=True))
+    def __call__(self, x: Tensor, mha=None) -> Tensor:
+        return T.ffn(x, self.down.W, self.down.b, self.up.W, self.up.b)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg

@@ -7,7 +7,8 @@ computation that a fused op repeats bit for bit. Like the engine's ops,
 each backward closure adds into the parents' vertices it is handed; unlike
 them, it keeps its input tensors. ``composed_*`` are those
 chains; ``split_heads``, ``merge_heads``, ``own_kv`` and ``prompt_kv``
-build attention's K/V the way a tuner or a chain would.
+build attention's K/V the way a tuner or a chain would, and
+``reference_block_forward`` is a block in the order it once ran.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ def erf(x) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), as
-    its own node: the reference for ``linear``'s GELU epilogue. Its backward
-    is the upstream grad times the engine's ``_gelu_grad``."""
+    its own node: the reference for the GELU of ``linear`` and ``ffn``. Its
+    backward is the upstream grad times the engine's ``_gelu_grad``."""
     cdf = 0.5 * (1.0 + erf(a.data / math.sqrt(2.0)))
 
     def backward(g, va):
-        _accumulate(va, g * T._gelu_grad(a.data, cdf))
+        _accumulate(va, g * T._gelu_grad(a.data, cdf, np.empty(cdf.shape)))
 
     return _make(a.data * cdf, (a,), backward)
 
@@ -116,6 +117,11 @@ def composed_linear(x, W, b=None, gelu=False):
 gelu_node = gelu  # ``composed_linear``'s flag shadows the name
 
 
+def composed_ffn(x, W1, b1, W2, b2):
+    """linear, the reference GELU node, linear: the chain ``T.ffn`` streams."""
+    return composed_linear(composed_linear(x, W1, b1, gelu=True), W2, b2)
+
+
 def composed_layer_norm(x, gamma, beta):
     scale = 1.0 / x.shape[-1]  # a mean is a sum times the reciprocal count
     mu = mul_scalar(tensor_sum(x, axis=-1, keepdims=True), scale)
@@ -131,11 +137,12 @@ def composed_attention(q, k, v, scale):
     return matmul(softmax_lastdim(mul_scalar(matmul(q, T.permute(k, axes)), scale)), v)
 
 
-def split_heads(qkv, heads):
-    """[B, N, 3*heads*d] -> q, k, v, each [B, heads, N, d]: reshape, permute, getitem."""
+def split_heads(qkv, heads, parts=3):
+    """[B, N, parts*heads*d] -> each part [B, heads, N, d] (q, k, v by
+    default; q alone with ``parts=1``): reshape, permute, getitem."""
     B, N, width = qkv.shape
-    qkv = T.permute(T.reshape(qkv, (B, N, 3, heads, width // (3 * heads))), (2, 0, 3, 1, 4))
-    return qkv[0], qkv[1], qkv[2]
+    qkv = T.permute(T.reshape(qkv, (B, N, parts, heads, width // (parts * heads))), (2, 0, 3, 1, 4))
+    return tuple(qkv[i] for i in range(parts))
 
 
 def merge_heads(y):
@@ -145,11 +152,18 @@ def merge_heads(y):
 
 
 def composed_mha_attention(qkv, heads, scale, kv=None):
-    """The chain ``T.attention`` fuses: split the heads, attend, merge them."""
-    q, k, v = split_heads(qkv, heads)
-    if kv is not None:
-        k, v = kv
+    """The chain ``T.attention`` fuses: split the heads, attend, merge them.
+    Given ``kv``, ``qkv`` is q alone."""
+    if kv is None:
+        q, k, v = split_heads(qkv, heads)
+    else:
+        (q,), (k, v) = split_heads(qkv, heads, parts=1), kv
     return merge_heads(composed_attention(q, k, v, scale))
+
+
+def q_of(qkv):
+    """The query third of a fused [B, N, 3*D] projection, as a getitem view."""
+    return qkv[..., : qkv.shape[-1] // 3]
 
 
 def own_kv(qkv, heads):
@@ -166,3 +180,29 @@ def prompt_kv(P, W, heads):
         for part in (W[:, :dim], W[:, dim:])
     )
     return K, V
+
+
+def reference_block_forward(model, index, x):
+    """``block_forward`` in the order it once ran: the MLP as the primitive
+    chain, and each tuner's delta computed where it is added, the block
+    tuner's after the FFN. Prefix and prompt tuners read q by kind, not by
+    the class's declaration."""
+    block = model.blocks[index]
+
+    def delta(op, op_input, qkv):
+        tuner = model.tuners[(index, op)]
+        return tuner(q_of(qkv) if tuner.kind in ("prefix", "prompt") else op_input, block.mha)
+
+    h1 = block.norm1(x)
+    mha_out, qkv = block.mha(h1)
+    u = x + mha_out
+    if (index, "mha") in model.tuners:
+        u = u + delta("mha", h1, qkv)
+    h2 = block.norm2(u)
+    mlp = block.mlp
+    y = u + composed_ffn(h2, mlp.fc1.W, mlp.fc1.b, mlp.fc2.W, mlp.fc2.b)
+    if (index, "ffn") in model.tuners:
+        y = y + delta("ffn", h2, qkv)
+    if (index, "block") in model.tuners:
+        y = y + delta("block", x, qkv)
+    return y

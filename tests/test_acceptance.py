@@ -23,7 +23,7 @@ from restuner.tensor import Tensor
 from restuner.training import TrainConfig, grad_check, train
 from restuner.tuners import AttachSpec, attach, count_trainable_params
 
-from test_tuners import fused_qkv, naive_prefix, naive_prompt, naive_res_attn
+from test_tuners import merged_q, naive_prefix, naive_prompt, naive_res_attn
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
                      in_channels=1, num_classes=4, seed=0)
@@ -74,15 +74,15 @@ def test_criterion_2_oracle_equivalence():
         p = PrefixTuner(PrefixTunerConfig(dim, heads, length=L), rng)
         p.o.W.data[...] = rng.normal(size=(dim, dim))
         q = rng.normal(size=(B, heads, N, hd))
-        qkv = Tensor(fused_qkv(q, np.random.default_rng(trial)))
+        q_in = Tensor(merged_q(q))
         exp = naive_prefix(q, p.K.data, p.V.data, p.o.W.data, p.o.b.data)
-        worst = max(worst, float(np.abs(p(qkv).data - exp).max()))
+        worst = max(worst, float(np.abs(p(q_in).data - exp).max()))
 
         mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
         pr = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
         pr.P.data[...] = rng.normal(size=(L, dim))
         exp = naive_prompt(q, pr.P.data, mha.qkv.W.data, mha.proj.W.data)
-        worst = max(worst, float(np.abs(pr(qkv, mha).data - exp).max()))
+        worst = max(worst, float(np.abs(pr(q_in, mha).data - exp).max()))
     verdict(2, "oracle equivalence", worst < 1e-10, f"max_abs={worst:.2e}")
 
 

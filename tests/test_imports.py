@@ -1,5 +1,6 @@
-"""No module imports a name at top level that nothing in it reads, and only
-``restuner.tensor`` touches the autodiff graph's internals."""
+"""No module imports a name at top level that nothing in it reads, only
+``restuner.tensor`` touches the autodiff graph's internals, and
+``backbone.py`` branches on no tuner kind."""
 
 import ast
 from pathlib import Path
@@ -69,6 +70,43 @@ def test_graph_scanner_finds_imports_names_and_attributes():
 @pytest.mark.parametrize("path", OUTSIDE_ENGINE, ids=lambda p: p.name)
 def test_only_the_engine_touches_graph_internals(path):
     assert graph_internals(path.read_text()) == set()
+
+
+def tuner_names(source: str, kinds, classes) -> set:
+    """The tuner class names the module reads, binds or imports, and the
+    string constants in it that are tuner kinds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id in classes:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in classes:
+            found.add(node.attr)
+        elif isinstance(node, ast.alias) and node.name in classes:
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and node.value in kinds:
+            found.add(node.value)
+    return found
+
+
+def test_tuner_scanner_finds_classes_and_kind_strings():
+    source = (
+        "from .tuners import PrefixTuner as P\n"
+        "if t.kind == 'prompt' or isinstance(t, tuners.AdapterTuner):\n    ResAttnTuner\n"
+        "x = 'prefix_len', 'mha'\n"
+    )
+    assert tuner_names(source, {"prompt", "prefix"}, {"PrefixTuner", "AdapterTuner", "ResAttnTuner"}) == {
+        "PrefixTuner", "prompt", "AdapterTuner", "ResAttnTuner"}
+
+
+def test_backbone_branches_on_no_tuner_kind():
+    """``block_forward`` hands each tuner the input its class declares, so
+    per-kind branching stays in ``tuners.py``: ``backbone.py`` names no
+    tuner subclass and no kind string."""
+    from restuner.tuners import TUNERS
+
+    classes = {cls.__name__ for cls in TUNERS.values()}
+    source = (ROOT / "src" / "restuner" / "backbone.py").read_text()
+    assert tuner_names(source, set(TUNERS), classes) == set()
 
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):

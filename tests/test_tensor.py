@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from primitives import (
+    composed_ffn,
     composed_layer_norm,
     composed_linear,
     composed_mha_attention,
@@ -18,6 +19,7 @@ from primitives import (
     mul_scalar,
     own_kv,
     prompt_kv,
+    q_of,
     softmax_lastdim,
     tensor_sum,
     weighted_sum,
@@ -252,20 +254,27 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 )
 def test_gelu_chunk_boundaries_match_composed_expression_bit_for_bit(size):
     """``linear``'s GELU epilogue against the ``gelu(linear(x, W, b))``
-    chain, over outputs of ``size`` elements, with and without a graph."""
+    chain, and ``ffn`` (whose 2-d input is one row block) against
+    ``linear(gelu(linear(...)))``, over hidden layers of ``size`` elements,
+    with and without a graph."""
     rng = np.random.default_rng(size)
     arrays = [rng.normal(scale=2.0, size=(size, 2)), rng.normal(size=(2, 1)), rng.normal(size=1)]
-    g = rng.normal(size=(2 * size, 1))[1::2]  # a non-contiguous upstream grad
-    results = []
-    for build in (_linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b))):
-        with T.no_grad():
-            bare = build(*map(Tensor, arrays)).data
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        out = build(*leaves)
-        _backward_from(out, g)
-        results.append([bare, out.data, *(t.grad for t in leaves)])
-    assert all(_same_bits(f, c) for f, c in zip(*results))
-    assert _same_bits(results[0][0], results[0][1])
+    second = [rng.normal(size=(1, 3)), rng.normal(size=3)]  # ffn's fc2
+    g = rng.normal(size=(2 * size, 3))[1::2]  # a non-contiguous upstream grad
+    for pair, inputs, g in (
+        ((_linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b))), arrays, g[:, :1]),
+        ((T.ffn, composed_ffn), arrays + second, g),
+    ):
+        results = []
+        for build in pair:
+            with T.no_grad():
+                bare = build(*map(Tensor, inputs)).data
+            leaves = [Tensor(a, requires_grad=True) for a in inputs]
+            out = build(*leaves)
+            _backward_from(out, g)
+            results.append([bare, out.data, *(t.grad for t in leaves)])
+        assert all(_same_bits(f, c) for f, c in zip(*results))
+        assert _same_bits(results[0][0], results[0][1])
 
 
 def _gelu_peak_bytes(x: Tensor, W: Tensor) -> tuple[int, int]:
@@ -315,6 +324,82 @@ def test_gelu_epilogue_keeps_only_its_derivative():
         output = weakref.ref(out.data)
         del out, held, arrays, derivs
         assert output() is None
+
+
+def test_ffn_without_grad_streams_its_hidden_layer():
+    """Without a graph ``ffn`` streams its items in row blocks, so the
+    hidden layer is never whole: the peak is the output plus one row block
+    (eight items of 4,096 hidden values, one ``_ERF_CHUNK``) and GELU's four
+    slice-size scratch arrays, give or take numpy's 64 KiB ufunc buffers,
+    against the 2 MiB of the whole hidden layer."""
+    rng = np.random.default_rng(45)
+    # |x / sqrt(2)| <= 1 everywhere, so erf takes no tail path
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(64, 16, 1)), requires_grad=True)
+    params = [Tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((1, 256), (256,), (256, 1), (1,))]
+    scratch = 5 * T._ERF_CHUNK * 8
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = T.ffn(x, *params)
+            return tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    with T.no_grad():
+        peak, out_bytes = peak_bytes()
+    assert out_bytes + scratch <= peak <= out_bytes + scratch + (128 << 10), (peak, out_bytes)
+    # a recording call also keeps GELU's full-size derivative (2 MiB) for its backward
+    peak, out_bytes = peak_bytes()
+    assert peak >= out_bytes + scratch + (2 << 20), (peak, out_bytes)
+
+
+def test_ffn_keeps_only_what_its_grads_read():
+    """A recorded ``ffn`` keeps GELU's derivative, the hidden layer only
+    when W2's grad reads it, and of its inputs only those its grads read:
+    W1 when x needs a grad, x when W1 does, W2 when either does. It never
+    keeps a pre-activation or its output."""
+    rng = np.random.default_rng(47)
+    for x_grad, W1_grad, W2_grad in ((True, False, False), (False, True, True), (False, False, True),
+                                     (True, True, True)):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=x_grad)
+        W1, b1 = (Tensor(rng.normal(size=s), requires_grad=W1_grad) for s in ((4, 5), (5,)))
+        W2, b2 = (Tensor(rng.normal(size=s), requires_grad=W2_grad) for s in ((5, 4), (4,)))
+        out = T.ffn(x, W1, b1, W2, b2)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.ndim > 0]
+        expected = [a for a, keep in ((W1.data, x_grad), (x.data, W1_grad), (W2.data, x_grad or W1_grad))
+                    if keep]
+        saved = [a for a in arrays if not any(a is e for e in expected)]
+        assert len(arrays) == len(expected) + 1 + W2_grad, (x_grad, W1_grad, W2_grad)
+        assert all(a.shape == (2, 3, 5) and not np.shares_memory(a, out.data) for a in saved)
+        output = weakref.ref(out.data)
+        del out, held, arrays, saved
+        assert output() is None
+
+
+@pytest.mark.parametrize("batch", [1, 2, 4, 5])
+def test_ffn_row_blocks_match_the_chain_bit_for_bit(batch):
+    """Items of 3 x 4,096 hidden values stream two to a row block, so the
+    batches span one partial block, one block, two, and two plus a partial
+    one. Values and every grad equal the ``linear(gelu(linear(...)))``
+    chain's bits, with all weights trainable, frozen (an MLP), or with a
+    frozen input (a first tuner)."""
+    rng = np.random.default_rng(48 + batch)
+    arrays = [rng.normal(size=(batch, 3, 4)), rng.normal(scale=0.5, size=(4, 4096)),
+              rng.normal(size=4096), rng.normal(size=(4096, 4)), rng.normal(size=4)]
+    g = rng.normal(size=(batch, 3, 4))
+    for requires in ((True,) * 5, (True, False, False, False, False), (False, True, True, True, True)):
+        results = []
+        for build in (T.ffn, composed_ffn):
+            with T.no_grad():
+                bare = build(*map(Tensor, arrays)).data
+            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+            out = build(*leaves)
+            _backward_from(out, g)
+            results.append([bare, out.data, *(t.grad for t, r in zip(leaves, requires) if r)])
+        assert all(_same_bits(f, c) for f, c in zip(*results)), requires
 
 
 def test_getitem_concat_broadcast_grads():
@@ -449,6 +534,17 @@ FUSED_CASES = {
         _linear_gelu, lambda x, W: gelu(T.linear(x, W)),
         [_R.normal(size=(3, 4)), _R.normal(size=(4, 2))],
     ),
+    # linear, GELU, linear, streamed in row blocks, against the three-node chain
+    "ffn": (
+        T.ffn, composed_ffn,
+        [_R.normal(size=(2, 3, 4)), _R.normal(size=(4, 5)), _R.normal(size=5),
+         _R.normal(size=(5, 4)), _R.normal(size=4)],
+    ),
+    "ffn_2d": (
+        T.ffn, composed_ffn,
+        [_R.normal(size=(3, 4)), _R.normal(size=(4, 2)), _R.normal(size=2),
+         _R.normal(size=(2, 3)), _R.normal(size=3)],
+    ),
     "layer_norm": (
         T.layer_norm, composed_layer_norm,
         [_R.normal(size=(2, 3, 5)), _R.normal(size=5), _R.normal(size=5)],
@@ -465,29 +561,30 @@ FUSED_CASES = {
         lambda x: composed_mha_attention(x, 2, 0.3),
         [_R.normal(size=(2, 3, 24))],
     ),
-    # one input reaches the node twice: as qkv, and as K/V cut from its own thirds
+    # one input reaches the node twice: as q, and as K/V cut from its own thirds
     "attention_one_input": (
-        lambda x: T.attention(x, 2, 0.3, kv=own_kv(x, 2)),
-        lambda x: composed_mha_attention(x, 2, 0.3, kv=own_kv(x, 2)),
+        lambda x: T.attention(q_of(x), 2, 0.3, kv=own_kv(x, 2)),
+        lambda x: composed_mha_attention(q_of(x), 2, 0.3, kv=own_kv(x, 2)),
         [_R.normal(size=(1, 3, 24))],
     ),
-    # prefix: K/V are [heads, L, d] parameters broadcast over the batch
+    # prefix: q alone, and K/V are [heads, L, d] parameters broadcast over the batch
     "attention_prefix_broadcast": (
         lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
         lambda x, k, v: composed_mha_attention(x, 2, 0.3, kv=(k, v)),
-        [_R.normal(size=(3, 4, 24)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
+        [_R.normal(size=(3, 4, 8)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
     ),
     # prompt: K and V both derive from one parameter P
     "attention_prompt_shared": (
         lambda x, P: T.attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
         lambda x, P: composed_mha_attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
-        [_R.normal(size=(3, 4, 24)), _R.normal(size=(5, 8))],
+        [_R.normal(size=(3, 4, 8)), _R.normal(size=(5, 8))],
     ),
-    # a block's MHA and a prefix tuner read one qkv: two attention nodes add into it
+    # a block's MHA and a prefix tuner read one qkv, the tuner through its
+    # own view of q: two attention nodes add into it
     "attention_shared_qkv": (
-        lambda x, k, v: T.attention(x, 2, 0.3) + T.attention(x, 2, 0.3, kv=(k, v)),
+        lambda x, k, v: T.attention(x, 2, 0.3) + T.attention(q_of(x), 2, 0.3, kv=(k, v)),
         lambda x, k, v: (composed_mha_attention(x, 2, 0.3)
-                         + composed_mha_attention(x, 2, 0.3, kv=(k, v))),
+                         + composed_mha_attention(q_of(x), 2, 0.3, kv=(k, v))),
         [_R.normal(size=(2, 3, 24)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
     ),
 }
@@ -559,13 +656,15 @@ def test_fused_ops_record_one_node():
     x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     W, gamma, b = (Tensor(rng.normal(size=s)) for s in ((4, 4), (4,), (4,)))
     qkv = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
+    q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     K, V = (Tensor(rng.normal(size=(2, 5, 2))) for _ in range(2))
     for out, parents in [
         (T.linear(x, W, b), (x, W, b)),
         (_linear_gelu(x, W, b), (x, W, b)),
+        (T.ffn(x, W, b, W, b), (x, W, b, W, b)),
         (T.layer_norm(x, gamma, b), (x, gamma, b)),
         (T.attention(qkv, 2, 0.5), (qkv,)),
-        (T.attention(qkv, 2, 0.5, kv=(K, V)), (qkv, K, V)),
+        (T.attention(q, 2, 0.5, kv=(K, V)), (q, K, V)),
     ]:
         assert out._backward is not None and out._parents == parents
 
@@ -574,10 +673,12 @@ def test_attention_shape_errors():
     for qkv_shape, kv_shape in [
         ((2, 3, 10), None),  # width not 3 * heads * d
         ((2, 3, 4, 6), None),  # not [B, N, width]
-        ((2, 3, 12), ((3, 5, 2), (3, 5, 2))),  # K/V head count
-        ((2, 3, 12), ((2, 5, 3), (2, 5, 3))),  # K/V width
-        ((2, 3, 12), ((2, 5, 2), (2, 6, 2))),  # V not shaped like K
-        ((2, 3, 12), ((2, 2), (2, 2))),  # K/V not [heads, L, d]
+        ((2, 3, 4), ((3, 5, 2), (3, 5, 2))),  # K/V head count
+        ((2, 3, 4), ((2, 5, 3), (2, 5, 3))),  # K/V width
+        ((2, 3, 4), ((2, 5, 2), (2, 6, 2))),  # V not shaped like K
+        ((2, 3, 4), ((2, 2), (2, 2))),  # K/V not [heads, L, d]
+        ((2, 3, 5), ((2, 5, 2), (2, 5, 2))),  # q width not heads * d
+        ((2, 3, 12), ((2, 5, 2), (2, 5, 2))),  # a fused qkv, not q alone, with K/V
     ]:
         kv = None if kv_shape is None else tuple(Tensor(np.zeros(s)) for s in kv_shape)
         with pytest.raises(ShapeError, match="attention"):
@@ -627,17 +728,25 @@ SAVED_CASES = {
     # GELU's epilogue keeps its derivative, not its input or its product
     "gelu": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), False], [(5,), False]], set()),
     "linear_gelu_trainable_W": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), True], [(5,), True]], {0, 1}),
+    # ffn keeps GELU's derivative, not its input, its product or the hidden layer ...
+    "ffn_frozen_W": (
+        T.ffn, [[(2, 3, 4), True], [(4, 5), False], [(5,), False], [(5, 4), False], [(4,), False]], set(),
+    ),
+    # ... and when they train, x (read by W1's grad), W1 (by x's) and W2 (by the hidden layer's)
+    "ffn_trainable_W": (
+        T.ffn, [[(2, 3, 4), True], [(4, 5), True], [(5,), True], [(5, 4), True], [(4,), True]], {0, 1, 3},
+    ),
     "attention_self": (lambda x: T.attention(x, 2, 0.3), [[(2, 3, 24), True]], {0}),
-    # q's grad reads frozen K and V, not qkv
+    # q's grad reads frozen K and V, not q
     "attention_frozen_kv": (
         lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
-        [[(2, 3, 24), True], [(2, 5, 4), False], [(2, 5, 4), False]], set(),
+        [[(2, 3, 8), True], [(2, 5, 4), False], [(2, 5, 4), False]], set(),
     ),
-    # K's grad reads q (of the frozen qkv) and, through the softmax grad, V;
+    # K's grad reads q (which is frozen) and, through the softmax grad, V;
     # V's reads only the probabilities, so nothing reads K
     "attention_trainable_kv": (
         lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
-        [[(2, 3, 24), False], [(2, 5, 4), True], [(2, 5, 4), True]], {2},
+        [[(2, 3, 8), False], [(2, 5, 4), True], [(2, 5, 4), True]], {2},
     ),
     "cross_entropy": (lambda z: cross_entropy(z, np.array([2, 0])), [[(2, 4), True]], set()),
 }

@@ -89,13 +89,11 @@ def naive_prompt(q_backbone, P, w_qkv, w_proj):
     return merged @ w_proj
 
 
-def fused_qkv(q, rng):
-    """A [B, N, 3*dim] projection whose query third holds the per-head ``q``
-    [B, heads, N, d]; the key and value thirds are noise a prefix or prompt
-    tuner must not read."""
+def merged_q(q):
+    """The per-head ``q`` [B, heads, N, d] as the [B, N, heads*d] query a
+    prefix or prompt tuner reads."""
     B, heads, N, hd = q.shape
-    query = q.transpose(0, 2, 1, 3).reshape(B, N, heads * hd)
-    return np.concatenate([query, rng.normal(size=(B, N, 2 * heads * hd))], axis=-1)
+    return q.transpose(0, 2, 1, 3).reshape(B, N, heads * hd)
 
 
 # -- init ---------------------------------------------------------------
@@ -139,12 +137,12 @@ def test_all_tuners_zero_at_init():
     dim, heads = 8, 2
     x = Tensor(rng.normal(size=(2, 3, dim)))
     mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
-    _, qkv = mha(x)
+    q = mha(x)[1][..., :dim]
 
     assert np.abs(ResAttnTuner(ResAttnConfig(dim), rng)(x).data).max() == 0.0
     assert np.abs(AdapterTuner(AdapterConfig(dim), rng)(x).data).max() == 0.0
-    assert np.abs(PrefixTuner(PrefixTunerConfig(dim, heads), rng)(qkv).data).max() == 0.0
-    assert np.abs(PromptTuner(PrefixTunerConfig(dim, heads), rng)(qkv, mha).data).max() == 0.0
+    assert np.abs(PrefixTuner(PrefixTunerConfig(dim, heads), rng)(q).data).max() == 0.0
+    assert np.abs(PromptTuner(PrefixTunerConfig(dim, heads), rng)(q, mha).data).max() == 0.0
 
 
 # -- oracle equivalence -------------------------------------------------
@@ -182,8 +180,7 @@ def test_prefix_matches_loop_oracle(trial):
     t.o.b.data[...] = rng.normal(size=dim)
     q = rng.normal(size=(B, heads, N, hd))
     expected = naive_prefix(q, t.K.data, t.V.data, t.o.W.data, t.o.b.data)
-    qkv = fused_qkv(q, np.random.default_rng(trial))
-    assert np.abs(t(Tensor(qkv)).data - expected).max() < 1e-10
+    assert np.abs(t(Tensor(merged_q(q))).data - expected).max() < 1e-10
 
 
 @pytest.mark.parametrize("trial", range(20))
@@ -198,8 +195,7 @@ def test_prompt_matches_loop_oracle(trial):
     t.P.data[...] = rng.normal(size=(L, dim))
     q = rng.normal(size=(B, heads, N, hd))
     expected = naive_prompt(q, t.P.data, mha.qkv.W.data, mha.proj.W.data)
-    qkv = fused_qkv(q, np.random.default_rng(trial))
-    assert np.abs(t(Tensor(qkv), mha).data - expected).max() < 1e-10
+    assert np.abs(t(Tensor(merged_q(q)), mha).data - expected).max() < 1e-10
 
 
 def test_res_attn_single_token_is_v_through_o():
@@ -218,8 +214,8 @@ def test_prefix_single_kv_ignores_query_values():
     rng = np.random.default_rng(10)
     t = PrefixTuner(PrefixTunerConfig(dim=8, heads=2, length=1), rng)
     t.o.W.data[...] = rng.normal(size=(8, 8))
-    q1 = fused_qkv(rng.normal(size=(1, 2, 3, 4)), rng)
-    q2 = fused_qkv(rng.normal(size=(1, 2, 3, 4)), rng)
+    q1 = merged_q(rng.normal(size=(1, 2, 3, 4)))
+    q2 = merged_q(rng.normal(size=(1, 2, 3, 4)))
     assert np.abs(t(Tensor(q1)).data - t(Tensor(q2)).data).max() < 1e-12
 
 
