@@ -165,18 +165,26 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     slot (the post-norm tensor fed to the MHA or FFN, or the block's raw
     input for the block tuner), or its own view of the query third of this
     block's fused QKV projection. Each tensor is dropped after its last
-    reader: the MHA's input and output once the MHA stage ends, where the
-    block tuner's delta is computed (and later added last), and ``qkv``
-    before the FFN unless the FFN tuner reads q.
+    reader: the MHA's input right after the MHA unless the MHA tuner reads
+    it, else after that tuner; the MHA's output after the residual add;
+    ``qkv`` before the FFN unless the FFN tuner reads q. Where ``qkv``
+    records nothing and a tuner reads q, only a copy of the q third is
+    kept, so k and v die with the backbone attention. The block tuner's
+    delta is computed before the FFN and added last.
     """
     block = model.blocks[index]
-    mha_tuner, ffn_tuner, block_tuner = (model.tuners.get((index, op)) for op in ATTACH_OPS)
+    mha_tuner, ffn_tuner, block_tuner = tuners = [model.tuners.get((index, op)) for op in ATTACH_OPS]
+    dim = x.shape[-1]
 
     def delta(tuner, op_input):
-        return tuner(qkv[..., : x.shape[-1]] if tuner.reads_q else op_input, block.mha)
+        return tuner(qkv[..., :dim] if tuner.reads_q else op_input, block.mha)
 
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)
+    if mha_tuner is None or mha_tuner.reads_q:
+        h1 = None
+    if not qkv.requires_grad and any(t is not None and t.reads_q for t in tuners):
+        qkv = Tensor(np.ascontiguousarray(qkv.data[..., :dim]))
     u = x + mha_out
     del mha_out
     if mha_tuner is not None:

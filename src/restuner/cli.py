@@ -272,7 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _retain_freed_heap()  # a process-wide allocator setting, so only here and not in the library
+    # process-wide settings, so only here and not in the library
+    _retain_freed_heap()
+    # ``numpy.random`` imports ``secrets``, whose ``hmac`` imports ``_hashlib``,
+    # which maps 3.3 MiB of OpenSSL's libcrypto into every command that draws
+    # weights, though restuner hashes nothing. Marked missing, it leaves
+    # ``hashlib`` and ``hmac`` on their builtin digests: ``hashlib.sha256``
+    # still works and ``hmac.compare_digest`` stays constant-time.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

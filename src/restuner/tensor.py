@@ -352,9 +352,16 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
 def getitem(a: Tensor, idx) -> Tensor:
     a_shape = a.data.shape
 
+    basic = all(i is None or i is Ellipsis or isinstance(i, slice)
+                or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+                for i in (idx if isinstance(idx, tuple) else (idx,)))
+
     def backward(g, va):
         buf = np.zeros(a_shape)
-        np.add.at(buf, idx, g)  # an advanced index may select an element twice
+        if basic:  # each element selected at most once: same 0.0 + g values
+            buf[idx] += g
+        else:  # an advanced index may select an element twice
+            np.add.at(buf, idx, g)
         _accumulate(va, buf)
 
     return _make(a.data[idx], (a,), backward)
@@ -535,7 +542,8 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     Without ``kv``, ``qkv`` is a fused [B, N, 3*heads*d] projection whose
     thirds are q, k and v. Given ``kv = (K, V)``, [heads, L, d] tensors
     broadcast over the batch, ``qkv`` is q alone, [B, N, heads*d]. Heads
-    are split and merged as numpy views, and the output is [B, N, heads*d].
+    are split as numpy views, and the value product writes each head
+    straight into its columns of the [B, N, heads*d] output.
     The grads of ``qkv``'s parts reach it as one contribution: a zero-filled
     buffer that each part is added into once.
     """
@@ -559,7 +567,9 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
     probs *= scale
     _softmax(probs, probs)
-    y = (probs @ v).transpose(0, 2, 1, 3).reshape(B, N, heads * d)
+    y = np.empty((B, N, heads, d))
+    np.matmul(probs, v, out=y.transpose(0, 2, 1, 3))  # heads merged without a copy
+    y = y.reshape(B, N, heads * d)
     kt_shape, v_shape = kt.shape, v.shape
     # each grad keeps only what it reads: k's reads q, q's reads k, both read v
     q, kt, v = (q if need_k else None), (kt if own else None), (v if own or need_k else None)

@@ -11,7 +11,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,6 +244,8 @@ def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
     losses and correct counts are added in batch order, so the result does
     not depend on the worker count.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by a command that evaluates
+
     check_dataset(model, dataset)
     n = len(dataset.labels)
     if n == 0:

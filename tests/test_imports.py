@@ -112,7 +112,8 @@ def test_backbone_branches_on_no_tuner_kind():
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):
     """``restuner eval`` loads a checkpoint without drawing a weight it would
     overwrite, so it never imports ``numpy.random`` (whose first generator
-    costs about 5.5 MiB of peak RSS), nor scipy."""
+    costs about 2.4 MiB of peak RSS, and 5.5 MiB while it also mapped
+    OpenSSL), nor scipy."""
     import os
     import subprocess
     import sys
@@ -137,3 +138,42 @@ def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "0 []", out.stdout
+
+
+def test_commands_map_no_openssl_and_only_evaluation_loads_a_thread_pool(tmp_path):
+    """``cli.main`` marks ``_hashlib`` missing, so a command that draws
+    weights maps no OpenSSL, and ``concurrent.futures`` loads only with an
+    evaluation. ``hashlib.sha256`` still gives the standard digest."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "[backbone]\ndim = 8\ndepth = 1\nheads = 2\npatch = 4\nimage = 8\nclasses = 4\n"
+        "[tuner]\nkind = prefix\nop = mha\nblocks = all\n"
+        "[train]\nepochs = 1\nbatch = 16\nlr = 0.01\n"
+        f"[data]\nsize = 16\nsignal = 3.0\ntrain_fraction = 1.0\n[output]\ndir = {tmp_path / 'out'}\n"
+    )
+    out = tmp_path / "out"
+    commands = [
+        ["train", "--config", str(config)],
+        ["count-params", "--config", str(config), "--json"],
+        ["grad-check", "--config", str(config)],
+        ["eval", "--checkpoint", str(out / "model.rtck"), "--data", str(out / "train.rtds")],
+        ["matrix", "--config", str(config)],
+    ]
+    probe = (
+        "import json, sys\nfrom restuner import cli\n"
+        "loaded = lambda: sorted(m for m in ('_hashlib', 'concurrent.futures') if sys.modules.get(m) is not None)\n"
+        f"results = [(cli.main(argv), loaded()) for argv in {commands!r}]\n"
+        "import hashlib\n"
+        "print(json.dumps([results, hashlib.sha256(b'').hexdigest()]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    results, digest = json.loads(run.stdout.splitlines()[-1])
+    # the commands run in one process, in this order, so each list is cumulative
+    assert results == [[0, []], [0, []], [0, []], [0, ["concurrent.futures"]], [0, ["concurrent.futures"]]]
+    assert digest == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"

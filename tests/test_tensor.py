@@ -486,8 +486,11 @@ def test_no_grad_nests_and_restores_on_exception():
     [(slice(1, None), slice(None, None, 2)), (Ellipsis, 0), (None, 1), 2, np.int64(1)],
 )
 def test_getitem_basic_index_grad(idx):
+    """A basic index scatters with ``+=``, and its grad has the bytes of
+    ``np.add.at``'s, a negative zero included."""
     x = Tensor(np.random.default_rng(10).normal(size=(3, 4)), requires_grad=True)
     w = np.random.default_rng(11).normal(size=x.data[idx].shape)
+    w.flat[0] = -0.0
 
     def f(t):
         return weighted_sum(t[idx], w)
@@ -496,7 +499,27 @@ def test_getitem_basic_index_grad(idx):
     assert rel_error(x.grad, finite_diff_grad(f, x)) < 1e-7
     reference = np.zeros_like(x.data)
     np.add.at(reference, idx, w)
-    assert np.array_equal(x.grad, reference)
+    assert x.grad.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "idx, twice, picks",
+    [
+        (np.array([1, 0, 1]), (1,), ((0,), (2,))),
+        ([2, 2], (2,), ((0,), (1,))),
+        ((slice(None), np.array([3, 0, 3])), (slice(None), 3), ((slice(None), 0), (slice(None), 2))),
+    ],
+    ids=["array", "list", "slice_and_array"],
+)
+def test_getitem_advanced_index_repeats_accumulate(idx, twice, picks):
+    """An element an advanced index selects twice takes both grads."""
+    x = Tensor(np.random.default_rng(13).normal(size=(3, 4)), requires_grad=True)
+    w = np.random.default_rng(14).normal(size=x.data[idx].shape)
+    weighted_sum(x[idx], w).backward()
+    reference = np.zeros_like(x.data)
+    np.add.at(reference, idx, w)
+    assert x.grad.tobytes() == reference.tobytes()
+    assert np.array_equal(x.grad[twice], w[picks[0]] + w[picks[1]])
 
 
 def test_getitem_duplicate_fancy_index_accumulates():
