@@ -23,12 +23,18 @@ from .layers import (
     make_linear,
     trunc_normal,
 )
-from .tensor import ShapeError, Tensor, broadcast_to, concat
+from .tensor import ShapeError, Tensor, broadcast_to, concat, is_grad_enabled
 from .tuners import ATTACH_OPS, Tuner, slot_key
 
 
 class ConfigError(ValueError):
     pass
+
+
+# The token rows a forward that records nothing computes in the last block:
+# the class token, which the head reads, and one more, since numpy runs a
+# one-row product as gemv, whose sums differ in the last bit from gemm's.
+HEAD_ROWS = 2
 
 
 @dataclass
@@ -130,8 +136,11 @@ class ModelGraph(Module):
         cls = broadcast_to(self.cls_token, (B, 1, cfg.dim))
         x = concat([cls, x], axis=1)
         x = x + Tensor(self.pos[None, :, :])
+        # The head reads only the class token's row, so a forward that
+        # records nothing has the last block compute just its first rows.
+        rows = None if is_grad_enabled() else HEAD_ROWS
         for i in range(cfg.depth):
-            x = block_forward(self, i, x)
+            x = block_forward(self, i, x, rows if i == cfg.depth - 1 else None)
         x = self.final_norm(x)
         return self.head(x[:, 0, :])
 
@@ -158,8 +167,13 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     return x.reshape(B, gh * gw, C * patch * patch)
 
 
-def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
-    """One pre-norm block with any tuners attached at its slots.
+def _first_rows(t: Tensor, rows: int | None) -> Tensor:
+    return t if rows is None else t[:, :rows]
+
+
+def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = None) -> Tensor:
+    """One pre-norm block with any tuners attached at its slots; given
+    ``rows``, only the first ``rows`` token rows of its output.
 
     Each tuner reads what its class declares: the input of the op at its
     slot (the post-norm tensor fed to the MHA or FFN, or the block's raw
@@ -171,31 +185,44 @@ def block_forward(model: ModelGraph, index: int, x: Tensor) -> Tensor:
     records nothing and a tuner reads q, only a copy of the q third is
     kept, so k and v die with the backbone attention. The block tuner's
     delta is computed before the FFN and added last.
+
+    Given ``rows``, ``norm1`` and the QKV projection still run on every
+    token, whose keys and values the attention reads, but the attention
+    computes only the first ``rows`` queries, and the residuals, ``norm2``,
+    the MLP and each tuner that does not mix tokens see only those rows
+    (prefix and prompt their q rows). A token-mixing tuner reads its whole
+    input and computes those rows. One at the FFN slot reads ``norm2`` of
+    every token, so then the MHA stage runs whole.
     """
     block = model.blocks[index]
     mha_tuner, ffn_tuner, block_tuner = tuners = [model.tuners.get((index, op)) for op in ATTACH_OPS]
     dim = x.shape[-1]
+    mha_rows = None if ffn_tuner is not None and ffn_tuner.mixes_tokens else rows
 
-    def delta(tuner, op_input):
-        return tuner(qkv[..., :dim] if tuner.reads_q else op_input, block.mha)
+    def delta(tuner, op_input, rows):
+        if tuner.reads_q:
+            op_input = qkv[..., :dim]
+        elif tuner.mixes_tokens:
+            return tuner(op_input, block.mha, rows)
+        return tuner(_first_rows(op_input, rows), block.mha)
 
     h1 = block.norm1(x)
-    mha_out, qkv = block.mha(h1)
+    mha_out, qkv = block.mha(h1, mha_rows)
     if mha_tuner is None or mha_tuner.reads_q:
         h1 = None
     if not qkv.requires_grad and any(t is not None and t.reads_q for t in tuners):
-        qkv = Tensor(np.ascontiguousarray(qkv.data[..., :dim]))
-    u = x + mha_out
+        qkv = Tensor(np.ascontiguousarray(qkv.data[:, :mha_rows, :dim]))
+    u = _first_rows(x, mha_rows) + mha_out
     del mha_out
     if mha_tuner is not None:
-        u = u + delta(mha_tuner, h1)
+        u = u + delta(mha_tuner, h1, mha_rows)
     del h1
-    block_delta = None if block_tuner is None else delta(block_tuner, x)
+    block_delta = None if block_tuner is None else delta(block_tuner, x, rows)
     if ffn_tuner is None or not ffn_tuner.reads_q:
         qkv = None
 
     h2 = block.norm2(u)
-    y = u + block.mlp(h2)
+    y = _first_rows(u, rows) + block.mlp(_first_rows(h2, rows))
     if ffn_tuner is not None:
-        y = y + delta(ffn_tuner, h2)
+        y = y + delta(ffn_tuner, h2, rows)
     return y if block_delta is None else y + block_delta

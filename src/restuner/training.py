@@ -261,8 +261,10 @@ def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
 
     # A second batch keeps the other core busy while numpy's elementwise
     # kernels run on one thread. The cap of two bounds memory at two batches
-    # in flight, whatever the core count.
-    workers = min(2, len(os.sched_getaffinity(0)))
+    # in flight, whatever the core count. macOS and Windows have no
+    # ``os.sched_getaffinity``.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(2, cores)
     loss_sum = 0.0
     correct = 0
     # no_grad is a process-wide switch, so it is set once around every worker

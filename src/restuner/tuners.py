@@ -54,13 +54,19 @@ class Tuner(Module):
     its input: the slot op's input, or with True the query third of its
     block's fused QKV projection. It is called as ``tuner(input, mha)``, with
     its block's frozen attention, which only ``prompt`` reads.
-    ``analytic_params`` is its closed-form parameter count.
+    ``mixes_tokens`` declares that a row of its delta reads other tokens'
+    rows of its input (only ``res_attn`` attends over them): such a tuner is
+    called as ``tuner(input, mha, rows)`` and computes the first ``rows``
+    rows of its delta from its whole input, while any other tuner is handed
+    just those rows of its input. ``analytic_params`` is its closed-form
+    parameter count.
     """
 
     kind: str
     label: str
     Config: type
     reads_q = False
+    mixes_tokens = False
 
     @classmethod
     def defaults(cls) -> dict:
@@ -97,6 +103,7 @@ class ResAttnTuner(Tuner):
     kind = "res_attn"
     label = "Res-Attn."
     Config = ResAttnConfig
+    mixes_tokens = True
 
     def __init__(self, cfg: ResAttnConfig, rng: np.random.Generator | None):
         self.cfg = cfg
@@ -105,9 +112,9 @@ class ResAttnTuner(Tuner):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor, mha=None) -> Tensor:
+    def __call__(self, x: Tensor, mha=None, rows: int | None = None) -> Tensor:
         cfg = self.cfg
-        return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
+        return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale, rows=rows))
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg

@@ -151,13 +151,16 @@ def merge_heads(y):
     return T.reshape(T.permute(y, (0, 2, 1, 3)), (B, N, heads * d))
 
 
-def composed_mha_attention(qkv, heads, scale, kv=None):
+def composed_mha_attention(qkv, heads, scale, kv=None, rows=None):
     """The chain ``T.attention`` fuses: split the heads, attend, merge them.
-    Given ``kv``, ``qkv`` is q alone."""
+    Given ``kv``, ``qkv`` is q alone; given ``rows``, a getitem keeps the
+    first ``rows`` queries."""
     if kv is None:
         q, k, v = split_heads(qkv, heads)
     else:
         (q,), (k, v) = split_heads(qkv, heads, parts=1), kv
+    if rows is not None:
+        q = q[:, :, :rows]
     return merge_heads(composed_attention(q, k, v, scale))
 
 
@@ -182,11 +185,12 @@ def prompt_kv(P, W, heads):
     return K, V
 
 
-def reference_block_forward(model, index, x):
+def reference_block_forward(model, index, x, rows=None):
     """``block_forward`` in the order it once ran: the MLP as the primitive
     chain, and each tuner's delta computed where it is added, the block
     tuner's after the FFN. Prefix and prompt tuners read q by kind, not by
-    the class's declaration."""
+    the class's declaration. Every token is computed; given ``rows``, the
+    first ``rows`` of them are returned."""
     block = model.blocks[index]
 
     def delta(op, op_input, qkv):
@@ -205,4 +209,4 @@ def reference_block_forward(model, index, x):
         y = y + delta("ffn", h2, qkv)
     if (index, "block") in model.tuners:
         y = y + delta("block", x, qkv)
-    return y
+    return y if rows is None else y[:, :rows]

@@ -14,7 +14,8 @@ from restuner.backbone import (
     patchify,
     trainable_parameters,
 )
-from restuner.tensor import Tensor, no_grad
+from restuner.layers import MLP
+from restuner.tensor import Tensor, no_grad, rel_error
 from restuner.training import cross_entropy
 from restuner.tuners import ATTACH_OPS, TUNER_KINDS, AttachSpec, attach
 
@@ -234,7 +235,11 @@ def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader(
     backbone attention, drops the MHA output after the residual add and the
     q copy once the block tuner has read it, so the FFN runs without them;
     the FFN streams its hidden layer in row blocks, and the patch tensor
-    dies with the embedding. The traced peak was 9.70 MiB while the MHA's
+    dies with the embedding. The last block keeps every token's norm1
+    output and qkv projection, which its attention reads as keys and
+    values, but computes its queries, MLP and tuners, and copies q, for
+    the first two token rows only; the peak is set by an earlier, whole
+    block, so it stays where it was. The traced peak was 9.70 MiB while the MHA's
     input and output lived until the block returned, 9.17 MiB with only the
     MHA output dropped, 8.64 MiB while fc1's output lived beside GELU's,
     6.76 MiB while the hidden layer was whole, 4.63 MiB while the whole qkv
@@ -257,10 +262,10 @@ def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader(
     assert peak - base <= 4.1 * (1 << 20), peak - base
 
 
-def _randomized(specs):
-    """A toy model with ``specs`` attached and every trainable value drawn,
+def _randomized(specs, cfg=TOY):
+    """A model with ``specs`` attached and every trainable value drawn,
     so that no tuner is silent."""
-    m = build_backbone(TOY)
+    m = build_backbone(cfg)
     attach(m, specs)
     rng = np.random.default_rng(7)
     for _, p in trainable_parameters(m):
@@ -275,10 +280,21 @@ def _step_bits(m, images) -> list:
     return [logits.data.tobytes()] + [p.grad.tobytes() for _, p in trainable_parameters(m)]
 
 
-@pytest.mark.parametrize("slots", [[(op, kind)] for kind in TUNER_KINDS for op in ATTACH_OPS] + [
+# every kind at every slot, and mixes; res_attn@ffn mixes tokens at the FFN
+# slot, so the last block of a forward that records nothing runs its MHA
+# stage whole, and the prefix and adapter beside it read whole inputs
+SLOT_GRID = [[(op, kind)] for kind in TUNER_KINDS for op in ATTACH_OPS] + [
     [("mha", "prefix"), ("ffn", "prompt"), ("block", "prefix")],
     [("mha", "res_attn"), ("ffn", "adapter"), ("block", "prompt")],
-], ids=lambda slots: "+".join(f"{kind}@{op}" for op, kind in slots))
+    [("mha", "prefix"), ("ffn", "res_attn"), ("block", "adapter")],
+]
+
+
+def _slot_ids(slots) -> str:
+    return "+".join(f"{kind}@{op}" for op, kind in slots)
+
+
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
 def test_block_matches_the_reference_block_bit_for_bit(slots, monkeypatch):
     """Every kind at every slot of both blocks (block 1's input, and so its
     qkv, then needs a grad): the block that reads q through a view per
@@ -290,6 +306,63 @@ def test_block_matches_the_reference_block_bit_for_bit(slots, monkeypatch):
     streamed = _step_bits(_randomized(specs), images)
     monkeypatch.setattr(backbone, "block_forward", reference_block_forward)
     assert _step_bits(_randomized(specs), images) == streamed
+
+
+EVAL_MIX = BackboneConfig(dim=64, depth=4, heads=4, patch=4, image_size=16,
+                          in_channels=3, num_classes=10, seed=0)
+
+
+def _forward_both_ways(cfg, slots, batch):
+    """The logits of one forward that records a graph and of one that
+    records nothing, with ``slots`` attached to every block."""
+    m = _randomized([AttachSpec(b, op, kind) for b in range(cfg.depth) for op, kind in slots], cfg)
+    images = Tensor(np.random.default_rng(8).normal(
+        size=(batch, cfg.in_channels, cfg.image_size, cfg.image_size)))
+    recorded = m(images)
+    with no_grad():
+        bare = m(images)
+    assert recorded.requires_grad and not bare.requires_grad
+    assert np.isfinite(recorded.data).all()
+    return recorded.data, bare.data
+
+
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
+@pytest.mark.parametrize("cfg,batch", [(TOY, 2), (EVAL_MIX, 64)], ids=["toy", "eval_mix"])
+def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(cfg, batch, slots):
+    """A forward that records nothing runs its last block on the first two
+    token rows only (its tuners on their rows or, for a token-mixing one,
+    on every token's input), and a recorded one on every row. At the toy
+    and the eval-mix shapes the logits agree bit for bit."""
+    recorded, bare = _forward_both_ways(cfg, slots, batch)
+    assert bare.tobytes() == recorded.tobytes()
+
+
+def test_forward_without_graph_is_within_1e_12_at_vit_tiny_width():
+    """At vit-tiny width OpenBLAS sums some two-row products in another
+    order than the same rows of the whole product: fc2 (K=768) and the
+    d=64 attention scores differ in the last bits, so the logits agree
+    to 1e-12 of their largest magnitude, not bit for bit."""
+    cfg = BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
+                         in_channels=3, num_classes=10, seed=0)
+    for slots in SLOT_GRID:
+        recorded, bare = _forward_both_ways(cfg, slots, 2)
+        assert rel_error(bare, recorded) <= 1e-12, _slot_ids(slots)
+
+
+def test_forward_without_graph_runs_the_last_mlp_on_two_rows(monkeypatch):
+    """Only the last block's MLP is cut to the two rows, and only when the
+    forward records nothing."""
+    seen = []
+    mlp_call = MLP.__call__
+
+    def recording(mlp, x):
+        seen.append(x.shape)
+        return mlp_call(mlp, x)
+
+    monkeypatch.setattr(MLP, "__call__", recording)
+    B, N, D = 64, EVAL_MIX.tokens, EVAL_MIX.dim
+    _forward_both_ways(EVAL_MIX, [("mha", "prefix"), ("ffn", "adapter"), ("block", "prompt")], B)
+    assert seen == [(B, N, D)] * 4 + [(B, N, D)] * 3 + [(B, 2, D)]
 
 
 def _graph(loss) -> list:

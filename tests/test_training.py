@@ -282,6 +282,16 @@ def test_evaluate_equals_serial_loop_and_records_no_graph_in_workers(monkeypatch
     assert T._GRAD_ENABLED  # recording is back on in the caller
 
 
+def test_evaluate_without_an_affinity_mask_counts_the_cpus(monkeypatch):
+    """macOS and Windows have no ``os.sched_getaffinity``; evaluate then
+    sizes its pool from ``os.cpu_count()`` and still equals the serial loop."""
+    m = build_backbone(TOY)
+    attach(m, [AttachSpec(1, "mha", "res_attn", {"rank": 2, "heads": 2})])
+    ds = toy_dataset(size=9)
+    monkeypatch.delattr(training.os, "sched_getaffinity")
+    assert evaluate(m, ds, batch_size=4) == _serial_evaluate(m, ds, 4)
+
+
 def test_evaluate_deterministic_and_empty():
     m = build_backbone(TOY)
     ds = toy_dataset(size=8)
