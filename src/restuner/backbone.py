@@ -31,9 +31,13 @@ class ConfigError(ValueError):
     pass
 
 
-# The token rows a forward that records nothing computes in the last block:
-# the class token, which the head reads, and one more, since numpy runs a
-# one-row product as gemv, whose sums differ in the last bit from gemm's.
+# The token rows a forward that records nothing computes after the last
+# block's attention: the class token, which the head reads, and one more,
+# since numpy runs a one-row product as gemv, whose sums differ in the last
+# bit from gemm's. Whether a two-row product equals those rows of the whole
+# one bit for bit depends on the BLAS kernel and the shapes: it does at the
+# toy and eval-mix shapes on OpenBLAS 0.3.31's Haswell kernels, but at
+# vit-tiny width fc2 (K=768) matches only from seven rows on.
 HEAD_ROWS = 2
 
 
@@ -137,7 +141,7 @@ class ModelGraph(Module):
         x = concat([cls, x], axis=1)
         x = x + Tensor(self.pos[None, :, :])
         # The head reads only the class token's row, so a forward that
-        # records nothing has the last block compute just its first rows.
+        # records nothing has the last block keep just its first rows.
         rows = None if is_grad_enabled() else HEAD_ROWS
         for i in range(cfg.depth):
             x = block_forward(self, i, x, rows if i == cfg.depth - 1 else None)
@@ -186,36 +190,36 @@ def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = N
     kept, so k and v die with the backbone attention. The block tuner's
     delta is computed before the FFN and added last.
 
-    Given ``rows``, ``norm1`` and the QKV projection still run on every
-    token, whose keys and values the attention reads, but the attention
-    computes only the first ``rows`` queries, and the residuals, ``norm2``,
-    the MLP and each tuner that does not mix tokens see only those rows
-    (prefix and prompt their q rows). A token-mixing tuner reads its whole
-    input and computes those rows. One at the FFN slot reads ``norm2`` of
-    every token, so then the MHA stage runs whole.
+    Given ``rows``, the backbone MHA still runs on every token, so its
+    output rows do not depend on the tuners attached. From the residual add
+    on, ``norm2``, the MLP and each tuner that does not mix tokens see only
+    the first ``rows`` rows (prefix and prompt their q rows). A token-mixing
+    tuner reads its whole input and its delta is cut to those rows; one at
+    the FFN slot reads ``norm2`` of every token, so then the residual
+    stream and the MHA tuner stay whole up to ``norm2``.
     """
     block = model.blocks[index]
     mha_tuner, ffn_tuner, block_tuner = tuners = [model.tuners.get((index, op)) for op in ATTACH_OPS]
     dim = x.shape[-1]
-    mha_rows = None if ffn_tuner is not None and ffn_tuner.mixes_tokens else rows
+    u_rows = None if ffn_tuner is not None and ffn_tuner.mixes_tokens else rows
 
     def delta(tuner, op_input, rows):
         if tuner.reads_q:
             op_input = qkv[..., :dim]
-        elif tuner.mixes_tokens:
-            return tuner(op_input, block.mha, rows)
+        if tuner.mixes_tokens:
+            return _first_rows(tuner(op_input, block.mha), rows)
         return tuner(_first_rows(op_input, rows), block.mha)
 
     h1 = block.norm1(x)
-    mha_out, qkv = block.mha(h1, mha_rows)
+    mha_out, qkv = block.mha(h1)
     if mha_tuner is None or mha_tuner.reads_q:
         h1 = None
     if not qkv.requires_grad and any(t is not None and t.reads_q for t in tuners):
-        qkv = Tensor(np.ascontiguousarray(qkv.data[:, :mha_rows, :dim]))
-    u = _first_rows(x, mha_rows) + mha_out
+        qkv = Tensor(np.ascontiguousarray(qkv.data[:, :u_rows, :dim]))
+    u = _first_rows(x, u_rows) + _first_rows(mha_out, u_rows)
     del mha_out
     if mha_tuner is not None:
-        u = u + delta(mha_tuner, h1, mha_rows)
+        u = u + delta(mha_tuner, h1, u_rows)
     del h1
     block_delta = None if block_tuner is None else delta(block_tuner, x, rows)
     if ffn_tuner is None or not ffn_tuner.reads_q:

@@ -164,16 +164,34 @@ def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds, frozen_logits):
     """Check one cell's zero-init identity against ``frozen_logits``, then train it."""
     model = build_backbone(run.backbone)
     attach(model, specs)
-    with no_grad(), quiet_overflow():
-        identity = bool(np.array_equal(model(Tensor(train_ds.images[:2])).data, frozen_logits))
+    identity = bool(np.array_equal(_zero_init_probe(model, train_ds.images), frozen_logits))
     history = train(model, train_ds, run.train, quiet=True)
     final_train = [h for h in history if h["split"] == "train"][-1]["accuracy"]
     acc, _ = evaluate(model, eval_ds) if len(eval_ds) else (float("nan"), 0.0)
     return {"zero_init_identity": identity, "train_accuracy": final_train, "eval_accuracy": acc}
 
 
+def _zero_init_probe(model, images: np.ndarray) -> np.ndarray:
+    """The logits the matrix compares between the frozen backbone and each
+    cell: a forward of the first two images that records nothing."""
+    with no_grad(), quiet_overflow():
+        return model(Tensor(images[:2])).data
+
+
 def _uniform_specs(kind: str, op: str, depth: int) -> list:
     return [AttachSpec(block_index=b, op=op, kind=kind) for b in range(depth)]
+
+
+def _matrix_cells(depth: int):
+    """(grid, key, specs) of every cell: each kind at each slot of every
+    block, then each MHA kind beside each FFN kind."""
+    for kind in TUNER_KINDS:
+        for op in ATTACH_OPS:
+            yield "single", (kind, op), _uniform_specs(kind, op, depth)
+    for mha_kind in TUNER_KINDS:
+        for ffn_kind in TUNER_KINDS:
+            specs = _uniform_specs(mha_kind, "mha", depth) + _uniform_specs(ffn_kind, "ffn", depth)
+            yield "dual", (mha_kind, ffn_kind), specs
 
 
 def cmd_matrix(args) -> int:
@@ -182,18 +200,11 @@ def cmd_matrix(args) -> int:
     train_ds, eval_ds = _load_datasets(run)
     frozen = build_backbone(run.backbone)
     check_dataset(frozen, train_ds)
-    with no_grad(), quiet_overflow():
-        frozen_logits = frozen(Tensor(train_ds.images[:2])).data
-    single = {}
-    dual = {}
-    for kind in TUNER_KINDS:
-        for op in ATTACH_OPS:
-            specs = _uniform_specs(kind, op, depth)
-            single[(kind, op)] = _matrix_cell(run, specs, train_ds, eval_ds, frozen_logits)
-    for mha_kind in TUNER_KINDS:
-        for ffn_kind in TUNER_KINDS:
-            specs = _uniform_specs(mha_kind, "mha", depth) + _uniform_specs(ffn_kind, "ffn", depth)
-            dual[(mha_kind, ffn_kind)] = _matrix_cell(run, specs, train_ds, eval_ds, frozen_logits)
+    frozen_logits = _zero_init_probe(frozen, train_ds.images)
+    grids = {"single": {}, "dual": {}}
+    for grid, key, specs in _matrix_cells(depth):
+        grids[grid][key] = _matrix_cell(run, specs, train_ds, eval_ds, frozen_logits)
+    single, dual = grids["single"], grids["dual"]
 
     print("single-tuner grid (final train accuracy)")
     _print_grid(single, cols=ATTACH_OPS, col_labels=[c.upper() for c in ATTACH_OPS])

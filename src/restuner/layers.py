@@ -124,9 +124,7 @@ class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with a fused QKV projection.
 
     A call returns (output, fused qkv projection): prefix/prompt tuners
-    read its query third, reusing the backbone's query stream. Given
-    ``rows``, the output holds only the first ``rows`` tokens' rows, which
-    still attend over every token; the projection stays whole.
+    read its query third, reusing the backbone's query stream.
     """
 
     def __init__(self, cfg: MHAConfig, rng: np.random.Generator | None, trainable: bool = True):
@@ -134,10 +132,10 @@ class MultiHeadAttention(Module):
         self.qkv = make_linear(rng, cfg.dim, 3 * cfg.dim, bias=cfg.qkv_bias, trainable=trainable)
         self.proj = make_linear(rng, cfg.dim, cfg.dim, bias=True, trainable=trainable)
 
-    def __call__(self, x: Tensor, rows: int | None = None):
+    def __call__(self, x: Tensor):
         cfg = self.cfg
         qkv = self.qkv(x)
-        return self.proj(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5, rows=rows)), qkv
+        return self.proj(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5)), qkv
 
 
 class MLP(Module):

@@ -541,8 +541,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make(out, (x, gamma, beta), backward)
 
 
-def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None,
-              rows: int | None = None) -> Tensor:
+def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) -> Tensor:
     """Multi-head softmax(q @ k^T * scale) @ v.
 
     Without ``kv``, ``qkv`` is a fused [B, N, 3*heads*d] projection whose
@@ -550,12 +549,6 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None,
     broadcast over the batch, ``qkv`` is q alone, [B, N, heads*d]. Heads
     are split as numpy views, and the value product writes each head
     straight into its columns of the [B, N, heads*d] output.
-    Given ``rows``, only the first ``rows`` queries are computed, while the
-    keys and values still come from every token: the output is
-    [B, rows, heads*d], the op keeps only those rows of its probabilities,
-    and q's grad fills only those rows. A computed row may differ from the
-    whole op's in the last bit, since BLAS may order a product's sums by its
-    row count; numpy runs a one-row product as gemv, not gemm.
     The grads of ``qkv``'s parts reach it as one contribution: a zero-filled
     buffer that each part is added into once.
     """
@@ -563,12 +556,8 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None,
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (parts * heads):
         raise ShapeError(f"attention: qkv {qkv.shape} is not [B, N, {parts}*{heads}*d]")
     B, N, width = qkv.data.shape
-    n = N if rows is None else rows
-    if not 1 <= n <= N:
-        raise ShapeError(f"attention: rows {rows} is not in [1, {N}] for qkv {qkv.shape}")
     d = width // (parts * heads)
     q, *k_v = qkv.data.reshape(B, N, parts, heads, d).transpose(2, 0, 3, 1, 4)
-    q = q[:, :, :n]
     own = qkv.requires_grad  # q, and without kv also k and v, are slices of qkv
     parents, need_k, need_v = (qkv,), own, own
     if kv is None:
@@ -583,15 +572,15 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None,
     probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
     probs *= scale
     _softmax(probs, probs)
-    y = np.empty((B, n, heads, d))
+    y = np.empty((B, N, heads, d))
     np.matmul(probs, v, out=y.transpose(0, 2, 1, 3))  # heads merged without a copy
-    y = y.reshape(B, n, heads * d)
+    y = y.reshape(B, N, heads * d)
     kt_shape, v_shape = kt.shape, v.shape
     # each grad keeps only what it reads: k's reads q, q's reads k, both read v
     q, kt, v = (q if need_k else None), (kt if own else None), (v if own or need_k else None)
 
     def backward(g, vqkv, vK=None, vV=None):
-        g = g.reshape(B, n, heads, d).transpose(0, 2, 1, 3)  # undo the merge
+        g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
         if own:
             buf = np.zeros((B, N, parts, heads, d))
             slots = buf.transpose(2, 0, 3, 1, 4)
@@ -606,7 +595,7 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None,
             g_probs = _unbroadcast(g @ v.swapaxes(-1, -2), probs.shape)
             g_scores = _softmax_grad(probs, g_probs) * scale
             if own:
-                slots[0][:, :, :n] += g_scores @ kt.swapaxes(-1, -2)
+                slots[0] += g_scores @ kt.swapaxes(-1, -2)
             if need_k:
                 g_k = _unbroadcast(q.swapaxes(-1, -2) @ g_scores, kt_shape).swapaxes(-1, -2)
                 if vK is None:

@@ -55,11 +55,10 @@ class Tuner(Module):
     block's fused QKV projection. It is called as ``tuner(input, mha)``, with
     its block's frozen attention, which only ``prompt`` reads.
     ``mixes_tokens`` declares that a row of its delta reads other tokens'
-    rows of its input (only ``res_attn`` attends over them): such a tuner is
-    called as ``tuner(input, mha, rows)`` and computes the first ``rows``
-    rows of its delta from its whole input, while any other tuner is handed
-    just those rows of its input. ``analytic_params`` is its closed-form
-    parameter count.
+    rows of its input (only ``res_attn`` attends over them): a block that
+    computes only some token rows hands such a tuner its whole input and
+    keeps those rows of its delta, and any other tuner just those rows of
+    its input. ``analytic_params`` is its closed-form parameter count.
     """
 
     kind: str
@@ -112,9 +111,9 @@ class ResAttnTuner(Tuner):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor, mha=None, rows: int | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mha=None) -> Tensor:
         cfg = self.cfg
-        return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale, rows=rows))
+        return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg

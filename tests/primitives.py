@@ -151,16 +151,13 @@ def merge_heads(y):
     return T.reshape(T.permute(y, (0, 2, 1, 3)), (B, N, heads * d))
 
 
-def composed_mha_attention(qkv, heads, scale, kv=None, rows=None):
+def composed_mha_attention(qkv, heads, scale, kv=None):
     """The chain ``T.attention`` fuses: split the heads, attend, merge them.
-    Given ``kv``, ``qkv`` is q alone; given ``rows``, a getitem keeps the
-    first ``rows`` queries."""
+    Given ``kv``, ``qkv`` is q alone."""
     if kv is None:
         q, k, v = split_heads(qkv, heads)
     else:
         (q,), (k, v) = split_heads(qkv, heads, parts=1), kv
-    if rows is not None:
-        q = q[:, :, :rows]
     return merge_heads(composed_attention(q, k, v, scale))
 
 

@@ -235,11 +235,10 @@ def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader(
     backbone attention, drops the MHA output after the residual add and the
     q copy once the block tuner has read it, so the FFN runs without them;
     the FFN streams its hidden layer in row blocks, and the patch tensor
-    dies with the embedding. The last block keeps every token's norm1
-    output and qkv projection, which its attention reads as keys and
-    values, but computes its queries, MLP and tuners, and copies q, for
-    the first two token rows only; the peak is set by an earlier, whole
-    block, so it stays where it was. The traced peak was 9.70 MiB while the MHA's
+    dies with the embedding. The last block runs its MHA on every token
+    but its residual stream, MLP and tuners, and its q copy, on the first
+    two token rows only; the peak is set by an earlier, whole block, so it
+    stays where it was. The traced peak was 9.70 MiB while the MHA's
     input and output lived until the block returned, 9.17 MiB with only the
     MHA output dropped, 8.64 MiB while fc1's output lived beside GELU's,
     6.76 MiB while the hidden layer was whole, 4.63 MiB while the whole qkv
@@ -281,8 +280,8 @@ def _step_bits(m, images) -> list:
 
 
 # every kind at every slot, and mixes; res_attn@ffn mixes tokens at the FFN
-# slot, so the last block of a forward that records nothing runs its MHA
-# stage whole, and the prefix and adapter beside it read whole inputs
+# slot, so the last block of a forward that records nothing keeps its
+# residual stream whole up to norm2, and the prefix beside it reads every q row
 SLOT_GRID = [[(op, kind)] for kind in TUNER_KINDS for op in ATTACH_OPS] + [
     [("mha", "prefix"), ("ffn", "prompt"), ("block", "prefix")],
     [("mha", "res_attn"), ("ffn", "adapter"), ("block", "prompt")],
@@ -326,27 +325,38 @@ def _forward_both_ways(cfg, slots, batch):
     return recorded.data, bare.data
 
 
+VIT_TINY_WIDTH = BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
+                                in_channels=3, num_classes=10, seed=0)
+SHAPES = {"toy": (TOY, 2), "eval_mix": (EVAL_MIX, 64), "vit_tiny_width": (VIT_TINY_WIDTH, 2)}
+
+
 @pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
-@pytest.mark.parametrize("cfg,batch", [(TOY, 2), (EVAL_MIX, 64)], ids=["toy", "eval_mix"])
-def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(cfg, batch, slots):
-    """A forward that records nothing runs its last block on the first two
-    token rows only (its tuners on their rows or, for a token-mixing one,
-    on every token's input), and a recorded one on every row. At the toy
-    and the eval-mix shapes the logits agree bit for bit."""
+@pytest.mark.parametrize("shape", SHAPES)
+def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, slots):
+    """A forward that records nothing runs its last block's residual
+    stream, MLP and tuners on the first two token rows only, and a recorded
+    one on every row. A two-row product may sum in another order than those
+    rows of the whole product, by BLAS kernel and shape, so on any BLAS the
+    logits agree to 1e-12 of their largest magnitude."""
+    cfg, batch = SHAPES[shape]
+    recorded, bare = _forward_both_ways(cfg, slots, batch)
+    assert rel_error(bare, recorded) <= 1e-12
+
+
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
+@pytest.mark.parametrize("shape", ["toy", "eval_mix"])
+def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, slots):
+    """At the toy and eval-mix shapes the two forwards' logits agree bit for
+    bit on OpenBLAS 0.3.31's Haswell kernels, where every two-row product
+    there equals those rows of the whole one; the eval JSON relies on it to
+    match a recorded forward. This depends on the BLAS kernel: on another
+    one this test may fail while the 1e-12 test above holds, which is an
+    output change in the last bits, not a wrong forward (README, Memory).
+    At vit-tiny width it fails on that OpenBLAS too: fc2 (K=768) matches
+    the whole product's rows only from seven rows on."""
+    cfg, batch = SHAPES[shape]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert bare.tobytes() == recorded.tobytes()
-
-
-def test_forward_without_graph_is_within_1e_12_at_vit_tiny_width():
-    """At vit-tiny width OpenBLAS sums some two-row products in another
-    order than the same rows of the whole product: fc2 (K=768) and the
-    d=64 attention scores differ in the last bits, so the logits agree
-    to 1e-12 of their largest magnitude, not bit for bit."""
-    cfg = BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
-                         in_channels=3, num_classes=10, seed=0)
-    for slots in SLOT_GRID:
-        recorded, bare = _forward_both_ways(cfg, slots, 2)
-        assert rel_error(bare, recorded) <= 1e-12, _slot_ids(slots)
 
 
 def test_forward_without_graph_runs_the_last_mlp_on_two_rows(monkeypatch):

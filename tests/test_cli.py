@@ -14,7 +14,7 @@ from restuner.config import ConfigError, load_run_config, parse_sections
 from restuner.data_io import (
     Dataset, DatasetSpec, save_binary_dataset, save_checkpoint, synth_dataset,
 )
-from restuner.tuners import TUNERS
+from restuner.tuners import TUNERS, attach
 
 TOY_CONFIG = """
 # toy run
@@ -282,6 +282,27 @@ def test_cmd_grad_check_prints_no_overflow_warning(config_path, capsys):
     captured = capsys.readouterr()
     assert re.fullmatch(_NOT_FLOAT32, captured.err), captured.err
     assert captured.out == ""
+
+
+def test_matrix_zero_init_identity_holds_at_vit_tiny_width():
+    """The matrix compares each zero-init cell's probe logits with the
+    frozen backbone's by bytes, so the backbone must run the same products
+    whichever tuners are attached. At vit-tiny width (head dim 64) a
+    two-row attention differs from those rows of the whole one in the last
+    bits, so a forward whose last attention ran two rows for the frozen
+    model but every row beside a token-mixing FFN tuner failed the check
+    for a correct model."""
+    cfg = BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
+                         in_channels=3, num_classes=10, seed=0)
+    images = np.random.default_rng(3).normal(size=(2, 3, 32, 32))
+    frozen = cli._zero_init_probe(build_backbone(cfg), images).tobytes()
+    failed = []
+    for grid, key, specs in cli._matrix_cells(cfg.depth):
+        model = build_backbone(cfg)
+        attach(model, specs)
+        if cli._zero_init_probe(model, images).tobytes() != frozen:
+            failed.append((grid, key))
+    assert failed == []
 
 
 def test_cmd_matrix_smoke(tmp_path, capsys, monkeypatch):

@@ -584,12 +584,6 @@ FUSED_CASES = {
         lambda x: composed_mha_attention(x, 2, 0.3),
         [_R.normal(size=(2, 3, 24))],
     ),
-    # only the first rows queries, over every token's keys and values
-    **{f"attention_self_rows{rows}": (
-        lambda x, rows=rows: T.attention(x, 2, 0.3, rows=rows),
-        lambda x, rows=rows: composed_mha_attention(x, 2, 0.3, rows=rows),
-        [_R.normal(size=(2, 3, 24))],
-    ) for rows in (1, 2, 3)},
     # one input reaches the node twice: as q, and as K/V cut from its own thirds
     "attention_one_input": (
         lambda x: T.attention(q_of(x), 2, 0.3, kv=own_kv(x, 2)),
@@ -712,19 +706,6 @@ def test_attention_shape_errors():
         kv = None if kv_shape is None else tuple(Tensor(np.zeros(s)) for s in kv_shape)
         with pytest.raises(ShapeError, match="attention"):
             T.attention(Tensor(np.zeros(qkv_shape)), 2, 1.0, kv=kv)
-    for rows in (0, -1, 4):  # rows outside [1, N]
-        with pytest.raises(ShapeError, match="rows"):
-            T.attention(Tensor(np.zeros((2, 3, 12))), 2, 1.0, rows=rows)
-
-
-@pytest.mark.parametrize("rows", [1, 2, 3])
-def test_attention_keeps_only_its_rows_of_the_probabilities(rows):
-    """The probabilities a recorded attention keeps for backward are
-    [B, heads, rows, N]: one row per computed query."""
-    out = T.attention(Tensor(_R.normal(size=(2, 3, 24)), requires_grad=True), 2, 0.3, rows=rows)
-    cells = dict(zip(out._backward.__code__.co_freevars, out._backward.__closure__))
-    assert out.shape == (2, rows, 8)
-    assert cells["probs"].cell_contents.shape == (2, 2, rows, 3)
 
 
 @pytest.mark.parametrize("second_use", ["mul", "getitem"])
@@ -779,8 +760,6 @@ SAVED_CASES = {
         T.ffn, [[(2, 3, 4), True], [(4, 5), True], [(5,), True], [(5, 4), True], [(4,), True]], {0, 1, 3},
     ),
     "attention_self": (lambda x: T.attention(x, 2, 0.3), [[(2, 3, 24), True]], {0}),
-    # q's rows, k and v are all views of the one input
-    "attention_self_rows": (lambda x: T.attention(x, 2, 0.3, rows=1), [[(2, 3, 24), True]], {0}),
     # q's grad reads frozen K and V, not q
     "attention_frozen_kv": (
         lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
