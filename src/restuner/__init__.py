@@ -1,7 +1,7 @@
 """Residual tuners on a frozen transformer backbone, with verified numerics."""
 
 from .tensor import Tensor, finite_diff_grad, rel_error
-from .layers import LayerNorm, LinearLayer, MHAConfig, MLP, MultiHeadAttention, Parameter
+from .layers import LayerNorm, LinearLayer, MLP, MultiHeadAttention, Parameter
 from .backbone import BackboneConfig, ModelGraph, build_backbone, trainable_parameters
 from .tuners import (
     AdapterConfig,

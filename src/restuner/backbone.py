@@ -14,7 +14,6 @@ import numpy as np
 
 from .layers import (
     LayerNorm,
-    MHAConfig,
     Module,
     MultiHeadAttention,
     MLP,
@@ -78,14 +77,13 @@ class BackboneConfig:
 
 
 class Block(Module):
-    """Pre-norm transformer block: x + MHA(n1(x)), then u + FFN(n2(u)). Built frozen."""
+    """Pre-norm transformer block: x + MHA(n1(x)), then u + FFN(n2(u))."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None):
-        mha_cfg = MHAConfig(cfg.dim, cfg.heads, qkv_bias=cfg.qkv_bias)
-        self.norm1 = LayerNorm(cfg.dim, trainable=False)
-        self.mha = MultiHeadAttention(mha_cfg, rng, trainable=False)
-        self.norm2 = LayerNorm(cfg.dim, trainable=False)
-        self.mlp = MLP(cfg.dim, rng, ratio=cfg.mlp_ratio, trainable=False)
+        self.norm1 = LayerNorm(cfg.dim)
+        self.mha = MultiHeadAttention(cfg.dim, cfg.heads, rng, qkv_bias=cfg.qkv_bias)
+        self.norm2 = LayerNorm(cfg.dim)
+        self.mlp = MLP(cfg.dim, rng, ratio=cfg.mlp_ratio)
 
 
 def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
@@ -105,20 +103,22 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
 
 class ModelGraph(Module):
     """Backbone + attached tuners + classifier head, with the weights drawn
-    from ``rng`` (zeros given None). The backbone is built frozen, so its
-    parameters never allocate a grad buffer; only the head is trainable
-    until tuners are attached."""
+    from ``rng`` (zeros given None). The backbone is frozen here, the one
+    place that decides it, so its parameters never allocate a grad buffer;
+    only the head is trainable until tuners are attached."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None):
+        self.tuners: dict[tuple[int, str], Tuner] = {}  # first: ``parameters`` walks it
         self.cfg = cfg
         patch_dim = cfg.in_channels * cfg.patch * cfg.patch
-        self.patch_embed = make_linear(rng, patch_dim, cfg.dim, trainable=False)
-        self.cls_token = Parameter(trunc_normal(rng, (1, 1, cfg.dim)), trainable=False)
+        self.patch_embed = make_linear(rng, patch_dim, cfg.dim)
+        self.cls_token = Parameter(trunc_normal(rng, (1, 1, cfg.dim)))
         self.pos = sinusoidal_positions(cfg.tokens, cfg.dim)  # fixed, not a Parameter
         self.blocks = [Block(cfg, rng) for _ in range(cfg.depth)]
-        self.final_norm = LayerNorm(cfg.dim, trainable=False)
+        self.final_norm = LayerNorm(cfg.dim)
+        for p in self.parameters():
+            p.requires_grad = False
         self.head = make_linear(rng, cfg.dim, cfg.num_classes)
-        self.tuners: dict[tuple[int, str], Tuner] = {}
         self.training = False  # True while ``train`` runs; perfbench's tracer reads it
 
     # tuners is a plain dict, so extend the attribute walk
@@ -130,7 +130,7 @@ class ModelGraph(Module):
     def __call__(self, images: Tensor) -> Tensor:
         """Patch-embed -> blocks -> final norm -> class token -> head logits."""
         cfg = self.cfg
-        data = images.data if isinstance(images, Tensor) else np.asarray(images, dtype=np.float64)
+        data = images.data
         if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"

@@ -167,7 +167,7 @@ def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds, frozen_logits):
     identity = bool(np.array_equal(_zero_init_probe(model, train_ds.images), frozen_logits))
     history = train(model, train_ds, run.train, quiet=True)
     final_train = [h for h in history if h["split"] == "train"][-1]["accuracy"]
-    acc, _ = evaluate(model, eval_ds) if len(eval_ds) else (float("nan"), 0.0)
+    acc = evaluate(model, eval_ds)[0] if len(eval_ds) else None  # JSON null: no eval split
     return {"zero_init_identity": identity, "train_accuracy": final_train, "eval_accuracy": acc}
 
 
@@ -218,7 +218,7 @@ def cmd_matrix(args) -> int:
         "dual": {f"{a}+{b}": v for (a, b), v in dual.items()},
     }
     with open(out / "matrix.json", "w") as f:
-        json.dump(payload, f, indent=2)
+        json.dump(payload, f, indent=2, allow_nan=False)
     print(f"grids written to {out / 'matrix.json'}")
     ok = all(v["zero_init_identity"] for v in [*single.values(), *dual.values()])
     return 0 if ok else 1

@@ -20,12 +20,12 @@ from .tuners import TUNERS, AttachSpec
 class DataSection:
     source: str = "synthetic"
     path: str = ""
-    size: int = 128
+    size: int = DatasetSpec.size
     train_fraction: float = 0.75
-    seed: int = 0
-    signal: float = 1.0
-    noise: float = 0.1
-    rotation_deg: float = 90.0
+    seed: int = DatasetSpec.seed
+    signal: float = DatasetSpec.signal
+    noise: float = DatasetSpec.noise
+    rotation_deg: float = DatasetSpec.rotation_deg
     task: str = "a"
 
     def __post_init__(self):

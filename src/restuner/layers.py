@@ -2,13 +2,13 @@
 
 A parameter is trainable exactly when it requires grad, so a frozen
 backbone and its trainable tuners can live in one graph; only trainable
-parameters receive grads.
+parameters receive grads. Every layer builds trainable: the model that
+owns a layer decides whether to freeze it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,12 @@ from .tensor import Tensor, layer_norm
 
 
 class Parameter(Tensor):
-    """Model tensor, trainable (``requires_grad``) unless built frozen."""
+    """Model tensor, built trainable (``requires_grad``)."""
 
     __slots__ = ()
 
-    def __init__(self, data, trainable: bool = True):
-        super().__init__(data, requires_grad=trainable)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -80,44 +80,27 @@ def kaiming_uniform(rng: np.random.Generator | None, d_in: int, d_out: int) -> n
 class LinearLayer(Module):
     """y = x @ W (+ b). W is [d_in, d_out]."""
 
-    def __init__(self, W: np.ndarray, b=None, trainable: bool = True):
-        self.W = Parameter(W, trainable=trainable)
-        self.b = Parameter(b, trainable=trainable) if b is not None else None
+    def __init__(self, W: np.ndarray, b=None):
+        self.W = Parameter(W)
+        self.b = Parameter(b) if b is not None else None
 
     def __call__(self, x: Tensor, gelu: bool = False) -> Tensor:
         return T.linear(x, self.W, self.b, gelu=gelu)
 
 
-def make_linear(
-    rng: np.random.Generator | None, d_in: int, d_out: int, bias: bool = True, trainable: bool = True
-) -> LinearLayer:
+def make_linear(rng: np.random.Generator | None, d_in: int, d_out: int, bias: bool = True) -> LinearLayer:
     W = trunc_normal(rng, (d_in, d_out))
     b = np.zeros(d_out) if bias else None
-    return LinearLayer(W, b, trainable=trainable)
+    return LinearLayer(W, b)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, trainable: bool = True):
-        self.gamma = Parameter(np.ones(dim), trainable=trainable)
-        self.beta = Parameter(np.zeros(dim), trainable=trainable)
+    def __init__(self, dim: int):
+        self.gamma = Parameter(np.ones(dim))
+        self.beta = Parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
-
-
-@dataclass
-class MHAConfig:
-    dim: int
-    heads: int
-    qkv_bias: bool = True
-
-    def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
 
 
 class MultiHeadAttention(Module):
@@ -127,15 +110,17 @@ class MultiHeadAttention(Module):
     read its query third, reusing the backbone's query stream.
     """
 
-    def __init__(self, cfg: MHAConfig, rng: np.random.Generator | None, trainable: bool = True):
-        self.cfg = cfg
-        self.qkv = make_linear(rng, cfg.dim, 3 * cfg.dim, bias=cfg.qkv_bias, trainable=trainable)
-        self.proj = make_linear(rng, cfg.dim, cfg.dim, bias=True, trainable=trainable)
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None, qkv_bias: bool = True):
+        if dim % heads != 0:
+            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+        self.heads = heads
+        self.scale = (dim // heads) ** -0.5
+        self.qkv = make_linear(rng, dim, 3 * dim, bias=qkv_bias)
+        self.proj = make_linear(rng, dim, dim, bias=True)
 
     def __call__(self, x: Tensor):
-        cfg = self.cfg
         qkv = self.qkv(x)
-        return self.proj(T.attention(qkv, cfg.heads, cfg.head_dim**-0.5)), qkv
+        return self.proj(T.attention(qkv, self.heads, self.scale)), qkv
 
 
 class MLP(Module):
@@ -147,10 +132,10 @@ class MLP(Module):
     streams the hidden layer in row blocks.
     """
 
-    def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4, trainable: bool = True):
+    def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4):
         hidden = ratio * dim
-        self.fc1 = make_linear(rng, dim, hidden, trainable=trainable)
-        self.fc2 = make_linear(rng, hidden, dim, trainable=trainable)
+        self.fc1 = make_linear(rng, dim, hidden)
+        self.fc2 = make_linear(rng, hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.requires_grad:

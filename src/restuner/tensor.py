@@ -355,18 +355,17 @@ def permute(a: Tensor, axes: tuple) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    """A basic index (ints, slices, None, Ellipsis) selects each element at
+    most once, so the grad scatters with ``+=``; an advanced index is refused."""
+    for i in idx if isinstance(idx, tuple) else (idx,):
+        if not (i is None or i is Ellipsis or isinstance(i, slice)
+                or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))):
+            raise ShapeError(f"getitem takes basic indices only, got {type(i).__name__}")
     a_shape = a.data.shape
-
-    basic = all(i is None or i is Ellipsis or isinstance(i, slice)
-                or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
-                for i in (idx if isinstance(idx, tuple) else (idx,)))
 
     def backward(g, va):
         buf = np.zeros(a_shape)
-        if basic:  # each element selected at most once: same 0.0 + g values
-            buf[idx] += g
-        else:  # an advanced index may select an element twice
-            np.add.at(buf, idx, g)
+        buf[idx] += g
         _accumulate(va, buf)
 
     return _make(a.data[idx], (a,), backward)

@@ -59,7 +59,7 @@ def test_criterion_2_oracle_equivalence():
         dim = heads * hd
         B, L = int(rng.integers(1, 3)), int(rng.integers(1, 5))
 
-        from restuner.layers import MHAConfig, MultiHeadAttention
+        from restuner.layers import MultiHeadAttention
         from restuner.tuners import (
             PrefixTuner, PrefixTunerConfig, PromptTuner,
             ResAttnConfig, ResAttnTuner,
@@ -78,7 +78,7 @@ def test_criterion_2_oracle_equivalence():
         exp = naive_prefix(q, p.K.data, p.V.data, p.o.W.data, p.o.b.data)
         worst = max(worst, float(np.abs(p(q_in).data - exp).max()))
 
-        mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
+        mha = MultiHeadAttention(dim, heads, rng)
         pr = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
         pr.P.data[...] = rng.normal(size=(L, dim))
         exp = naive_prompt(q, pr.P.data, mha.qkv.W.data, mha.proj.W.data)

@@ -319,6 +319,30 @@ def test_cmd_matrix_smoke(tmp_path, capsys, monkeypatch):
     assert len(payload["single"]) == 12
     assert len(payload["dual"]) == 16
     assert all(v["zero_init_identity"] for v in payload["single"].values())
+    assert all(isinstance(v["eval_accuracy"], float) for v in payload["single"].values())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_cmd_matrix_without_an_eval_split_writes_strict_json(tmp_path):
+    """With ``train_fraction = 1.0`` there is no eval split, so each cell's
+    ``eval_accuracy`` is ``null``: a strict parser, one that refuses
+    ``NaN`` and ``Infinity``, reads the file."""
+    path = tmp_path / "m.cfg"
+    path.write_text(
+        "[backbone]\ndim = 8\ndepth = 1\nheads = 2\npatch = 4\nimage = 8\nclasses = 4\n"
+        "[train]\nepochs = 1\nbatch = 16\nlr = 0.01\n"
+        "[data]\nsize = 16\nsignal = 3.0\ntrain_fraction = 1.0\n"
+        f"[output]\ndir = {tmp_path / 'mx'}\n"
+    )
+    assert main(["matrix", "--config", str(path)]) == 0
+    payload = json.loads((tmp_path / "mx" / "matrix.json").read_text(), parse_constant=_refuse_constant)
+    cells = [*payload["single"].values(), *payload["dual"].values()]
+    assert len(cells) == 28
+    assert all(cell["eval_accuracy"] is None for cell in cells)
+    assert all(0.0 <= cell["train_accuracy"] <= 1.0 for cell in cells)
 
 
 _TUNER_CONFIG = (

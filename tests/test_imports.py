@@ -1,6 +1,7 @@
 """No module imports a name at top level that nothing in it reads, only
-``restuner.tensor`` touches the autodiff graph's internals, and
-``backbone.py`` branches on no tuner kind."""
+``restuner.tensor`` touches the autodiff graph's internals,
+``backbone.py`` branches on no tuner kind, and ``backbone.py`` alone
+decides that the backbone is frozen."""
 
 import ast
 from pathlib import Path
@@ -44,8 +45,9 @@ def test_no_unused_top_level_import(path):
 
 
 GRAPH_INTERNALS = {"_make", "_accumulate", "_vertex"}
+PACKAGE = sorted((ROOT / "src" / "restuner").glob("*.py"))
 # every package module but the engine, ``__init__.py`` included
-OUTSIDE_ENGINE = [p for p in sorted((ROOT / "src" / "restuner").glob("*.py")) if p.name != "tensor.py"]
+OUTSIDE_ENGINE = [p for p in PACKAGE if p.name != "tensor.py"]
 
 
 def graph_internals(source: str) -> set:
@@ -107,6 +109,48 @@ def test_backbone_branches_on_no_tuner_kind():
     classes = {cls.__name__ for cls in TUNERS.values()}
     source = (ROOT / "src" / "restuner" / "backbone.py").read_text()
     assert tuner_names(source, set(TUNERS), classes) == set()
+
+
+def freeze_decisions(source: str) -> list[str]:
+    """Where the module decides what trains: each function that takes a
+    ``trainable`` parameter, and each assignment of ``False`` to a
+    ``.requires_grad`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            if "trainable" in params:
+                found.append(f"{getattr(node, 'name', 'lambda')}(trainable)")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if isinstance(node.value, ast.Constant) and node.value.value is False:
+                found += ["requires_grad = False" for t in targets
+                          if isinstance(t, ast.Attribute) and t.attr == "requires_grad"]
+    return found
+
+
+def test_freeze_scanner_finds_trainable_parameters_and_false_assignments():
+    source = (
+        "def f(x, *, trainable=True):\n    pass\n"
+        "class L:\n    def __init__(self, dim, trainable: bool = True):\n        pass\n"
+        "g = lambda trainable: trainable\n"
+        "p.requires_grad = q.requires_grad = False\n"
+        "p.requires_grad = True\np.requires_grad = flag\nrequires_grad = False\n"
+        "def h(x, freeze=False):\n    return Tensor(x, requires_grad=False)\n"
+    )
+    assert sorted(freeze_decisions(source)) == [
+        "__init__(trainable)", "f(trainable)", "lambda(trainable)",
+        "requires_grad = False", "requires_grad = False",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_model_freezes_its_backbone(path):
+    """No layer takes a ``trainable`` flag: every parameter builds
+    trainable, and ``ModelGraph`` freezes the backbone in one loop."""
+    expected = ["requires_grad = False"] if path.name == "backbone.py" else []
+    assert freeze_decisions(path.read_text()) == expected
 
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):

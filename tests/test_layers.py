@@ -7,7 +7,6 @@ from primitives import gelu, mul, tensor_sum, weighted_sum
 from restuner import tensor as T
 from restuner.layers import (
     LinearLayer,
-    MHAConfig,
     MLP,
     MultiHeadAttention,
     Parameter,
@@ -99,8 +98,7 @@ def test_gelu_values():
 def test_mha_matches_loop_oracle(heads):
     rng = np.random.default_rng(heads)
     dim = 8
-    cfg = MHAConfig(dim=dim, heads=heads)
-    mha = MultiHeadAttention(cfg, rng)
+    mha = MultiHeadAttention(dim, heads, rng)
     x = rng.normal(size=(2, 3, dim))
     y, qkv = mha(Tensor(x))
     expected = naive_attention(
@@ -118,7 +116,7 @@ def test_mha_random_shape_sweep():
                 rng = np.random.default_rng(100 + trial)
                 trial += 1
                 dim = 8
-                mha = MultiHeadAttention(MHAConfig(dim=dim, heads=heads), rng)
+                mha = MultiHeadAttention(dim, heads, rng)
                 x = rng.normal(size=(B, N, dim))
                 y, _ = mha(Tensor(x))
                 expected = naive_attention(
@@ -130,7 +128,7 @@ def test_mha_random_shape_sweep():
 def test_mha_single_token_is_value_path():
     rng = np.random.default_rng(1)
     dim = 8
-    mha = MultiHeadAttention(MHAConfig(dim=dim, heads=2), rng)
+    mha = MultiHeadAttention(dim, 2, rng)
     x = rng.normal(size=(2, 1, dim))
     y, _ = mha(Tensor(x))
     v = x @ mha.qkv.W.data[:, 2 * dim :] + mha.qkv.b.data[2 * dim :]
@@ -141,7 +139,7 @@ def test_mha_single_token_is_value_path():
 def test_mha_zero_query_key_mean_pools_values():
     rng = np.random.default_rng(2)
     dim = 8
-    mha = MultiHeadAttention(MHAConfig(dim=dim, heads=2), rng)
+    mha = MultiHeadAttention(dim, 2, rng)
     mha.qkv.W.data[:, : 2 * dim] = 0.0
     mha.qkv.b.data[: 2 * dim] = 0.0
     x = rng.normal(size=(1, 5, dim))
@@ -154,7 +152,7 @@ def test_mha_zero_query_key_mean_pools_values():
 
 def test_mha_eval_repeat_bit_identical():
     rng = np.random.default_rng(3)
-    mha = MultiHeadAttention(MHAConfig(dim=8, heads=2), rng)
+    mha = MultiHeadAttention(8, 2, rng)
     x = Tensor(rng.normal(size=(2, 4, 8)))
     y1, _ = mha(x)
     y2, _ = mha(x)
@@ -196,8 +194,8 @@ def test_mlp_grad_check():
 
 
 def test_mha_config_validation():
-    with pytest.raises(ValueError):
-        MHAConfig(dim=7, heads=2)
+    with pytest.raises(ValueError, match="dim 7 not divisible by heads 2"):
+        MultiHeadAttention(7, 2, None)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 192), (192, 576), (768, 192), (7,), (3, 5)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from restuner.backbone import BackboneConfig, build_backbone
-from restuner.layers import MHAConfig, MultiHeadAttention
+from restuner.layers import MultiHeadAttention
 from restuner.tensor import Tensor
 from restuner.tuners import (
     AdapterConfig,
@@ -136,7 +136,7 @@ def test_all_tuners_zero_at_init():
     rng = np.random.default_rng(2)
     dim, heads = 8, 2
     x = Tensor(rng.normal(size=(2, 3, dim)))
-    mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
+    mha = MultiHeadAttention(dim, heads, rng)
     q = mha(x)[1][..., :dim]
 
     assert np.abs(ResAttnTuner(ResAttnConfig(dim), rng)(x).data).max() == 0.0
@@ -190,7 +190,7 @@ def test_prompt_matches_loop_oracle(trial):
     hd = int(rng.integers(2, 5))
     dim = heads * hd
     B, N, L = int(rng.integers(1, 3)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
-    mha = MultiHeadAttention(MHAConfig(dim, heads), rng)
+    mha = MultiHeadAttention(dim, heads, rng)
     t = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
     t.P.data[...] = rng.normal(size=(L, dim))
     q = rng.normal(size=(B, heads, N, hd))
