@@ -33,10 +33,10 @@ class ConfigError(ValueError):
 # The token rows a forward that records nothing computes after the last
 # block's attention: the class token, which the head reads, and one more,
 # since numpy runs a one-row product as gemv, whose sums differ in the last
-# bit from gemm's. Whether a two-row product equals those rows of the whole
-# one bit for bit depends on the BLAS kernel and the shapes: it does at the
-# toy and eval-mix shapes on OpenBLAS 0.3.31's Haswell kernels, but at
-# vit-tiny width fc2 (K=768) matches only from seven rows on.
+# bit from gemm's. A two-row product equals those rows of the whole one bit
+# for bit at the toy and eval-mix shapes on numpy's bundled OpenBLAS 0.3.31
+# (its SkylakeX, Haswell and Sandybridge cores), but not on every BLAS, and
+# at vit-tiny width fc2 (K=768) matches only from seven rows on.
 HEAD_ROWS = 2
 
 

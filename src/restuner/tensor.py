@@ -206,21 +206,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def _gelu_in_place(y: np.ndarray, deriv: np.ndarray | None, scratch: list | None = None) -> None:
     """Overwrite the C-contiguous ``y`` with GELU, x * Phi(x) with Phi(x) =
-    0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time in
-    four slice-size ``scratch`` arrays, and write GELU's derivative into
-    ``deriv``, shaped like ``y``, unless it is None."""
-    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(4)]
+    0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time, and
+    write GELU's derivative into ``deriv``, shaped like ``y``, unless it is
+    None; erf's first scratch array is then the derivative's slice."""
+    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(4 if deriv is None else 3)]
     flat = y.reshape(-1)
     dflat = None if deriv is None else deriv.reshape(-1)
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo : lo + _ERF_CHUNK]
-        zs, ns, ds, c = (buf[: xs.size] for buf in scratch)
+        ns, ds, c, *zs = (buf[: xs.size] for buf in scratch)
+        zs = zs[0] if dflat is None else dflat[lo : lo + xs.size]
         np.divide(xs, math.sqrt(2.0), out=c)
         _erf_chunk(c, zs, ns, ds)
         c += 1.0
         c *= 0.5
-        if dflat is not None:  # reads x, so before x goes; built in place, numpy skips the copy
-            dflat[lo : lo + xs.size] = _gelu_grad(xs, c, dflat[lo : lo + xs.size])
+        if dflat is not None:  # reads x, so before x goes; zs is this slice of the derivative
+            _gelu_grad(xs, c, zs)
         xs *= c
 
 
@@ -407,7 +408,9 @@ def _softmax(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+    """y * (g - sum(g * y)) over the last axis, written into the caller's ``g``."""
+    g -= (g * y).sum(axis=-1, keepdims=True)
+    return np.multiply(g, y, out=g)
 
 
 # -- fused ops ----------------------------------------------------------
@@ -471,7 +474,7 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     deriv = np.empty(hidden_shape) if records else None
     hidden = np.empty(hidden_shape) if records and W2.requires_grad else None
     block = np.empty((step,) + hidden_shape[1:]) if hidden is None else None
-    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4)]
+    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4 if deriv is None else 3)]
     out = np.empty(hidden_shape[:-1] + W2.data.shape[-1:])
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
@@ -592,7 +595,8 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
                 _accumulate(vV, _unbroadcast(g_v, v_shape))
         if own or need_k:
             g_probs = _unbroadcast(g @ v.swapaxes(-1, -2), probs.shape)
-            g_scores = _softmax_grad(probs, g_probs) * scale
+            g_scores = _softmax_grad(probs, g_probs)  # both in the fresh product
+            g_scores *= scale
             if own:
                 slots[0] += g_scores @ kt.swapaxes(-1, -2)
             if need_k:

@@ -112,13 +112,14 @@ class AdamW(Optimizer):
         return {"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)}
 
     def _update(self, name, p, lr):
-        cfg = self.cfg
-        st = self.state[name]
-        t = self.step_count
-        st["m"] = cfg.beta1 * st["m"] + (1 - cfg.beta1) * p.grad
-        st["v"] = cfg.beta2 * st["v"] + (1 - cfg.beta2) * p.grad**2
-        m_hat = st["m"] / (1 - cfg.beta1**t)
-        v_hat = st["v"] / (1 - cfg.beta2**t)
+        cfg, t = self.cfg, self.step_count
+        m, v = self.state[name]["m"], self.state[name]["v"]
+        m *= cfg.beta1
+        m += (1 - cfg.beta1) * p.grad
+        v *= cfg.beta2
+        v += (1 - cfg.beta2) * p.grad**2
+        m_hat = m / (1 - cfg.beta1**t)
+        v_hat = v / (1 - cfg.beta2**t)
         p.data -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + cfg.weight_decay * p.data)
 
 
@@ -214,16 +215,16 @@ def train(
 def _train_step(model, opt, images, labels, smoothing: float, lr: float, where: str):
     """One optimizer step -> (loss value, correct count).
 
-    Its graph lives only in this frame, so it is freed before the next forward.
-    A non-finite loss raises DivergenceError naming ``where`` before any update;
-    that error, not numpy's overflow warnings, reports a diverging run.
+    Its graph lives only in this frame, and the last step's grads go before its
+    forward. A non-finite loss raises DivergenceError naming ``where`` before any
+    update; that error, not numpy's overflow warnings, reports a diverging run.
     """
     with quiet_overflow():
+        opt.zero_grad()
         logits = model(Tensor(images))
         loss = cross_entropy(logits, labels, smoothing)
         if not math.isfinite(loss.item()):
             raise DivergenceError(f"training diverged: loss is {loss.item()} at {where}")
-        opt.zero_grad()
         loss.backward()
         opt.step(lr)
     return loss.item(), int((logits.data.argmax(axis=-1) == labels).sum())

@@ -8,7 +8,9 @@ each backward closure adds into the parents' vertices it is handed; unlike
 them, it keeps its input tensors. ``composed_*`` are those
 chains; ``split_heads``, ``merge_heads``, ``own_kv`` and ``prompt_kv``
 build attention's K/V the way a tuner or a chain would, and
-``reference_block_forward`` is a block in the order it once ran.
+``reference_block_forward`` is a block in the order it once ran, and
+``reference_optimizer_step`` an optimizer update that allocates every
+array it returns.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     y = T._softmax(a.data, np.empty(a.data.shape))
 
     def backward(g, va):
-        _accumulate(va, T._softmax_grad(y, g))
+        _accumulate(va, T._softmax_grad(y, g.copy()))
 
     return _make(y, (a,), backward)
 
@@ -207,3 +209,16 @@ def reference_block_forward(model, index, x, rows=None):
     if (index, "block") in model.tuners:
         y = y + delta("block", x, qkv)
     return y if rows is None else y[:, :rows]
+
+
+def reference_optimizer_step(cfg, t: int, lr: float, p, g, state: dict, eps: float = 1e-8):
+    """One SGD or AdamW update (by ``cfg.optimizer``) at step ``t``, written
+    out of place: returns the new parameter and state as fresh arrays."""
+    if cfg.optimizer == "sgd":
+        v = cfg.momentum * state["v"] + (g + cfg.weight_decay * p)
+        return p - lr * v, {"v": v}
+    m = cfg.beta1 * state["m"] + (1 - cfg.beta1) * g
+    v = cfg.beta2 * state["v"] + (1 - cfg.beta2) * g**2
+    m_hat = m / (1 - cfg.beta1**t)
+    v_hat = v / (1 - cfg.beta2**t)
+    return p - lr * (m_hat / (np.sqrt(v_hat) + eps) + cfg.weight_decay * p), {"m": m, "v": v}

@@ -16,7 +16,7 @@ from restuner.backbone import (
 )
 from restuner.layers import MLP
 from restuner.tensor import Tensor, no_grad, rel_error
-from restuner.training import cross_entropy
+from restuner.training import TrainConfig, _train_step, cross_entropy, make_optimizer
 from restuner.tuners import ATTACH_OPS, TUNER_KINDS, AttachSpec, attach
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
@@ -228,6 +228,40 @@ def test_vit_tiny_backward_keeps_grads_only_on_leaves():
     assert all(p.grad is not None for _, p in trainable_parameters(m))
 
 
+def test_vit_tiny_train_step_holds_its_graph_and_one_steps_grads():
+    """A whole train-vit optimizer step, the third after two warm ones. It
+    drops the last step's grads before its forward, so no trainable
+    parameter holds a grad while the forward runs, and AdamW updates its
+    moments in their own buffers. The step's traced peak above the warm
+    state is its graph, its grads and the grads in flight: 15.01 MiB while
+    the last step's grads lived through the forward and backward, and
+    14.47 MiB now; 15.9 MiB is the bound."""
+    m, images = _vit_tiny_res_attn()
+    opt = make_optimizer(m, TrainConfig(weight_decay=0.01))
+    moments = {name: (st["m"], st["v"]) for name, st in opt.state.items()}
+    grads_at_forward = []
+
+    def model(x):
+        grads_at_forward.append([name for name, p in opt.params if p.grad is not None])
+        return m(x)
+
+    tracemalloc.start()  # before the warm steps, so their grads and moments are traced
+    try:
+        for step in range(2):
+            _train_step(model, opt, images, np.array([3]), 0.0, 1e-3, f"step {step}")
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _train_step(model, opt, images, np.array([3]), 0.0, 1e-3, "step 2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads_at_forward == [[], [], []]
+    assert all(st["m"] is moments[name][0] and st["v"] is moments[name][1]
+               for name, st in opt.state.items())
+    assert peak - base <= 15.9 * (1 << 20), peak - base
+
+
 def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader():
     """One no-grad B=64 forward at the benchmark's eval-mix shape. Each block
     drops its first norm's output right after the MHA (its prefix tuner
@@ -347,7 +381,8 @@ def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, sl
 @pytest.mark.parametrize("shape", ["toy", "eval_mix"])
 def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, slots):
     """At the toy and eval-mix shapes the two forwards' logits agree bit for
-    bit on OpenBLAS 0.3.31's Haswell kernels, where every two-row product
+    bit on numpy's bundled OpenBLAS 0.3.31 (a DYNAMIC_ARCH build) on its
+    SkylakeX, Haswell and Sandybridge cores, where every two-row product
     there equals those rows of the whole one; the eval JSON relies on it to
     match a recorded forward. This depends on the BLAS kernel: on another
     one this test may fail while the 1e-12 test above holds, which is an

@@ -8,7 +8,7 @@ import pytest
 
 import restuner.tensor as T
 import restuner.training as training
-from primitives import mul, tensor_sum
+from primitives import mul, reference_optimizer_step, tensor_sum
 from restuner.backbone import BackboneConfig, build_backbone
 from restuner.data_io import DatasetSpec, synth_dataset
 from restuner.tensor import GradientError, Tensor, finite_diff_grad, rel_error
@@ -20,6 +20,7 @@ from restuner.training import (
     cross_entropy,
     evaluate,
     grad_check,
+    lr_at,
     train,
 )
 from restuner.tuners import AttachSpec, attach
@@ -91,6 +92,34 @@ def test_adamw_first_step_magnitude():
     opt.step(lr=0.01)
     expected = 1.0 - 0.01 * (0.3 / (0.3 + AdamW.eps))
     assert abs(p.data[0] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_optimizer_updates_in_place_to_the_out_of_place_bytes(optimizer):
+    """Five steps with weight decay and a cosine schedule, over grads and
+    parameters with signed zeros, give the parameters and moments of the
+    out-of-place reference byte for byte, and every moment stays in the
+    buffer it started in."""
+    rng = np.random.default_rng(48)
+    cfg = TrainConfig(optimizer=optimizer, lr=0.05, weight_decay=0.1, momentum=0.8)
+    params = [(f"p{i}", _param(rng.normal(size=s))) for i, s in enumerate([(3, 4), (5,), (2,)])]
+    params[1][1].data[:2] = [0.0, -0.0]
+    opt = AdamW(params, cfg) if optimizer == "adamw" else SGD(params, cfg)
+    buffers = {name: dict(st) for name, st in opt.state.items()}
+    ref = {name: (p.data.copy(), {k: b.copy() for k, b in st.items()}) for (name, p), st in
+           zip(params, opt.state.values())}
+    for t in range(1, 6):
+        lr = lr_at(cfg, t - 1, 5)
+        for name, p in params:
+            p.grad = rng.normal(size=p.data.shape)
+            p.grad.reshape(-1)[:2] = [-0.0, 0.0]
+            ref[name] = reference_optimizer_step(cfg, t, lr, ref[name][0], p.grad, ref[name][1])
+        opt.step(lr)
+    for name, p in params:
+        ref_p, ref_state = ref[name]
+        assert p.data.tobytes() == ref_p.tobytes(), name
+        for k, b in opt.state[name].items():
+            assert b.tobytes() == ref_state[k].tobytes() and b is buffers[name][k], (name, k)
 
 
 def test_step_names_a_parameter_the_loss_never_reached():
