@@ -33,10 +33,13 @@ class ConfigError(ValueError):
 # The token rows a forward that records nothing computes after the last
 # block's attention: the class token, which the head reads, and one more,
 # since numpy runs a one-row product as gemv, whose sums differ in the last
-# bit from gemm's. A two-row product equals those rows of the whole one bit
-# for bit at the toy and eval-mix shapes on numpy's bundled OpenBLAS 0.3.31
-# (its SkylakeX, Haswell and Sandybridge cores), but not on every BLAS, and
-# at vit-tiny width fc2 (K=768) matches only from seven rows on.
+# bit from gemm's. Whether a two-row product equals those rows of the whole
+# one depends on the BLAS core (README, Memory; tests/test_kernels.py). On
+# numpy's bundled OpenBLAS 0.3.31 the logits agree bit for bit at the toy
+# and eval-mix shapes on its SkylakeX, Haswell and Sandybridge cores; on
+# Katmai a q reader's two-row attention at eval-mix's shape differs in the
+# last bits. At vit-tiny width on SkylakeX, fc2 (K=768) matches the whole
+# product's rows only from seven rows on.
 HEAD_ROWS = 2
 
 

@@ -189,9 +189,9 @@ def test_vit_tiny_res_attn_step_records_155_nodes():
 
 def test_vit_tiny_forward_graph_holds_only_saved_arrays():
     """The train-vit step's graph keeps the arrays its backward passes read,
-    not its op outputs: 33.8 MiB while every recorded output held its array,
-    18.1 MiB while each GELU kept its input and Phi(x), 13.5 MiB now that it
-    keeps only its derivative, and 16 MiB is the bound."""
+    not its op outputs, and each GELU keeps only its derivative: 13.5 MiB.
+    The 16 MiB bound fails a graph that keeps each GELU's input and Phi(x)
+    (18.1 MiB) or every recorded output's array (33.8 MiB)."""
     m, images = _vit_tiny_res_attn()
     gc.collect()
     tracemalloc.start()
@@ -207,10 +207,10 @@ def test_vit_tiny_forward_graph_holds_only_saved_arrays():
 
 def test_vit_tiny_backward_keeps_grads_only_on_leaves():
     """Backward releases each op output's grad once its op has used it, so
-    the train-vit step's memory stays its forward graph. Backward's traced
-    peak above the forward was 57% of the forward's bytes while every op
-    output kept its grad, and is 11% (the grads in flight, 1.5 MiB over a
-    13.5 MiB graph); 15% lies between."""
+    the train-vit step's memory stays its forward graph: backward's traced
+    peak above the forward is the grads in flight, 11% of the forward's
+    bytes (1.5 MiB over a 13.5 MiB graph). The 15% bound fails a backward
+    whose op outputs keep their grads (57%)."""
     m, images = _vit_tiny_res_attn()
     gc.collect()
     tracemalloc.start()
@@ -233,9 +233,10 @@ def test_vit_tiny_train_step_holds_its_graph_and_one_steps_grads():
     drops the last step's grads before its forward, so no trainable
     parameter holds a grad while the forward runs, and AdamW updates its
     moments in their own buffers. The step's traced peak above the warm
-    state is its graph, its grads and the grads in flight: 15.01 MiB while
-    the last step's grads lived through the forward and backward, and
-    14.47 MiB now; 15.9 MiB is the bound."""
+    state is its graph, its grads and the grads in flight, 14.5 MiB. The
+    15.9 MiB bound leaves room for allocator noise but not for a second
+    graph; the grads-at-forward and moment-identity checks catch a held
+    step's grads and reallocated moments, which cost about 0.5 MiB."""
     m, images = _vit_tiny_res_attn()
     opt = make_optimizer(m, TrainConfig(weight_decay=0.01))
     moments = {name: (st["m"], st["v"]) for name, st in opt.state.items()}
@@ -271,12 +272,11 @@ def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader(
     the FFN streams its hidden layer in row blocks, and the patch tensor
     dies with the embedding. The last block runs its MHA on every token
     but its residual stream, MLP and tuners, and its q copy, on the first
-    two token rows only; the peak is set by an earlier, whole block, so it
-    stays where it was. The traced peak was 9.70 MiB while the MHA's
-    input and output lived until the block returned, 9.17 MiB with only the
-    MHA output dropped, 8.64 MiB while fc1's output lived beside GELU's,
-    6.76 MiB while the hidden layer was whole, 4.63 MiB while the whole qkv
-    and the norm's output lived through the tuners, and is 3.93 MiB now."""
+    two token rows only, so an earlier, whole block sets the peak: 3.9 MiB
+    traced. The 4.1 MiB bound leaves less headroom than one [64, 17, 64]
+    tensor (0.53 MiB), so a block-width tensor that outlives its last
+    reader at the peak fails it, as does a whole qkv (1.6 MiB) or a whole
+    hidden layer (2.1 MiB)."""
     m = build_backbone(BackboneConfig(dim=64, depth=4, heads=4, patch=4, image_size=16,
                                       in_channels=3, num_classes=10, seed=0))
     attach(m, [AttachSpec(b, op, kind, options) for b in range(4) for op, kind, options in (
@@ -381,14 +381,17 @@ def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, sl
 @pytest.mark.parametrize("shape", ["toy", "eval_mix"])
 def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, slots):
     """At the toy and eval-mix shapes the two forwards' logits agree bit for
-    bit on numpy's bundled OpenBLAS 0.3.31 (a DYNAMIC_ARCH build) on its
-    SkylakeX, Haswell and Sandybridge cores, where every two-row product
-    there equals those rows of the whole one; the eval JSON relies on it to
-    match a recorded forward. This depends on the BLAS kernel: on another
-    one this test may fail while the 1e-12 test above holds, which is an
-    output change in the last bits, not a wrong forward (README, Memory).
-    At vit-tiny width it fails on that OpenBLAS too: fc2 (K=768) matches
-    the whole product's rows only from seven rows on."""
+    bit, so the eval JSON matches a recorded forward. This holds per BLAS
+    kernel (README, Memory; ``tests/test_kernels.py`` forces each core). On
+    numpy's bundled OpenBLAS 0.3.31 it holds on the SkylakeX, Haswell and
+    Sandybridge cores. On the Katmai core (``OPENBLAS_CORETYPE=Prescott``)
+    7 eval-mix cases fail: each single-slot prefix or prompt case and
+    prefix@mha+prompt@ffn+prefix@block, whose last-block q reader's
+    two-row attention sums in another order. The 1e-12 test above holds
+    there, so that is an output change in the last bits, not a wrong
+    forward. At vit-tiny width it is not claimed: on SkylakeX fc2 (K=768)
+    matches the whole product's rows only from seven rows on, and 14 of the
+    15 cases differ, 4 on Katmai."""
     cfg, batch = SHAPES[shape]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert bare.tobytes() == recorded.tobytes()

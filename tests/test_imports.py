@@ -155,9 +155,8 @@ def test_only_the_model_freezes_its_backbone(path):
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):
     """``restuner eval`` loads a checkpoint without drawing a weight it would
-    overwrite, so it never imports ``numpy.random`` (whose first generator
-    costs about 2.4 MiB of peak RSS, and 5.5 MiB while it also mapped
-    OpenSSL), nor scipy."""
+    overwrite, so it never imports ``numpy.random``, whose first generator
+    adds to the command's peak RSS, nor scipy."""
     import os
     import subprocess
     import sys
