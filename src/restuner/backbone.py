@@ -30,16 +30,9 @@ class ConfigError(ValueError):
     pass
 
 
-# The token rows a forward that records nothing computes after the last
-# block's attention: the class token, which the head reads, and one more,
-# since numpy runs a one-row product as gemv, whose sums differ in the last
-# bit from gemm's. Whether a two-row product equals those rows of the whole
-# one depends on the BLAS core (README, Memory; tests/test_kernels.py). On
-# numpy's bundled OpenBLAS 0.3.31 the logits agree bit for bit at the toy
-# and eval-mix shapes on its SkylakeX, Haswell and Sandybridge cores; on
-# Katmai a q reader's two-row attention at eval-mix's shape differs in the
-# last bits. At vit-tiny width on SkylakeX, fc2 (K=768) matches the whole
-# product's rows only from seven rows on.
+# The token rows of the last block's MLP in a forward that records nothing:
+# the class token, which the head reads, and one more, since numpy runs a
+# one-row product as gemv, whose sums differ in the last bit from gemm's.
 HEAD_ROWS = 2
 
 
@@ -193,43 +186,35 @@ def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = N
     kept, so k and v die with the backbone attention. The block tuner's
     delta is computed before the FFN and added last.
 
-    Given ``rows``, the backbone MHA still runs on every token, so its
-    output rows do not depend on the tuners attached. From the residual add
-    on, ``norm2``, the MLP and each tuner that does not mix tokens see only
-    the first ``rows`` rows (prefix and prompt their q rows). A token-mixing
-    tuner reads its whole input and its delta is cut to those rows; one at
-    the FFN slot reads ``norm2`` of every token, so then the residual
-    stream and the MHA tuner stay whole up to ``norm2``.
+    Given ``rows``, every op but the MLP still runs on every token, so each
+    tuner reads its whole input; the MLP reads the first ``rows`` rows of
+    ``norm2``, and only those rows of the residual stream and of each
+    tuner's delta are added to its output.
     """
     block = model.blocks[index]
     mha_tuner, ffn_tuner, block_tuner = tuners = [model.tuners.get((index, op)) for op in ATTACH_OPS]
     dim = x.shape[-1]
-    u_rows = None if ffn_tuner is not None and ffn_tuner.mixes_tokens else rows
 
-    def delta(tuner, op_input, rows):
-        if tuner.reads_q:
-            op_input = qkv[..., :dim]
-        if tuner.mixes_tokens:
-            return _first_rows(tuner(op_input, block.mha), rows)
-        return tuner(_first_rows(op_input, rows), block.mha)
+    def delta(tuner, op_input):
+        return tuner(qkv[..., :dim] if tuner.reads_q else op_input, block.mha)
 
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)
     if mha_tuner is None or mha_tuner.reads_q:
         h1 = None
     if not qkv.requires_grad and any(t is not None and t.reads_q for t in tuners):
-        qkv = Tensor(np.ascontiguousarray(qkv.data[:, :u_rows, :dim]))
-    u = _first_rows(x, u_rows) + _first_rows(mha_out, u_rows)
+        qkv = Tensor(np.ascontiguousarray(qkv.data[..., :dim]))
+    u = x + mha_out
     del mha_out
     if mha_tuner is not None:
-        u = u + delta(mha_tuner, h1, u_rows)
+        u = u + delta(mha_tuner, h1)
     del h1
-    block_delta = None if block_tuner is None else delta(block_tuner, x, rows)
+    block_delta = None if block_tuner is None else _first_rows(delta(block_tuner, x), rows)
     if ffn_tuner is None or not ffn_tuner.reads_q:
         qkv = None
 
     h2 = block.norm2(u)
     y = _first_rows(u, rows) + block.mlp(_first_rows(h2, rows))
     if ffn_tuner is not None:
-        y = y + delta(ffn_tuner, h2, rows)
+        y = y + _first_rows(delta(ffn_tuner, h2), rows)
     return y if block_delta is None else y + block_delta

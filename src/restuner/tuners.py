@@ -54,18 +54,13 @@ class Tuner(Module):
     its input: the slot op's input, or with True the query third of its
     block's fused QKV projection. It is called as ``tuner(input, mha)``, with
     its block's frozen attention, which only ``prompt`` reads.
-    ``mixes_tokens`` declares that a row of its delta reads other tokens'
-    rows of its input (only ``res_attn`` attends over them): a block that
-    computes only some token rows hands such a tuner its whole input and
-    keeps those rows of its delta, and any other tuner just those rows of
-    its input. ``analytic_params`` is its closed-form parameter count.
+    ``analytic_params`` is its closed-form parameter count.
     """
 
     kind: str
     label: str
     Config: type
     reads_q = False
-    mixes_tokens = False
 
     @classmethod
     def defaults(cls) -> dict:
@@ -102,7 +97,6 @@ class ResAttnTuner(Tuner):
     kind = "res_attn"
     label = "Res-Attn."
     Config = ResAttnConfig
-    mixes_tokens = True
 
     def __init__(self, cfg: ResAttnConfig, rng: np.random.Generator | None):
         self.cfg = cfg

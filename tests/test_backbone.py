@@ -8,6 +8,7 @@ import pytest
 from primitives import reference_block_forward
 from restuner import backbone
 from restuner.backbone import (
+    HEAD_ROWS,
     BackboneConfig,
     ConfigError,
     build_backbone,
@@ -17,7 +18,7 @@ from restuner.backbone import (
 from restuner.layers import MLP
 from restuner.tensor import Tensor, no_grad, rel_error
 from restuner.training import TrainConfig, _train_step, cross_entropy, make_optimizer
-from restuner.tuners import ATTACH_OPS, TUNER_KINDS, AttachSpec, attach
+from restuner.tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachSpec, attach
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
                      in_channels=1, num_classes=4, seed=0)
@@ -270,9 +271,8 @@ def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader(
     backbone attention, drops the MHA output after the residual add and the
     q copy once the block tuner has read it, so the FFN runs without them;
     the FFN streams its hidden layer in row blocks, and the patch tensor
-    dies with the embedding. The last block runs its MHA on every token
-    but its residual stream, MLP and tuners, and its q copy, on the first
-    two token rows only, so an earlier, whole block sets the peak: 3.9 MiB
+    dies with the embedding. The last block runs its MLP on the first two
+    token rows only, so an earlier, whole block sets the peak: 3.9 MiB
     traced. The 4.1 MiB bound leaves less headroom than one [64, 17, 64]
     tensor (0.53 MiB), so a block-width tensor that outlives its last
     reader at the peak fails it, as does a whole qkv (1.6 MiB) or a whole
@@ -313,9 +313,7 @@ def _step_bits(m, images) -> list:
     return [logits.data.tobytes()] + [p.grad.tobytes() for _, p in trainable_parameters(m)]
 
 
-# every kind at every slot, and mixes; res_attn@ffn mixes tokens at the FFN
-# slot, so the last block of a forward that records nothing keeps its
-# residual stream whole up to norm2, and the prefix beside it reads every q row
+# every kind at every slot, and three mixes of kinds
 SLOT_GRID = [[(op, kind)] for kind in TUNER_KINDS for op in ATTACH_OPS] + [
     [("mha", "prefix"), ("ffn", "prompt"), ("block", "prefix")],
     [("mha", "res_attn"), ("ffn", "adapter"), ("block", "prompt")],
@@ -367,11 +365,11 @@ SHAPES = {"toy": (TOY, 2), "eval_mix": (EVAL_MIX, 64), "vit_tiny_width": (VIT_TI
 @pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, slots):
-    """A forward that records nothing runs its last block's residual
-    stream, MLP and tuners on the first two token rows only, and a recorded
-    one on every row. A two-row product may sum in another order than those
-    rows of the whole product, by BLAS kernel and shape, so on any BLAS the
-    logits agree to 1e-12 of their largest magnitude."""
+    """A forward that records nothing runs its last block's MLP on the
+    first two token rows only, and a recorded one on every row. A two-row
+    product may sum in another order than those rows of the whole product,
+    by BLAS kernel and width, so on any BLAS the logits agree to 1e-12 of
+    their largest magnitude."""
     cfg, batch = SHAPES[shape]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert rel_error(bare, recorded) <= 1e-12
@@ -381,36 +379,39 @@ def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, sl
 @pytest.mark.parametrize("shape", ["toy", "eval_mix"])
 def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, slots):
     """At the toy and eval-mix shapes the two forwards' logits agree bit for
-    bit, so the eval JSON matches a recorded forward. This holds per BLAS
-    kernel (README, Memory; ``tests/test_kernels.py`` forces each core). On
-    numpy's bundled OpenBLAS 0.3.31 it holds on the SkylakeX, Haswell and
-    Sandybridge cores. On the Katmai core (``OPENBLAS_CORETYPE=Prescott``)
-    7 eval-mix cases fail: each single-slot prefix or prompt case and
-    prefix@mha+prompt@ffn+prefix@block, whose last-block q reader's
-    two-row attention sums in another order. The 1e-12 test above holds
-    there, so that is an output change in the last bits, not a wrong
-    forward. At vit-tiny width it is not claimed: on SkylakeX fc2 (K=768)
-    matches the whole product's rows only from seven rows on, and 14 of the
-    15 cases differ, 4 on Katmai."""
+    bit, so the eval JSON matches a recorded forward. On numpy's bundled
+    OpenBLAS 0.3.31 this holds on every core ``tests/test_kernels.py``
+    forces. At vit-tiny width it is not claimed: on SkylakeX fc2 (K=768)
+    matches the whole product's rows only from seven rows on."""
     cfg, batch = SHAPES[shape]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert bare.tobytes() == recorded.tobytes()
 
 
-def test_forward_without_graph_runs_the_last_mlp_on_two_rows(monkeypatch):
-    """Only the last block's MLP is cut to the two rows, and only when the
-    forward records nothing."""
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
+def test_forward_without_graph_feeds_every_tuner_every_row(slots, monkeypatch):
+    """A recorded forward calls every tuner and MLP on all ``cfg.tokens``
+    rows. So does one that records nothing, prefix and prompt on every q
+    row, but for the last block's MLP, which reads ``HEAD_ROWS`` rows."""
     seen = []
-    mlp_call = MLP.__call__
 
-    def recording(mlp, x):
-        seen.append(x.shape)
-        return mlp_call(mlp, x)
+    def recording(name, call):
+        def wrapper(module, x, *args):
+            seen.append((name, x.shape))
+            return call(module, x, *args)
+        return wrapper
 
-    monkeypatch.setattr(MLP, "__call__", recording)
-    B, N, D = 64, EVAL_MIX.tokens, EVAL_MIX.dim
-    _forward_both_ways(EVAL_MIX, [("mha", "prefix"), ("ffn", "adapter"), ("block", "prompt")], B)
-    assert seen == [(B, N, D)] * 4 + [(B, N, D)] * 3 + [(B, 2, D)]
+    for cls in TUNERS.values():
+        monkeypatch.setattr(cls, "__call__", recording(cls.kind, cls.__call__))
+    monkeypatch.setattr(MLP, "__call__", recording("mlp", MLP.__call__))
+    cfg, B = EVAL_MIX, 64
+    _forward_both_ways(cfg, slots, B)
+    whole = (B, cfg.tokens, cfg.dim)
+    calls = sorted([(kind, whole) for _, kind in slots] * cfg.depth + [("mlp", whole)] * cfg.depth)
+    recorded, bare = seen[:len(calls)], seen[len(calls):]
+    assert sorted(recorded) == calls
+    calls.remove(("mlp", whole))
+    assert sorted(bare) == sorted(calls + [("mlp", (B, HEAD_ROWS, cfg.dim))])
 
 
 def _graph(loss) -> list:

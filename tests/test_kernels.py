@@ -1,4 +1,4 @@
-"""The kernel matrix: the forward identities that the README states per
+"""The kernel matrix: the bit identities that the README states for every
 OpenBLAS core, each checked in a child process under a forced core.
 
 numpy's bundled OpenBLAS is a DYNAMIC_ARCH build. It picks a core at start-up,
@@ -9,6 +9,7 @@ Run it alone with ``python -m pytest tests/test_kernels.py -s``, which prints
 one line per core.
 """
 
+import contextlib
 import ctypes
 import glob
 import json
@@ -22,52 +23,73 @@ import numpy as np
 import pytest
 
 import restuner
-from restuner.tuners import TUNERS
 
 # (forced core, the name the library reports for it), oldest first
 CORES = [("Prescott", "Katmai"), ("Sandybridge", "Sandybridge"),
          ("Haswell", "Haswell"), ("SkylakeX", "SkylakeX")]
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, or None where it is missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    return ctypes.CDLL(libs[0]) if libs else None
+
+
 def _corename() -> str | None:
     """The core numpy's bundled OpenBLAS runs on, or None where the library
     or its ``scipy_openblas_get_corename64_`` is missing."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs",
-                                  "libscipy_openblas64_*.so"))
-    if not libs:
-        return None
-    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None)
+    get = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
     if get is None:
         return None
     get.argtypes, get.restype = (), ctypes.c_char_p
     return get().decode()
 
 
-def claims_bits(core: str, shape: str, slots) -> bool:
-    """Whether the README claims that the no-grad logits equal the recorded
-    ones bit for bit: at the toy and eval-mix shapes on every core but
-    Katmai, where a q reader's two-row attention at eval-mix's shape may sum
-    in another order than those rows of the whole one."""
-    return not (core == "Katmai" and shape == "eval_mix"
-                and any(TUNERS[kind].reads_q for _, kind in slots))
+# each fused op against its primitive chain, and the matrix's zero-init
+# identity at vit-tiny width
+CHILD_TESTS = [
+    "test_tensor.py::test_fused_op_equals_composed_chain_bit_for_bit",
+    "test_tensor.py::test_ffn_row_blocks_match_the_chain_bit_for_bit",
+    "test_cli.py::test_fused_ops_train_the_checkpoint_their_primitive_chains_train",
+    "test_cli.py::test_matrix_zero_init_identity_holds_at_vit_tiny_width",
+]
 
 
 def _child() -> None:
-    """Print the core, and each grid case's rel error and bit equality, as
-    JSON; fail if the vit-tiny-width matrix identity does."""
+    """Run ``CHILD_TESTS``, then print as JSON the core and the grid cases
+    whose no-grad logits differ in bits from the recorded ones at the toy
+    and eval-mix shapes, on one BLAS thread or, against those, on two."""
     import test_backbone as tb
-    import test_cli
-    from restuner.tensor import rel_error
 
-    cases = []
-    for shape in ("toy", "eval_mix"):
-        cfg, batch = tb.SHAPES[shape]
-        for slots in tb.SLOT_GRID:
-            recorded, bare = tb._forward_both_ways(cfg, slots, batch)
-            cases.append([shape, slots, rel_error(bare, recorded),
-                          bare.tobytes() == recorded.tobytes()])
-    test_cli.test_matrix_zero_init_identity_holds_at_vit_tiny_width()
-    print(json.dumps({"core": _corename(), "cases": cases}))
+    here = Path(__file__).resolve().parent
+    with contextlib.redirect_stdout(sys.stderr):
+        code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(here / t) for t in CHILD_TESTS)])
+    assert code == 0, f"CHILD_TESTS failed: {code}"
+
+    def grid() -> dict:
+        logits = {}
+        for shape in ("toy", "eval_mix"):
+            cfg, batch = tb.SHAPES[shape]
+            for slots in tb.SLOT_GRID:
+                logits[f"{shape}:{tb._slot_ids(slots)}"] = tb._forward_both_ways(cfg, slots, batch)
+        return logits
+
+    one = grid()
+    lib = _openblas()
+    set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
+    set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+    get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+    set_threads(2)
+    assert get_threads() == 2
+    two = grid()
+    print(json.dumps({
+        "core": _corename(),
+        "differ": [case for case, (recorded, bare) in one.items()
+                   if bare.tobytes() != recorded.tobytes()],
+        "threads_differ": [case for case, pair in one.items()
+                           if [a.tobytes() for a in pair] != [a.tobytes() for a in two[case]]],
+    }))
 
 
 def _run_child(core: str) -> dict:
@@ -83,12 +105,12 @@ def _run_child(core: str) -> dict:
 
 @pytest.mark.slow
 def test_kernel_matrix_holds_each_cores_identities():
-    """Under each forced core at or below the runtime one: the no-grad
-    logits are within 1e-12 of the recorded ones for every ``SLOT_GRID``
-    case at the toy and eval-mix shapes, equal them bit for bit where
-    ``claims_bits`` says so, and the matrix's zero-init identity holds at
-    vit-tiny width. Children run two at a time on one BLAS thread each,
-    which gives the same bits as more threads."""
+    """Under each forced core at or below the runtime one: ``CHILD_TESTS``
+    pass, so each fused op gives its primitive chain's bytes; for every
+    ``SLOT_GRID`` case at the toy and eval-mix shapes the no-grad logits
+    equal the recorded ones bit for bit; and two BLAS threads give the
+    bytes of one. Children run two at a time, on one BLAS thread each
+    until the thread check."""
     runtime = _corename()
     if runtime is None:
         pytest.skip("numpy's OpenBLAS reports no core name")
@@ -103,11 +125,9 @@ def test_kernel_matrix_holds_each_cores_identities():
         if result["core"] != name:
             print(f"{core}: skipped, the library reports {result['core']}")
             continue
-        differ = [f"{shape}:{'+'.join(f'{k}@{op}' for op, k in slots)}"
-                  for shape, slots, _, equal in result["cases"] if not equal]
-        print(f"{core}: {name}, {len(differ)} cases differ in bits {differ}")
-        assert max(err for _, _, err, _ in result["cases"]) <= 1e-12, name
-        assert [c for c in result["cases"] if not c[3] and claims_bits(name, c[0], c[1])] == [], name
+        print(f"{core}: {name}, no-grad differs in {result['differ']}, "
+              f"two threads in {result['threads_differ']}")
+        assert result["differ"] == [] and result["threads_differ"] == [], name
         checked.append(name)
     assert runtime in checked
 
