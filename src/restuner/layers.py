@@ -126,10 +126,10 @@ class MultiHeadAttention(Module):
 class MLP(Module):
     """Transformer FFN: linear -> GELU -> linear, hidden = ratio * dim.
 
-    An MLP whose input needs a grad runs as ``fc1`` with GELU as its
-    epilogue and then ``fc2``, two recorded nodes; the benchmark's traced
-    run counts both layer calls. Any other runs as one ``ffn``, which
-    streams the hidden layer in row blocks.
+    An MLP whose input needs a grad calls ``fc1`` with GELU as its
+    epilogue, then ``fc2``: a recorded ``ffn``'s two ``linear`` nodes, made
+    through the layers because the benchmark's traced run counts both calls.
+    Any other runs as one ``ffn``, which streams the hidden layer in row blocks.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4):

@@ -13,8 +13,9 @@ therefore holds no tensor, only the shapes, flags and arrays it reads, so
 an op output that no backward reads is freed as soon as its consumers have
 run, and a recorded graph holds only the arrays its backward passes need.
 No closure refers to an output, so a graph has no reference cycle and is
-freed by reference counting as soon as its loss dies. Inside ``no_grad()``
-ops record nothing. No other module builds a graph node.
+freed by reference counting as soon as its loss dies. An op records exactly
+when ``_records`` says so: outside ``no_grad()``, with an input that
+requires grad. No other module builds a graph node.
 
 ``backward`` on a scalar walks the vertices once in reverse topological
 order. It fills ``grad`` on leaves only: a vertex's grad is complete when
@@ -28,15 +29,15 @@ copied or zero-filled to make that safe.
 
 The module holds only the ops the model records, the ``cross_entropy``
 loss included. The hot paths are fused ops, one graph node each:
-``linear`` (with GELU as an optional epilogue), ``ffn`` (linear, GELU,
-linear, streamed in row blocks of whole items), ``layer_norm`` and
+``linear`` (with GELU as an optional epilogue), ``layer_norm`` and
 ``attention``. Each repeats, expression for expression and in the same
 order, the numpy arithmetic of the primitive chain it replaces, so its
 values and grads equal that chain's bit for bit. Their forward passes write
 in place only into arrays they allocated themselves, never into an input,
 an upstream grad or an array a tensor holds; GELU overwrites its own
-product, keeping only its derivative for backward, and ``ffn`` keeps its
-hidden layer whole only when a backward pass reads it. The chains, and the
+product, keeping only its derivative for backward. ``ffn`` (linear, GELU,
+linear) records as its two ``linear`` nodes; when it records nothing, it
+streams its hidden layer in row blocks of whole items. The chains, and the
 reference primitives (``matmul``, ``gelu``, ``softmax_lastdim`` and so on),
 live in the test suite's ``tests/primitives.py``.
 
@@ -159,12 +160,17 @@ class Tensor:
         return getitem(self, idx)
 
 
+def _records(parents: tuple) -> bool:
+    """Whether an op over ``parents`` records a graph node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     """The op output holding ``data``; when it records, its parents are the
     inputs' vertices, which ``backward`` takes after the output's grad, and
     its own vertex takes the same parents and closure."""
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         vertex = out._vertex = Tensor(_NO_DATA, requires_grad=True)
         out.requires_grad = True
         out._parents = vertex._parents = tuple(p._vertex or p for p in parents)
@@ -238,39 +244,39 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 # Cephes ndtr.c coefficients: erf = x*T(x^2)/U(x^2) for |x| <= 1, and
-# erfc = exp(-x^2)*P(x)/Q(x) below 8, exp(-x^2)*R(x)/S(x) from 8 on.
+# erfc = exp(-x^2)*P(x)/Q(x) below 8, exp(-x^2)*R(x)/S(x) from 8 on. U, Q
+# and S lead with the 1 that Cephes' p1evl implies: 1 * x + c is x + c.
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
           7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
           2.26290000613890934246e4, 4.92673942608635921086e4)
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
            4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
            9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
            6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
            1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
 _MAXLOG = 7.09782712893383996732e2  # log(DBL_MAX)
 _ERF_CHUNK = 1 << 15  # elements per scratch array, so erf allocates no full-size temporary
 
 
-def _polevl(x, coef: tuple):
-    """Horner's rule, highest coefficient first, on floats or arrays."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef: tuple):
-    """``_polevl`` with an implicit leading coefficient of 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
+def _horner(x: np.ndarray, coef: tuple, out: np.ndarray) -> np.ndarray:
+    """Cephes' polevl in ``out``, shaped like ``x``, in place: coef[0] * x +
+    coef[1], then ``out * x + c`` for each later coefficient c. A leading 1
+    is not multiplied: x + coef[1], as Cephes' p1evl starts."""
+    if coef[0] == 1.0:
+        np.add(x, coef[1], out=out)
+    else:
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
 
 
 def _erf_tail(x: np.ndarray) -> np.ndarray:
@@ -284,8 +290,8 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
     low = a < 8.0
     with np.errstate(over="ignore", invalid="ignore"):  # huge or infinite a, zeroed below
         z = -a * a
-        num = np.where(low, _polevl(a, _ERFC_P), _polevl(a, _ERFC_R))
-        den = np.where(low, _p1evl(a, _ERFC_Q), _p1evl(a, _ERFC_S))
+        num, den = (np.where(low, _horner(a, near, np.empty(a.shape)), _horner(a, far, np.empty(a.shape)))
+                    for near, far in ((_ERFC_P, _ERFC_R), (_ERFC_Q, _ERFC_S)))
         y = np.fromiter(map(math.exp, z.tolist()), np.float64, z.size) * num / den
     y[z < -_MAXLOG] = 0.0
     return np.copysign(1.0 - y, x)
@@ -296,24 +302,16 @@ def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -
     each shaped like ``xs``, as scratch.
 
     Elements with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner
-    order as in-place numpy ops; the rare |x| > 1 go to ``_erf_tail``. A
+    order in the scratch arrays; the rare |x| > 1 go to ``_erf_tail``. A
     slice without them (NaN fails the test) skips the gather and scatter.
     """
     tail = None if np.abs(xs, out=zs).max() <= 1.0 else np.flatnonzero(zs > 1.0)
     if tail is not None:
         tail_x = xs[tail]
         xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
-    # x * _polevl(z, T) / _p1evl(z, U) with z = x * x, in the scratch arrays
     np.multiply(xs, xs, out=zs)
-    np.multiply(zs, _ERF_T[0], out=ns)
-    ns += _ERF_T[1]
-    for c in _ERF_T[2:]:
-        ns *= zs
-        ns += c
-    np.add(zs, _ERF_U[0], out=ds)
-    for c in _ERF_U[1:]:
-        ds *= zs
-        ds += c
+    _horner(zs, _ERF_T, ns)
+    _horner(zs, _ERF_U, ds)
     ns *= xs
     np.divide(ns, ds, out=xs)
     if tail is not None and tail.size:
@@ -420,85 +418,65 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 # topological order, hence every grad sum, unchanged.
 
 
-def _linear_grads(g, vx, vW, vb, x_data, W_data, shapes: tuple) -> None:
-    """Add the grads of x @ W (+ b) into those of ``vx``, ``vW`` and ``vb``
-    that need one, in the chain's order: b's, x's (it reads W), W's (x)."""
-    x_shape, W_shape, b_shape = shapes
-    if vb is not None and vb.requires_grad:
-        _accumulate(vb, _unbroadcast(g, b_shape))
-    if vx.requires_grad:
-        _accumulate(vx, _unbroadcast(g @ W_data.swapaxes(-1, -2), x_shape))
-    if vW.requires_grad:
-        _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
-
-
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None, gelu: bool = False) -> Tensor:
     """x @ W (+ b): ``matmul`` then ``add``, then with ``gelu`` GELU in the
-    product's own buffer; backward first multiplies by GELU's derivative."""
+    product's own buffer; backward first multiplies by GELU's derivative,
+    then adds the grads in the chain's order: b's, x's (it reads W), W's (x)."""
     _check_matmul(x.data, W.data)
     y = x.data @ W.data
     if b is not None:
         y += b.data
     parents = (x, W) if b is None else (x, W, b)
-    deriv = np.empty(y.shape) if gelu and _GRAD_ENABLED and any(p.requires_grad for p in parents) else None
+    deriv = np.empty(y.shape) if gelu and _records(parents) else None
     if gelu:
         _gelu_in_place(y, deriv)
-    shapes = (x.data.shape, W.data.shape, None if b is None else b.data.shape)
+    x_shape, W_shape = x.data.shape, W.data.shape
+    b_shape = None if b is None else b.data.shape
     W_data = W.data if x.requires_grad else None  # read by x's grad
     x_data = x.data if W.requires_grad else None  # read by W's grad
 
     def backward(g, vx, vW, vb=None):
-        _linear_grads(g if deriv is None else g * deriv, vx, vW, vb, x_data, W_data, shapes)
+        if deriv is not None:
+            g = g * deriv
+        if vb is not None and vb.requires_grad:
+            _accumulate(vb, _unbroadcast(g, b_shape))
+        if vx.requires_grad:
+            _accumulate(vx, _unbroadcast(g @ W_data.swapaxes(-1, -2), x_shape))
+        if vW.requires_grad:
+            _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
 
     return _make(y, parents, backward)
 
 
 def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """linear(x, W1, b1, gelu=True), then linear(., W2, b2), streamed.
+    """linear(x, W1, b1, gelu=True), then linear(., W2, b2).
 
-    Whole items along the first of three or more axes (a 2-d ``x`` is one
-    item) go through in row blocks of at most one ``_ERF_CHUNK`` of hidden
-    elements, or one item: fc1 into the block's buffer, GELU in place, fc2
-    into the output's slice. Each item takes the same products as the whole
-    chain, so the values are its bits. The hidden layer is kept at full size
-    only when W2's grad reads it, and GELU's derivative only when the op
-    records; backward runs fc2's grads, then fc1's.
+    When it records, it is that chain: two ``linear`` nodes. Otherwise whole
+    items along the first of three or more axes (a 2-d ``x`` is one item) go
+    through in row blocks of at most one ``_ERF_CHUNK`` of hidden elements,
+    or one item: fc1 into the block's buffer, GELU in place, fc2 into the
+    output's slice. Each item takes the same products as the whole chain,
+    so the values are its bits, and the hidden layer is never whole.
     """
     _check_matmul(x.data, W1.data)
     _check_matmul(W1.data, W2.data)
-    parents = (x, W1, b1, W2, b2)
-    records = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    if _records((x, W1, b1, W2, b2)):
+        return linear(linear(x, W1, b1, gelu=True), W2, b2)
     hidden_shape = x.data.shape[:-1] + W1.data.shape[-1:]
     n, item = hidden_shape[0], math.prod(hidden_shape[1:])
     step = max(1, min(n, _ERF_CHUNK // max(1, item)) if x.data.ndim > 2 else n)
-    deriv = np.empty(hidden_shape) if records else None
-    hidden = np.empty(hidden_shape) if records and W2.requires_grad else None
-    block = np.empty((step,) + hidden_shape[1:]) if hidden is None else None
-    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4 if deriv is None else 3)]
+    block = np.empty((step,) + hidden_shape[1:])
+    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4)]
     out = np.empty(hidden_shape[:-1] + W2.data.shape[-1:])
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)
-        h = hidden[rows] if block is None else block[: min(step, n - lo)]
+        h = block[: min(step, n - lo)]
         np.matmul(x.data[rows], W1.data, out=h)
         h += b1.data
-        _gelu_in_place(h, None if deriv is None else deriv[rows], scratch)
+        _gelu_in_place(h, None, scratch)
         np.matmul(h, W2.data, out=out[rows])
     out += b2.data
-    fc1_shapes = (x.data.shape, W1.data.shape, b1.data.shape)
-    fc2_shapes = (hidden_shape, W2.data.shape, b2.data.shape)
-    h_grad = x.requires_grad or W1.requires_grad or b1.requires_grad  # fc1's grads read it
-    W1_data = W1.data if x.requires_grad else None  # read by x's grad
-    x_data = x.data if W1.requires_grad else None  # read by W1's grad
-    W2_data = W2.data if h_grad else None  # read by the hidden layer's grad
-
-    def backward(g, vx, vW1, vb1, vW2, vb2):
-        vh = Tensor(_NO_DATA, requires_grad=h_grad)  # the hidden layer's vertex
-        _linear_grads(g, vh, vW2, vb2, hidden, W2_data, fc2_shapes)
-        if h_grad:
-            vh.grad *= deriv  # a fresh product, which no tensor holds
-            _linear_grads(vh.grad, vx, vW1, vb1, x_data, W1_data, fc1_shapes)
-
-    return _make(out, parents, backward)
+    return Tensor(out)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

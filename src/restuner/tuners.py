@@ -206,7 +206,7 @@ class AdapterConfig:
 
 
 class AdapterTuner(Tuner):
-    """Parallel bottleneck adapter: down -> GELU -> zero-init up, one streamed ``ffn``."""
+    """Parallel bottleneck adapter: down -> GELU -> zero-init up, one ``ffn``."""
 
     kind = "adapter"
     label = "Res-Ada."

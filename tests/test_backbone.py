@@ -363,14 +363,15 @@ SHAPES = {"toy": (TOY, 2), "eval_mix": (EVAL_MIX, 64), "vit_tiny_width": (VIT_TI
 
 
 @pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
-@pytest.mark.parametrize("shape", SHAPES)
-def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, slots):
+def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(slots):
     """A forward that records nothing runs its last block's MLP on the
     first two token rows only, and a recorded one on every row. A two-row
     product may sum in another order than those rows of the whole product,
     by BLAS kernel and width, so on any BLAS the logits agree to 1e-12 of
-    their largest magnitude."""
-    cfg, batch = SHAPES[shape]
+    their largest magnitude. At the toy and eval-mix shapes the bit-for-bit
+    test below claims equality, which implies this bound, so it runs at
+    vit-tiny width only."""
+    cfg, batch = SHAPES["vit_tiny_width"]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert rel_error(bare, recorded) <= 1e-12
 
@@ -462,7 +463,7 @@ def test_four_kind_step_records_only_the_engine_ops():
     the model."""
     m, loss = _four_kind_step()
     ops = _recorded_ops(loss)
-    assert set(ops) <= {"add", "attention", "broadcast_to", "concat", "cross_entropy", "ffn",
+    assert set(ops) <= {"add", "attention", "broadcast_to", "concat", "cross_entropy",
                         "getitem", "layer_norm", "linear", "permute", "reshape"}, ops
     # four tuners and block 1's MHA; block 0's reads no trainable input
     assert ops["attention"] == 5 and ops["reshape"] == ops["permute"] == 2 * 2  # K and V per prompt

@@ -333,16 +333,15 @@ def _kept(out: Tensor, name: str) -> np.ndarray:
 
 
 def test_recorded_gelu_keeps_the_unrecorded_output_and_the_separate_derivative():
-    """A recording ``linear(..., gelu=True)`` or ``ffn`` uses each slice of
-    GELU's derivative as erf's first scratch array before ``_gelu_grad``
+    """A recording ``linear(..., gelu=True)`` uses each slice of GELU's
+    derivative as erf's first scratch array before ``_gelu_grad``
     overwrites it. Over several slices, tail values (|x / sqrt(2)| > 1)
-    and a NaN, its output (and an ``ffn``'s kept hidden layer) equals the
-    unrecorded op's, and its derivative ``_gelu_grad`` of the
-    pre-activation computed apart, byte for byte."""
+    and a NaN, its output equals the unrecorded op's, and its derivative
+    ``_gelu_grad`` of the pre-activation computed apart, byte for byte."""
     rng = np.random.default_rng(49)
     x = rng.normal(scale=0.5, size=(6, 40, 8))
     x[2, 5, 3] = np.nan
-    W1, b1, W2, b2 = (rng.normal(size=s) for s in ((8, 300), (300,), (300, 4), (4,)))
+    W1, b1 = (rng.normal(size=s) for s in ((8, 300), (300,)))
     pre = x @ W1
     pre += b1
     assert pre.size > 2 * T._ERF_CHUNK and np.isnan(pre).any()
@@ -351,14 +350,8 @@ def test_recorded_gelu_keeps_the_unrecorded_output_and_the_separate_derivative()
     deriv = T._gelu_grad(pre, cdf, np.empty(pre.shape)).tobytes()
     with T.no_grad():
         gelu_out = _linear_gelu(Tensor(x), Tensor(W1), Tensor(b1)).data.tobytes()
-        ffn_out = T.ffn(*map(Tensor, (x, W1, b1, W2, b2))).data.tobytes()
     out = _linear_gelu(Tensor(x, requires_grad=True), Tensor(W1), Tensor(b1))
     assert out.data.tobytes() == gelu_out and _kept(out, "deriv").tobytes() == deriv
-    for W2_grad in (False, True):  # GELU in a row block's buffer, or in the kept hidden layer
-        W2_leaf = Tensor(W2, requires_grad=W2_grad)
-        out = T.ffn(Tensor(x, requires_grad=True), Tensor(W1), Tensor(b1), W2_leaf, Tensor(b2))
-        assert out.data.tobytes() == ffn_out and _kept(out, "deriv").tobytes() == deriv
-        assert not W2_grad or _kept(out, "hidden").tobytes() == gelu_out
 
 
 def test_ffn_without_grad_streams_its_hidden_layer():
@@ -366,55 +359,32 @@ def test_ffn_without_grad_streams_its_hidden_layer():
     hidden layer is never whole: the peak is the output plus one row block
     (eight items of 4,096 hidden values, one ``_ERF_CHUNK``) and GELU's four
     slice-size scratch arrays, give or take numpy's 64 KiB ufunc buffers,
-    against the 2 MiB of the whole hidden layer. A recording call keeps
-    GELU's derivative whole, and erf's first scratch array is that
-    derivative's slice, so it needs three scratch arrays, not four."""
+    against the 2 MiB of the whole hidden layer. A recording ffn is its
+    ``linear`` chain, whose first ``linear(..., gelu=True)`` keeps GELU's
+    derivative whole; erf's first scratch array is that derivative's
+    slice, so it needs three scratch arrays, not four."""
     rng = np.random.default_rng(45)
     # |x / sqrt(2)| <= 1 everywhere, so erf takes no tail path
     x = Tensor(rng.uniform(-1.0, 1.0, size=(64, 16, 1)), requires_grad=True)
     params = [Tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((1, 256), (256,), (256, 1), (1,))]
     scratch = 5 * T._ERF_CHUNK * 8
 
-    def peak_bytes():
+    def peak_bytes(build):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = T.ffn(x, *params)
+            out = build(x, *params)
             return tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
         finally:
             tracemalloc.stop()
 
     with T.no_grad():
-        peak, out_bytes = peak_bytes()
+        peak, out_bytes = peak_bytes(T.ffn)
     assert out_bytes + scratch <= peak <= out_bytes + scratch + (128 << 10), (peak, out_bytes)
-    # a recording call also keeps GELU's full-size derivative (2 MiB) for its backward
-    peak, out_bytes = peak_bytes()
-    recorded = out_bytes + scratch - T._ERF_CHUNK * 8 + (2 << 20)
-    assert recorded <= peak <= recorded + (128 << 10), (peak, out_bytes)
-
-
-def test_ffn_keeps_only_what_its_grads_read():
-    """A recorded ``ffn`` keeps GELU's derivative, the hidden layer only
-    when W2's grad reads it, and of its inputs only those its grads read:
-    W1 when x needs a grad, x when W1 does, W2 when either does. It never
-    keeps a pre-activation or its output."""
-    rng = np.random.default_rng(47)
-    for x_grad, W1_grad, W2_grad in ((True, False, False), (False, True, True), (False, False, True),
-                                     (True, True, True)):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=x_grad)
-        W1, b1 = (Tensor(rng.normal(size=s), requires_grad=W1_grad) for s in ((4, 5), (5,)))
-        W2, b2 = (Tensor(rng.normal(size=s), requires_grad=W2_grad) for s in ((5, 4), (4,)))
-        out = T.ffn(x, W1, b1, W2, b2)
-        held = [c.cell_contents for c in out._backward.__closure__]
-        arrays = [a for a in held if isinstance(a, np.ndarray) and a.ndim > 0]
-        expected = [a for a, keep in ((W1.data, x_grad), (x.data, W1_grad), (W2.data, x_grad or W1_grad))
-                    if keep]
-        saved = [a for a in arrays if not any(a is e for e in expected)]
-        assert len(arrays) == len(expected) + 1 + W2_grad, (x_grad, W1_grad, W2_grad)
-        assert all(a.shape == (2, 3, 5) and not np.shares_memory(a, out.data) for a in saved)
-        output = weakref.ref(out.data)
-        del out, held, arrays, saved
-        assert output() is None
+    # the recorded hidden layer (2 MiB) also keeps its full-size derivative for backward
+    peak, out_bytes = peak_bytes(lambda x, W1, b1, *_: _linear_gelu(x, W1, b1))
+    recorded = 2 * out_bytes + 3 * T._ERF_CHUNK * 8
+    assert out_bytes == 2 << 20 and recorded <= peak <= recorded + (128 << 10), (peak, out_bytes)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 4, 5])
@@ -703,12 +673,22 @@ def test_fused_ops_record_one_node():
     for out, parents in [
         (T.linear(x, W, b), (x, W, b)),
         (_linear_gelu(x, W, b), (x, W, b)),
-        (T.ffn(x, W, b, W, b), (x, W, b, W, b)),
         (T.layer_norm(x, gamma, b), (x, gamma, b)),
         (T.attention(qkv, 2, 0.5), (qkv,)),
         (T.attention(q, 2, 0.5, kv=(K, V)), (q, K, V)),
     ]:
         assert out._backward is not None and out._parents == parents
+    # a recorded ffn is its chain, linear(linear(x, W, b, gelu=True), W, b) ...
+    out = T.ffn(x, W, b, W, b)
+    hidden = out._parents[0]  # the first linear's vertex
+    assert [t._backward.__qualname__ for t in (out, hidden)] == ["linear.<locals>.backward"] * 2
+    assert out._parents[1:] == (W, b) and hidden._parents == (x, W, b)
+    assert _kept(hidden, "deriv") is not None and _kept(out, "deriv") is None
+    # ... and an unrecorded one records nothing
+    with T.no_grad():
+        bare = T.ffn(x, W, b, W, b)
+    frozen = T.ffn(Tensor(x.data), W, b, W, b)
+    assert all(t._backward is None and t._parents == () and not t.requires_grad for t in (bare, frozen))
 
 
 def test_attention_shape_errors():
@@ -770,7 +750,8 @@ SAVED_CASES = {
     # GELU's epilogue keeps its derivative, not its input or its product
     "gelu": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), False], [(5,), False]], set()),
     "linear_gelu_trainable_W": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), True], [(5,), True]], {0, 1}),
-    # ffn keeps GELU's derivative, not its input, its product or the hidden layer ...
+    # ffn records as linear(gelu=True), then linear: with frozen weights it
+    # keeps GELU's derivative, not its input, its product or the hidden layer ...
     "ffn_frozen_W": (
         T.ffn, [[(2, 3, 4), True], [(4, 5), False], [(5,), False], [(5, 4), False], [(4,), False]], set(),
     ),
