@@ -363,15 +363,14 @@ SHAPES = {"toy": (TOY, 2), "eval_mix": (EVAL_MIX, 64), "vit_tiny_width": (VIT_TI
 
 
 @pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
-def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(slots):
+@pytest.mark.parametrize("shape", SHAPES)
+def test_forward_without_graph_is_within_1e_12_of_the_recorded_forward(shape, slots):
     """A forward that records nothing runs its last block's MLP on the
     first two token rows only, and a recorded one on every row. A two-row
     product may sum in another order than those rows of the whole product,
     by BLAS kernel and width, so on any BLAS the logits agree to 1e-12 of
-    their largest magnitude. At the toy and eval-mix shapes the bit-for-bit
-    test below claims equality, which implies this bound, so it runs at
-    vit-tiny width only."""
-    cfg, batch = SHAPES["vit_tiny_width"]
+    their largest magnitude."""
+    cfg, batch = SHAPES[shape]
     recorded, bare = _forward_both_ways(cfg, slots, batch)
     assert rel_error(bare, recorded) <= 1e-12
 

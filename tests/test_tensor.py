@@ -387,6 +387,32 @@ def test_ffn_without_grad_streams_its_hidden_layer():
     assert out_bytes == 2 << 20 and recorded <= peak <= recorded + (128 << 10), (peak, out_bytes)
 
 
+
+def test_ffn_keeps_only_what_its_grads_read():
+    """A recorded ``ffn`` is its ``linear`` chain, which keeps GELU's
+    derivative when x or W1 needs a grad, the hidden layer only when W2's
+    grad reads it, and of its inputs only those its grads read: W1 when x
+    needs a grad, x when W1 does, W2 when either does. It never keeps a
+    pre-activation or its output."""
+    rng = np.random.default_rng(47)
+    for x_grad, W1_grad, W2_grad in ((True, False, False), (False, True, True), (False, False, True),
+                                     (True, True, True)):
+        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=x_grad)
+        W1, b1 = (Tensor(rng.normal(size=s), requires_grad=W1_grad) for s in ((4, 5), (5,)))
+        W2, b2 = (Tensor(rng.normal(size=s), requires_grad=W2_grad) for s in ((5, 4), (4,)))
+        out = T.ffn(x, W1, b1, W2, b2)
+        first = x_grad or W1_grad  # the first linear records
+        nodes = (out, out._parents[0]) if first else (out,)
+        held = [c.cell_contents for t in nodes for c in t._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray) and a.ndim > 0]
+        expected = [a for a, keep in ((W1.data, x_grad), (x.data, W1_grad), (W2.data, first)) if keep]
+        saved = [a for a in arrays if not any(a is e for e in expected)]
+        assert len(arrays) == len(expected) + first + W2_grad, (x_grad, W1_grad, W2_grad)
+        assert all(a.shape == (2, 3, 5) and not np.shares_memory(a, out.data) for a in saved)
+        output = weakref.ref(out.data)
+        del out, nodes, held, arrays, saved
+        assert output() is None
+
 @pytest.mark.parametrize("batch", [1, 2, 4, 5])
 def test_ffn_row_blocks_match_the_chain_bit_for_bit(batch):
     """Items of 3 x 4,096 hidden values stream two to a row block, so the
