@@ -175,15 +175,15 @@ def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = N
     """One pre-norm block with any tuners attached at its slots; given
     ``rows``, only the first ``rows`` token rows of its output.
 
-    Each tuner reads what its class declares: the input of the op at its
-    slot (the post-norm tensor fed to the MHA or FFN, or the block's raw
-    input for the block tuner), or its own view of the query third of this
-    block's fused QKV projection. Each tensor is dropped after its last
-    reader: the MHA's input right after the MHA unless the MHA tuner reads
-    it, else after that tuner; the MHA's output after the residual add;
-    ``qkv`` before the FFN unless the FFN tuner reads q. Where ``qkv``
-    records nothing and a tuner reads q, only a copy of the q third is
-    kept, so k and v die with the backbone attention. The block tuner's
+    Each tuner is called with the one input its class declares: the input of
+    the op at its slot (the post-norm tensor fed to the MHA or FFN, or the
+    block's raw input for the block tuner), or its own view of the query
+    third of this block's fused QKV projection. Each tensor is dropped after
+    its last reader: the MHA's input right after the MHA unless the MHA
+    tuner reads it, else after that tuner; the MHA's output after the
+    residual add; ``qkv`` before the FFN unless the FFN tuner reads q. Where
+    ``qkv`` records nothing and a tuner reads q, only a copy of the q third
+    is kept, so k and v die with the backbone attention. The block tuner's
     delta is computed before the FFN and added last.
 
     Given ``rows``, every op but the MLP still runs on every token, so each
@@ -196,7 +196,7 @@ def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = N
     dim = x.shape[-1]
 
     def delta(tuner, op_input):
-        return tuner(qkv[..., :dim] if tuner.reads_q else op_input, block.mha)
+        return tuner(qkv[..., :dim] if tuner.reads_q else op_input)
 
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)

@@ -323,7 +323,7 @@ def load_checkpoint(path) -> ModelGraph:
             raise FormatError(
                 f"shape mismatch for {name!r}: file {values.shape} vs model {p.data.shape}"
             )
-        p.data[...] = values
+        p.data[...] = values  # in place, so views bound at attach stay valid
     missing = set(params) - set(tensors)
     if missing:
         raise FormatError(f"checkpoint missing tensors: {sorted(missing)}")

@@ -51,9 +51,8 @@ class Tuner(Module):
     configs and checkpoints, ``label`` in the grids. ``Config`` fields with a
     default are its options, each an int or a bool; the rest (``dim``,
     prefix/prompt ``heads``) come from the backbone. ``reads_q`` declares
-    its input: the slot op's input, or with True the query third of its
-    block's fused QKV projection. It is called as ``tuner(input, mha)``, with
-    its block's frozen attention, which only ``prompt`` reads.
+    the one input it is called with, ``tuner(input)``: the slot op's input,
+    or with True the query third of its block's fused QKV projection.
     ``analytic_params`` is its closed-form parameter count.
     """
 
@@ -105,7 +104,7 @@ class ResAttnTuner(Tuner):
         self.qkv = LinearLayer(kaiming_uniform(rng, cfg.dim, 3 * rh), qkv_b)
         self.o = LinearLayer(np.zeros((rh, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor, mha=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         cfg = self.cfg
         return self.o(T.attention(self.qkv(x), cfg.heads, cfg.scale))
 
@@ -153,7 +152,7 @@ class PrefixTuner(Tuner):
         self.V = Parameter(trunc_normal(rng, shape))
         self.o = LinearLayer(np.zeros((cfg.dim, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, q: Tensor, mha=None) -> Tensor:
+    def __call__(self, q: Tensor) -> Tensor:
         cfg = self.cfg
         return self.o(T.attention(q, cfg.heads, cfg.head_dim**-0.5, kv=(self.K, self.V)))
 
@@ -165,8 +164,8 @@ class PrefixTuner(Tuner):
 
 class PromptTuner(Tuner):
     """Trainable prompt embeddings, projected to K/V (and back out) by the
-    frozen backbone MHA weights. Only the embeddings train; they start at
-    zero so the tuner is silent at init.
+    frozen backbone MHA weights, which ``attach`` binds once, as views. Only
+    the embeddings train; they start at zero so the tuner is silent at init.
 
     The shared projections are applied weight-only: folding in the frozen
     biases would break the zero-at-init guarantee for biased backbones.
@@ -181,16 +180,16 @@ class PromptTuner(Tuner):
         self.cfg = cfg
         self.P = Parameter(np.zeros((cfg.length, cfg.dim)))
 
-    def __call__(self, q: Tensor, mha: MultiHeadAttention) -> Tensor:
+    def bind(self, mha: MultiHeadAttention) -> None:
+        _, W_k, W_v = np.split(mha.qkv.W.data, 3, axis=1)  # views of the fused q | k | v
+        self.frozen = (Tensor(W_k), Tensor(W_v), Tensor(mha.proj.W.data))  # not parameters
+
+    def __call__(self, q: Tensor) -> Tensor:
         cfg = self.cfg
-        dim, heads, head_dim = cfg.dim, cfg.heads, cfg.head_dim
-        W = mha.qkv.W  # [dim, 3*dim] fused; columns dim:2dim are K, 2dim: are V
-        split = (cfg.length, heads, head_dim)  # then permuted to [heads, L, head_dim]
-        K, V = (
-            T.permute(T.reshape(T.linear(self.P, W[:, lo : lo + dim]), split), (1, 0, 2))
-            for lo in (dim, 2 * dim)
-        )
-        return T.linear(T.attention(q, heads, head_dim**-0.5, kv=(K, V)), mha.proj.W)
+        W_k, W_v, W_o = self.frozen
+        split = (cfg.length, cfg.heads, cfg.head_dim)  # then permuted to [heads, L, head_dim]
+        K, V = (T.permute(T.reshape(T.linear(self.P, W), split), (1, 0, 2)) for W in (W_k, W_v))
+        return T.linear(T.attention(q, cfg.heads, cfg.head_dim**-0.5, kv=(K, V)), W_o)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         return self.cfg.length * self.cfg.dim
@@ -219,7 +218,7 @@ class AdapterTuner(Tuner):
         )
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
-    def __call__(self, x: Tensor, mha=None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return T.ffn(x, self.down.W, self.down.b, self.up.W, self.up.b)
 
     def analytic_params(self, include_bias: bool = False) -> int:
@@ -292,9 +291,10 @@ def attach(model, specs, draw: bool = True) -> None:
             raise AttachError(f"slot (block={slot[0]}, op={slot[1]!r}) already has a tuner")
         seed = model.cfg.seed + 7919 * (1 + spec.block_index) + 104729 * ATTACH_OPS.index(spec.op)
         rng = np.random.default_rng(seed) if draw else None
-        model.tuners[slot] = build_tuner(
-            spec.kind, model.cfg.dim, model.cfg.heads, spec.options, rng
-        )
+        tuner = build_tuner(spec.kind, model.cfg.dim, model.cfg.heads, spec.options, rng)
+        if isinstance(tuner, PromptTuner):  # the one kind that reads its block's weights
+            tuner.bind(model.blocks[spec.block_index].mha)
+        model.tuners[slot] = tuner
 
 
 # -- parameter accounting -----------------------------------------------

@@ -194,7 +194,7 @@ def reference_block_forward(model, index, x, rows=None):
 
     def delta(op, op_input, qkv):
         tuner = model.tuners[(index, op)]
-        return tuner(q_of(qkv) if tuner.kind in ("prefix", "prompt") else op_input, block.mha)
+        return tuner(q_of(qkv) if tuner.kind in ("prefix", "prompt") else op_input)
 
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)

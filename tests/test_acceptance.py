@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from restuner.backbone import BackboneConfig, build_backbone
-from restuner.cli import main
+from restuner.cli import REFERENCE_COUNTS, main
 from restuner.data_io import (
     DatasetSpec,
     FormatError,
@@ -80,9 +80,10 @@ def test_criterion_2_oracle_equivalence():
 
         mha = MultiHeadAttention(dim, heads, rng)
         pr = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
+        pr.bind(mha)
         pr.P.data[...] = rng.normal(size=(L, dim))
         exp = naive_prompt(q, pr.P.data, mha.qkv.W.data, mha.proj.W.data)
-        worst = max(worst, float(np.abs(pr(q_in, mha).data - exp).max()))
+        worst = max(worst, float(np.abs(pr(q_in).data - exp).max()))
     verdict(2, "oracle equivalence", worst < 1e-10, f"max_abs={worst:.2e}")
 
 
@@ -105,10 +106,9 @@ def test_criterion_4_parameter_accounting():
     cfg = BackboneConfig(dim=768, depth=12, heads=12, patch=16, image_size=224,
                          in_channels=3, num_classes=100, seed=0)
     model = build_backbone(cfg)
-    published = {(8, 8): 2.35e6, (8, 4): 1.22e6, (4, 4): 0.66e6, (2, 4): 0.32e6}
     details = []
     ok = True
-    for (rank, heads), ref in published.items():
+    for (rank, heads), ref in REFERENCE_COUNTS.items():
         model.tuners.clear()
         attach(model, [AttachSpec(b, "mha", "res_attn", {"rank": rank, "heads": heads})
                        for b in range(12)])

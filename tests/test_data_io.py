@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from restuner.tuners import AttachSpec, attach
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
                      in_channels=1, num_classes=4, seed=0)
 SPEC = DatasetSpec(num_classes=4, shape=(1, 8, 8), size=64, seed=0)
+# sha256 of ``_tuned_model``'s checkpoint after ``_nudge_trainable``, pinned
+# so that its tensor list and bytes cannot drift
+PROMPT_CHECKPOINT_SHA256 = "ee827cc2ae8629a5084e0a5b102f5fa33394566e1c14ed47571c0c379d3235ae"
 
 
 # -- synthetic data -----------------------------------------------------
@@ -172,16 +177,22 @@ def _tuned_model():
     attach(m, [
         AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2}),
         AttachSpec(1, "ffn", "adapter", {"bottleneck": 2}),
+        AttachSpec(1, "block", "prompt", {"length": 3}),
     ])
     return m
 
 
-def test_checkpoint_round_trip_forward_identical(tmp_path):
-    m = _tuned_model()
+def _nudge_trainable(m):
     rng = np.random.default_rng(0)
     for _, p in m.named_parameters():
         if p.requires_grad:
             p.data += rng.normal(size=p.data.shape) * 0.01
+    return rng
+
+
+def test_checkpoint_round_trip_forward_identical(tmp_path):
+    m = _tuned_model()
+    rng = _nudge_trainable(m)
     path = tmp_path / "m.rtck"
     save_checkpoint(m, path)
     back = load_checkpoint(path)
@@ -190,6 +201,26 @@ def test_checkpoint_round_trip_forward_identical(tmp_path):
     for (n1, p1), (n2, p2) in zip(m.named_parameters(), back.named_parameters()):
         assert n1 == n2
         assert p1.data.tobytes() == p2.data.tobytes()
+
+
+def test_loaded_prompt_reads_its_block_through_views_and_resaves_as_written(tmp_path):
+    """A loaded prompt's frozen projections are views of its block's MHA
+    weights, bound at attach and kept valid by the load's in-place writes.
+    The file's digest pins its tensor names, order and bytes, and the loaded
+    model re-saves them unchanged."""
+    m = _tuned_model()
+    _nudge_trainable(m)
+    path = tmp_path / "m.rtck"
+    save_checkpoint(m, path)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == PROMPT_CHECKPOINT_SHA256
+    back = load_checkpoint(path)
+    prompt, mha = back.tuners[(1, "block")], back.blocks[1].mha
+    W_k, W_v, W_o = prompt.frozen
+    assert np.shares_memory(W_k.data, mha.qkv.W.data) and np.shares_memory(W_v.data, mha.qkv.W.data)
+    assert np.shares_memory(W_o.data, mha.proj.W.data)
+    save_checkpoint(back, tmp_path / "again.rtck")
+    assert (tmp_path / "again.rtck").read_bytes() == blob
 
 
 def test_checkpoint_detects_byte_flip(tmp_path):
@@ -216,7 +247,8 @@ def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     payload = bytearray(blob[4:-4])
     (cfg_len,) = struct.unpack_from("<I", payload, 4)
     config = json.loads(payload[8 : 8 + cfg_len].decode())
-    config["tuners"][1]["options"]["bottleneck"] = 4  # was 2
+    adapter = next(t for t in config["tuners"] if t["kind"] == "adapter")
+    adapter["options"]["bottleneck"] = 4  # was 2
     new_cfg = json.dumps(config, sort_keys=True).encode()
     new_payload = payload[:4] + struct.pack("<I", len(new_cfg)) + new_cfg + payload[8 + cfg_len :]
     path.write_bytes(b"RTCK" + new_payload + struct.pack("<I", zlib.crc32(bytes(new_payload))))

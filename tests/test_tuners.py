@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -142,7 +143,9 @@ def test_all_tuners_zero_at_init():
     assert np.abs(ResAttnTuner(ResAttnConfig(dim), rng)(x).data).max() == 0.0
     assert np.abs(AdapterTuner(AdapterConfig(dim), rng)(x).data).max() == 0.0
     assert np.abs(PrefixTuner(PrefixTunerConfig(dim, heads), rng)(q).data).max() == 0.0
-    assert np.abs(PromptTuner(PrefixTunerConfig(dim, heads), rng)(q, mha).data).max() == 0.0
+    prompt = PromptTuner(PrefixTunerConfig(dim, heads), rng)
+    prompt.bind(mha)
+    assert np.abs(prompt(q).data).max() == 0.0
 
 
 # -- oracle equivalence -------------------------------------------------
@@ -192,10 +195,11 @@ def test_prompt_matches_loop_oracle(trial):
     B, N, L = int(rng.integers(1, 3)), int(rng.integers(1, 7)), int(rng.integers(1, 5))
     mha = MultiHeadAttention(dim, heads, rng)
     t = PromptTuner(PrefixTunerConfig(dim, heads, length=L), rng)
+    t.bind(mha)
     t.P.data[...] = rng.normal(size=(L, dim))
     q = rng.normal(size=(B, heads, N, hd))
     expected = naive_prompt(q, t.P.data, mha.qkv.W.data, mha.proj.W.data)
-    assert np.abs(t(Tensor(merged_q(q)), mha).data - expected).max() < 1e-10
+    assert np.abs(t(Tensor(merged_q(q))).data - expected).max() < 1e-10
 
 
 def test_res_attn_single_token_is_v_through_o():
@@ -331,13 +335,16 @@ def test_analytic_res_attn_formula():
 
 
 def test_registry_classes_define_kind_label_and_call():
-    # the benchmark tracer wraps these four classes' own __call__ by kind
+    # the benchmark tracer wraps these four classes' own __call__ by kind,
+    # and each is called with its one input alone, no part of its block
     assert set(TUNERS.values()) == {ResAttnTuner, AdapterTuner, PrefixTuner, PromptTuner}
     assert TUNER_KINDS == tuple(sorted(TUNERS))
     for kind, cls in TUNERS.items():
         assert cls.kind == kind
         assert isinstance(cls.label, str) and cls.label
         assert "__call__" in vars(cls)
+        _, *inputs = inspect.signature(cls.__call__).parameters
+        assert len(inputs) == 1, (kind, inputs)
         assert cls.defaults(), kind
 
 
