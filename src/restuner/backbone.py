@@ -22,7 +22,7 @@ from .layers import (
     make_linear,
     trunc_normal,
 )
-from .tensor import ShapeError, Tensor, broadcast_to, concat, is_grad_enabled
+from .tensor import ShapeError, Tensor, broadcast_to, concat, is_grad_enabled, no_grad
 from .tuners import ATTACH_OPS, Tuner, slot_key
 
 
@@ -123,8 +123,8 @@ class ModelGraph(Module):
         for (block, op), tuner in sorted(self.tuners.items(), key=slot_key):
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
-    def __call__(self, images: Tensor) -> Tensor:
-        """Patch-embed -> blocks -> final norm -> class token -> head logits."""
+    def _embed(self, images: Tensor) -> Tensor:
+        """Shape check -> patch embed -> class token -> positions: block 0's input."""
         cfg = self.cfg
         data = images.data
         if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
@@ -134,15 +134,31 @@ class ModelGraph(Module):
         B = data.shape[0]
         x = self.patch_embed(Tensor(patchify(data, cfg.patch)))  # keeps no patch tensor
         cls = broadcast_to(self.cls_token, (B, 1, cfg.dim))
-        x = concat([cls, x], axis=1)
-        x = x + Tensor(self.pos[None, :, :])
+        x = concat([cls, x], axis=1)  # the patch embedding dies here
+        return x + Tensor(self.pos[None, :, :])
+
+    def __call__(self, images: Tensor) -> Tensor:
+        """Patch-embed -> blocks -> final norm -> class token -> head logits."""
+        x = self._embed(images)
         # The head reads only the class token's row, so a forward that
         # records nothing has the last block keep just its first rows.
         rows = None if is_grad_enabled() else HEAD_ROWS
-        for i in range(cfg.depth):
-            x = block_forward(self, i, x, rows if i == cfg.depth - 1 else None)
+        for i in range(self.cfg.depth):
+            x = block_forward(self, i, x, rows if i == self.cfg.depth - 1 else None)
         x = self.final_norm(x)
         return self.head(x[:, 0, :])
+
+    def features(self, images: Tensor) -> tuple[list[dict[str, Tensor]], Tensor]:
+        """The frozen path's features at every token row, recording nothing
+        and calling no tuner: each block's named slot inputs (``block``,
+        ``mha``, ``q``, ``ffn``; see ``block_forward``) and ``final_norm``
+        of the last block's output."""
+        inputs = [{} for _ in self.blocks]
+        with no_grad():
+            x = self._embed(images)
+            for i in range(self.cfg.depth):
+                x = block_forward(self, i, x, inputs=inputs[i])
+            return inputs, self.final_norm(x)
 
 
 def build_backbone(cfg: BackboneConfig) -> ModelGraph:
@@ -171,50 +187,50 @@ def _first_rows(t: Tensor, rows: int | None) -> Tensor:
     return t if rows is None else t[:, :rows]
 
 
-def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = None) -> Tensor:
+def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = None,
+                  inputs: dict | None = None) -> Tensor:
     """One pre-norm block with any tuners attached at its slots; given
     ``rows``, only the first ``rows`` token rows of its output.
 
-    Each tuner is called with the one input its class declares: the input of
-    the op at its slot (the post-norm tensor fed to the MHA or FFN, or the
-    block's raw input for the block tuner), or its own view of the query
-    third of this block's fused QKV projection. Each tensor is dropped after
-    its last reader: the MHA's input right after the MHA unless the MHA
-    tuner reads it, else after that tuner; the MHA's output after the
-    residual add; ``qkv`` before the FFN unless the FFN tuner reads q. Where
-    ``qkv`` records nothing and a tuner reads q, only a copy of the q third
-    is kept, so k and v die with the backbone attention. The block tuner's
-    delta is computed before the FFN and added last.
-
-    Given ``rows``, every op but the MLP still runs on every token, so each
-    tuner reads its whole input; the MLP reads the first ``rows`` rows of
-    ``norm2``, and only those rows of the residual stream and of each
-    tuner's delta are added to its output.
+    It names each slot input once: ``block`` (x), ``mha`` (``norm1(x)``),
+    ``q`` (the query third of the fused QKV projection) and ``ffn``
+    (``norm2`` of the MHA residual). The tuner at op reads ``q`` if its
+    ``reads_q`` says so, else the name ``op``; each name is dropped once no
+    later tuner reads it. Where ``qkv`` records nothing, ``q`` is a copy,
+    so k and v die with the attention; where it records, each reader takes
+    its own view. The block tuner's delta is computed before the FFN and
+    added last. Given ``inputs``, every name is stored there and no tuner
+    is called. Given ``rows``, the MLP reads the first ``rows`` rows of
+    ``norm2``, and only those rows of the residual stream and of each delta
+    are added to its output; every other op reads every token.
     """
     block = model.blocks[index]
-    mha_tuner, ffn_tuner, block_tuner = tuners = [model.tuners.get((index, op)) for op in ATTACH_OPS]
+    tuners = {op: model.tuners.get((index, op)) for op in ATTACH_OPS if inputs is None}
+    reads = {op: "q" if t.reads_q else op for op, t in tuners.items() if t is not None}
+    named = {} if inputs is None else inputs
     dim = x.shape[-1]
 
-    def delta(tuner, op_input):
-        return tuner(qkv[..., :dim] if tuner.reads_q else op_input)
+    def keep(*ops):  # drop each name no tuner at ``ops`` reads; ``inputs`` keeps all
+        if inputs is None:
+            for name in set(named) - {reads.get(op) for op in ops}:
+                del named[name]
 
-    h1 = block.norm1(x)
-    mha_out, qkv = block.mha(h1)
-    if mha_tuner is None or mha_tuner.reads_q:
-        h1 = None
-    if not qkv.requires_grad and any(t is not None and t.reads_q for t in tuners):
-        qkv = Tensor(np.ascontiguousarray(qkv.data[..., :dim]))
-    u = x + mha_out
-    del mha_out
-    if mha_tuner is not None:
-        u = u + delta(mha_tuner, h1)
-    del h1
-    block_delta = None if block_tuner is None else _first_rows(delta(block_tuner, x), rows)
-    if ffn_tuner is None or not ffn_tuner.reads_q:
-        qkv = None
+    def delta(op):
+        return tuners[op](named["q"][..., :dim] if reads[op] == "q" else named[op])
 
-    h2 = block.norm2(u)
-    y = _first_rows(u, rows) + block.mlp(_first_rows(h2, rows))
-    if ffn_tuner is not None:
-        y = y + _first_rows(delta(ffn_tuner, h2), rows)
+    named.update(block=x, mha=block.norm1(x))
+    u, named["q"] = block.mha(named["mha"])
+    keep("mha", "block", "ffn")
+    if "q" in named and not named["q"].requires_grad:
+        named["q"] = Tensor(np.ascontiguousarray(named["q"].data[..., :dim]))
+    u = x + u  # the residual stream; the MHA output dies here
+    if "mha" in reads:
+        u = u + delta("mha")
+    keep("block", "ffn")
+    block_delta = _first_rows(delta("block"), rows) if "block" in reads else None
+    keep("ffn")
+    named["ffn"] = block.norm2(u)
+    y = _first_rows(u, rows) + block.mlp(_first_rows(named["ffn"], rows))
+    if "ffn" in reads:
+        y = y + _first_rows(delta("ffn"), rows)
     return y if block_delta is None else y + block_delta

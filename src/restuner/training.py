@@ -168,6 +168,17 @@ def train(
     history = []
     step = 0
     sink = open(metrics_path, "w") if metrics_path else None
+
+    def emit(split, loss, accuracy):  # one epoch record, timed from the epoch's start
+        record = {"epoch": epoch, "split": split, "loss": loss, "accuracy": accuracy,
+                  "elapsed_sec": time.monotonic() - t0}
+        history.append(record)
+        line = json.dumps(record)
+        if not quiet:
+            print(line)
+        if sink:
+            sink.write(line + "\n")
+
     try:
         for epoch in range(cfg.epochs):
             t0 = time.monotonic()
@@ -182,26 +193,10 @@ def train(
                 step += 1
                 loss_sum += loss * len(idx)
                 correct += n_correct
-            record = {
-                "epoch": epoch,
-                "split": "train",
-                "loss": loss_sum / n,
-                "accuracy": correct / n,
-                "elapsed_sec": time.monotonic() - t0,
-            }
-            history.append(record)
-            _emit(record, sink, quiet)
+            emit("train", loss_sum / n, correct / n)
             if eval_dataset is not None:
                 acc, mean_loss = evaluate(model, eval_dataset, cfg.batch_size)
-                record = {
-                    "epoch": epoch,
-                    "split": "eval",
-                    "loss": mean_loss,
-                    "accuracy": acc,
-                    "elapsed_sec": time.monotonic() - t0,
-                }
-                history.append(record)
-                _emit(record, sink, quiet)
+                emit("eval", mean_loss, acc)
     finally:
         if sink:
             sink.close()
@@ -228,14 +223,6 @@ def _train_step(model, opt, images, labels, smoothing: float, lr: float, where: 
         loss.backward()
         opt.step(lr)
     return loss.item(), int((logits.data.argmax(axis=-1) == labels).sum())
-
-
-def _emit(record, sink, quiet):
-    line = json.dumps(record)
-    if not quiet:
-        print(line)
-    if sink:
-        sink.write(line + "\n")
 
 
 def evaluate(model: ModelGraph, dataset, batch_size: int = 64):

@@ -50,10 +50,12 @@ class Tuner(Module):
     """Each subclass is the one definition of its kind: ``kind`` names it in
     configs and checkpoints, ``label`` in the grids. ``Config`` fields with a
     default are its options, each an int or a bool; the rest (``dim``,
-    prefix/prompt ``heads``) come from the backbone. ``reads_q`` declares
-    the one input it is called with, ``tuner(input)``: the slot op's input,
-    or with True the query third of its block's fused QKV projection.
-    ``analytic_params`` is its closed-form parameter count.
+    prefix/prompt ``heads``) come from the backbone. ``reads_q`` selects
+    which of its block's named slot inputs (``block``, ``mha``, ``q``,
+    ``ffn``; see ``block_forward``) it is called with, ``tuner(input)``:
+    with False the one its slot op reads, with True ``q``, the query third
+    of its block's fused QKV projection. ``analytic_params`` is its
+    closed-form parameter count.
     """
 
     kind: str

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import tracemalloc
 from collections import Counter
@@ -16,7 +17,7 @@ from restuner.backbone import (
     trainable_parameters,
 )
 from restuner.layers import MLP
-from restuner.tensor import Tensor, no_grad, rel_error
+from restuner.tensor import Tensor, is_grad_enabled, no_grad, rel_error
 from restuner.training import TrainConfig, _train_step, cross_entropy, make_optimizer
 from restuner.tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachSpec, attach
 
@@ -96,6 +97,9 @@ def test_fresh_tuners_do_not_change_forward():
 
 
 def test_trained_tuner_delta_equals_tuner_forward():
+    """The block tuner taps the raw block input and adds to the block
+    output, so on block 1's input from ``features()`` its standalone
+    forward is the tuned block's delta over the frozen block."""
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(2, 1, 8, 8)))
     plain = build_backbone(TOY)
@@ -104,37 +108,20 @@ def test_trained_tuner_delta_equals_tuner_forward():
     tuner = tuned.tuners[(1, "block")]
     tuner.o.W.data[...] = rng.normal(size=tuner.o.W.data.shape) * 0.1
 
-    # block tuner taps the raw block input and adds to the block output,
-    # so its standalone forward on that input is the end-to-end delta
-    # before the final norm; compare through a re-run of the tail instead
-    import restuner.backbone as bb
-
-    def run_blocks(model, with_delta):
-        data = x.data
-        patches = Tensor(bb.patchify(data, TOY.patch))
-        h = model.patch_embed(patches)
-        from restuner.tensor import broadcast_to, concat
-
-        cls = broadcast_to(model.cls_token, (2, 1, TOY.dim))
-        h = concat([cls, h], axis=1)
-        h = h + Tensor(model.pos[None, :, :])
-        h = bb.block_forward(model, 0, h)
-        block_in = h
-        h = bb.block_forward(model, 1, h)
-        return block_in, h
-
-    block_in_plain, out_plain = run_blocks(plain, False)
-    _, out_tuned = run_blocks(tuned, True)
-    delta = tuner(block_in_plain).data
+    block_in = plain.features(x)[0][1]["block"]
+    out_plain = backbone.block_forward(plain, 1, block_in)
+    out_tuned = backbone.block_forward(tuned, 1, block_in)
+    delta = tuner(block_in).data
     assert np.abs((out_tuned.data - out_plain.data) - delta).max() < 1e-12
 
 
-def test_bad_image_shape_raises():
+@pytest.mark.parametrize("call", ["forward", "features"])
+def test_bad_image_shape_raises(call):
     from restuner.tensor import ShapeError
 
     m = build_backbone(TOY)
     with pytest.raises(ShapeError):
-        m(Tensor(np.zeros((1, 1, 9, 9))))
+        getattr(m, "__call__" if call == "forward" else call)(Tensor(np.zeros((1, 1, 9, 9))))
 
 
 @pytest.mark.slow
@@ -388,30 +375,90 @@ def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, sl
     assert bare.tobytes() == recorded.tobytes()
 
 
-@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
-def test_forward_without_graph_feeds_every_tuner_every_row(slots, monkeypatch):
-    """A recorded forward calls every tuner and MLP on all ``cfg.tokens``
-    rows. So does one that records nothing, prefix and prompt on every q
-    row, but for the last block's MLP, which reads ``HEAD_ROWS`` rows."""
+def _tuner_and_mlp_inputs(m, images) -> tuple[list, np.ndarray]:
+    """((block, op), input array) of every tuner and MLP call of one
+    forward of ``m``, in call order (an MLP's op is ``"mlp"``), and its logits."""
     seen = []
+    slot_of = {id(t): key for key, t in m.tuners.items()}
+    slot_of.update((id(block.mlp), (i, "mlp")) for i, block in enumerate(m.blocks))
 
-    def recording(name, call):
-        def wrapper(module, x, *args):
-            seen.append((name, x.shape))
-            return call(module, x, *args)
+    def recording(call):
+        def wrapper(module, x):
+            seen.append((slot_of[id(module)], x.data))
+            return call(module, x)
         return wrapper
 
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in [*TUNERS.values(), MLP]:
+            mp.setattr(cls, "__call__", recording(cls.__call__))
+        return seen, m(images).data
+
+
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_forward_without_graph_feeds_every_tuner_every_row(shape, slots):
+    """At zero init, a recorded forward and one that records nothing call
+    each tuner on the bytes a frozen build's ``features()`` names for it,
+    ``q`` for a tuner that ``reads_q`` and its slot's name else, at every
+    token row, in the forward's slot order (mha, block, MLP, ffn). Each MLP
+    reads ``ffn`` at every row, but for the no-grad forward's last one,
+    which reads its first ``HEAD_ROWS``. The head on the final feature's
+    class row gives the frozen model's recorded logits bit for bit, and so
+    does the tuned model's recorded forward."""
+    cfg, B = SHAPES[shape]
+    images = Tensor(np.random.default_rng(8).normal(
+        size=(B, cfg.in_channels, cfg.image_size, cfg.image_size)))
+    frozen = build_backbone(cfg)
+    inputs, final = frozen.features(images)
+    frozen_logits = frozen(images).data.tobytes()
+    assert frozen.head(final[:, 0]).data.tobytes() == frozen_logits
+    m = build_backbone(cfg)
+    attach(m, [AttachSpec(b, op, kind) for b in range(cfg.depth) for op, kind in slots])
+    order = ("mha", "block", "mlp", "ffn")  # a block's calls, in the order it makes them
+    calls = sorted([*m.tuners, *((b, "mlp") for b in range(cfg.depth))],
+                   key=lambda slot: (slot[0], order.index(slot[1])))
+
+    def named_input(b, op, grad):
+        if op == "mlp":
+            return inputs[b]["ffn"].data[:, :HEAD_ROWS if not grad and b == cfg.depth - 1 else None]
+        return inputs[b]["q" if m.tuners[b, op].reads_q else op].data
+
+    for grad in (True, False):
+        with (contextlib.nullcontext() if grad else no_grad()):
+            seen, logits = _tuner_and_mlp_inputs(m, images)
+        assert [slot for slot, _ in seen] == calls
+        for (b, op), got in seen:
+            want = named_input(b, op, grad)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (grad, b, op)
+        assert logits.tobytes() == frozen_logits or not grad
+
+
+def test_features_record_nothing_and_ignore_the_tuners(monkeypatch):
+    """``features()`` outside ``no_grad``, on a model whose trainable tuners
+    have drawn, non-zero weights, calls no tuner, records nothing and
+    returns a bare build's bytes: every block's four named inputs at every
+    token row, each the op of the block it names, and the final feature."""
+    images = Tensor(np.random.default_rng(9).normal(size=(3, 1, 8, 8)))
+    tuned = _randomized([AttachSpec(b, op, kind) for b in range(TOY.depth)
+                         for op, kind in (("mha", "prefix"), ("ffn", "adapter"), ("block", "prompt"))])
+    assert tuned(images).data.tobytes() != build_backbone(TOY)(images).data.tobytes()
     for cls in TUNERS.values():
-        monkeypatch.setattr(cls, "__call__", recording(cls.kind, cls.__call__))
-    monkeypatch.setattr(MLP, "__call__", recording("mlp", MLP.__call__))
-    cfg, B = EVAL_MIX, 64
-    _forward_both_ways(cfg, slots, B)
-    whole = (B, cfg.tokens, cfg.dim)
-    calls = sorted([(kind, whole) for _, kind in slots] * cfg.depth + [("mlp", whole)] * cfg.depth)
-    recorded, bare = seen[:len(calls)], seen[len(calls):]
-    assert sorted(recorded) == calls
-    calls.remove(("mlp", whole))
-    assert sorted(bare) == sorted(calls + [("mlp", (B, HEAD_ROWS, cfg.dim))])
+        monkeypatch.setattr(cls, "__call__", lambda module, x: pytest.fail("features() called a tuner"))
+    got, got_final = tuned.features(images)
+    want, want_final = build_backbone(TOY).features(images)
+    assert is_grad_enabled()
+    for g, w in zip(got, want, strict=True):
+        assert list(g) == list(w) and sorted(g) == ["block", "ffn", "mha", "q"]
+        for name, t in g.items():
+            assert t.shape == (3, TOY.tokens, TOY.dim) and t.data.tobytes() == w[name].data.tobytes()
+    assert got_final.data.tobytes() == want_final.data.tobytes()
+    for block, g in zip(tuned.blocks, got):
+        mha_out, qkv = block.mha(g["mha"])
+        assert g["mha"].data.tobytes() == block.norm1(g["block"]).data.tobytes()
+        assert g["q"].data.tobytes() == qkv.data[..., :TOY.dim].tobytes()
+        assert g["ffn"].data.tobytes() == block.norm2(g["block"] + mha_out).data.tobytes()
+    tensors = [t for g in got for t in g.values()] + [got_final]
+    assert all(not t.requires_grad and t._backward is None and not t._parents for t in tensors)
 
 
 def _graph(loss) -> list:
