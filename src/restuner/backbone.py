@@ -23,7 +23,7 @@ from .layers import (
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor, broadcast_to, concat, is_grad_enabled, no_grad
-from .tuners import ATTACH_OPS, Tuner, slot_key
+from .tuners import ATTACH_OPS, Tuner, attach, slot_key
 
 
 class ConfigError(ValueError):
@@ -98,10 +98,9 @@ def sinusoidal_positions(n: int, dim: int) -> np.ndarray:
 
 
 class ModelGraph(Module):
-    """Backbone + attached tuners + classifier head, with the weights drawn
-    from ``rng`` (zeros given None). The backbone is frozen here, the one
-    place that decides it, so its parameters never allocate a grad buffer;
-    only the head is trainable until tuners are attached."""
+    """Backbone + tuners + classifier head, weights drawn from ``rng`` (zeros
+    given None); ``build_backbone`` builds every one. The backbone is frozen
+    here, the one place that decides it, so it never allocates a grad buffer."""
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator | None):
         self.tuners: dict[tuple[int, str], Tuner] = {}  # first: ``parameters`` walks it
@@ -161,17 +160,19 @@ class ModelGraph(Module):
             return inputs, self.final_norm(x)
 
 
-def build_backbone(cfg: BackboneConfig) -> ModelGraph:
-    """Deterministically seeded model; backbone frozen, head trainable."""
-    return ModelGraph(cfg, np.random.default_rng(cfg.seed))
+def build_backbone(cfg: BackboneConfig, specs=(), draw: bool = True) -> ModelGraph:
+    """The one model builder: frozen backbone, trainable head and a tuner per
+    spec (``attach``), drawn from generators seeded by ``cfg.seed``; given
+    ``draw`` False, zeros and no generator, for a load that overwrites them."""
+    model = ModelGraph(cfg, np.random.default_rng(cfg.seed) if draw else None)
+    attach(model, specs, draw)
+    return model
 
 
-def trainable_parameters(model: ModelGraph):
-    """(name, param) pairs for trainable params, stable-ordered by name."""
-    return sorted(
-        ((n, p) for n, p in model.named_parameters() if p.requires_grad),
-        key=lambda np_: np_[0],
-    )
+def trainable_parameters(model: ModelGraph) -> list:
+    """(name, param) pairs of the trainable params, in the parameter walk's
+    order, which is the checkpoint's tensor order."""
+    return [(n, p) for n, p in model.named_parameters() if p.requires_grad]
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .data_io import (
 from .tensor import Tensor, no_grad
 from .training import DivergenceError, check_dataset, evaluate, grad_check, quiet_overflow, train
 from .tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner
-from .tuners import attach, count_trainable_params
+from .tuners import count_trainable_params
 
 # published trainable-parameter counts for rank x heads at every MHA slot
 # of the 12-block, width-768 backbone (counting convention differs
@@ -87,8 +87,7 @@ def cmd_train(args) -> int:
         save_binary_dataset(eval_ds, out / "eval.rtds")
     else:
         eval_ds = None
-    model = build_backbone(run.backbone)
-    attach(model, run.tuner_specs)
+    model = build_backbone(run.backbone, run.tuner_specs)
     train(model, train_ds, run.train, metrics_path=out / "metrics.jsonl", eval_dataset=eval_ds)
     save_checkpoint(model, out / "model.rtck")
     print(f"checkpoint written to {out / 'model.rtck'}")
@@ -105,8 +104,7 @@ def cmd_eval(args) -> int:
 
 def cmd_count_params(args) -> int:
     run = load_run_config(args.config)
-    model = build_backbone(run.backbone)
-    attach(model, run.tuner_specs)
+    model = build_backbone(run.backbone, run.tuner_specs)
     counts, total, analytic = count_trainable_params(
         model, include_head=args.include_head, include_bias=args.include_bias
     )
@@ -131,25 +129,20 @@ def cmd_count_params(args) -> int:
 
 
 def _reference_count(run: RunConfig):
-    """Published count, when the config matches a published row."""
-    b = run.backbone
-    if (b.dim, b.depth) != (768, 12) or not run.tuner_specs:
+    """Published count, when the config matches a published row: one
+    ``res_attn`` at every block's MHA, each with the same options."""
+    b, specs = run.backbone, run.tuner_specs
+    opts = [{**ResAttnTuner.defaults(), **s.options} for s in specs]
+    uniform = all((s.kind, s.op, o) == (ResAttnTuner.kind, "mha", opts[0]) for s, o in zip(specs, opts))
+    if (b.dim, b.depth) != (768, 12) or len(specs) != b.depth or not uniform:
         return None
-    specs = run.tuner_specs
-    if len(specs) != b.depth:
-        return None
-    first = specs[0]
-    if first.kind != ResAttnTuner.kind or any(s.op != "mha" for s in specs):
-        return None
-    opts = {**ResAttnTuner.defaults(), **first.options}
-    return REFERENCE_COUNTS.get((opts["rank"], opts["heads"]))
+    return REFERENCE_COUNTS.get((opts[0]["rank"], opts[0]["heads"]))
 
 
 def cmd_grad_check(args) -> int:
     run = load_run_config(args.config)
     train_ds, _ = _load_datasets(run)
-    model = build_backbone(run.backbone)
-    attach(model, run.tuner_specs)
+    model = build_backbone(run.backbone, run.tuner_specs)
     check_dataset(model, train_ds)
     probe = train_ds.subset(slice(8))
     report, ok = grad_check(model, probe.images, probe.labels, eps=args.eps, tol=args.tol)
@@ -162,8 +155,7 @@ def cmd_grad_check(args) -> int:
 
 def _matrix_cell(run: RunConfig, specs, train_ds, eval_ds, frozen_logits):
     """Check one cell's zero-init identity against ``frozen_logits``, then train it."""
-    model = build_backbone(run.backbone)
-    attach(model, specs)
+    model = build_backbone(run.backbone, specs)
     identity = bool(np.array_equal(_zero_init_probe(model, train_ds.images), frozen_logits))
     history = train(model, train_ds, run.train, quiet=True)
     final_train = [h for h in history if h["split"] == "train"][-1]["accuracy"]

@@ -40,6 +40,11 @@ class DataSection:
 
 
 @dataclass
+class OutputSection:
+    dir: str = "runs/out"
+
+
+@dataclass
 class RunConfig:
     backbone: BackboneConfig
     tuner_specs: list
@@ -106,16 +111,14 @@ _TUNER_SCHEMA = {
     "kind": str, "op": str, "blocks": str,
     **{name: type(value) for cls in TUNERS.values() for name, value in cls.defaults().items()},
 }
-_OUTPUT_SCHEMA = {"dir": str}
-
-_SECTIONS = {"backbone": BackboneConfig, "train": TrainConfig, "data": DataSection}
+_SECTIONS = {"backbone": BackboneConfig, "train": TrainConfig, "data": DataSection, "output": OutputSection}
 # config key -> dataclass field, where the two names differ
 _RENAME = {"image": "image_size", "channels": "in_channels", "classes": "num_classes",
            "batch": "batch_size", "smoothing": "label_smoothing", "rotation": "rotation_deg"}
 
 
 def _build_section(name: str, raw: dict):
-    """Build a [backbone], [train] or [data] section; each key takes its field default's type."""
+    """Build one ``_SECTIONS`` section; each key takes its field default's type."""
     cls = _SECTIONS[name]
     key_of = {f: key for key, f in _RENAME.items()}
     schema = {key_of.get(f.name, f.name): type(f.default) for f in fields(cls)}
@@ -149,25 +152,17 @@ def load_run_config(path) -> RunConfig:
             text = f.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    sections = parse_sections(text)
-    known = {"backbone", "tuner", "train", "data", "output"}
-    seen_once = set()
     built = {}
-    out_dir = "runs/out"
     tuner_raws = []
-    for name, raw in sections:
-        if name not in known:
-            raise ConfigError(f"unknown section [{name}]")
-        if name != "tuner":
-            if name in seen_once:
-                raise ConfigError(f"duplicate section [{name}]")
-            seen_once.add(name)
-        if name in _SECTIONS:
-            built[name] = _build_section(name, raw)
-        elif name == "output":
-            out_dir = _coerce(name, raw, _OUTPUT_SCHEMA).get("dir", out_dir)
-        else:
+    for name, raw in parse_sections(text):
+        if name == "tuner":
             tuner_raws.append(raw)
+        elif name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+        elif name in built:
+            raise ConfigError(f"duplicate section [{name}]")
+        else:
+            built[name] = _build_section(name, raw)
     if "backbone" not in built:
         raise ConfigError("missing required section [backbone]")
     specs = []
@@ -178,7 +173,7 @@ def load_run_config(path) -> RunConfig:
         tuner_specs=specs,
         train=built.get("train") or TrainConfig(),
         data=built.get("data") or DataSection(),
-        out_dir=out_dir,
+        out_dir=(built.get("output") or OutputSection()).dir,
     )
     if run.data.source == "synthetic":
         try:

@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .backbone import BackboneConfig, ModelGraph
-from .tuners import AttachSpec, attach
+from .backbone import BackboneConfig, ModelGraph, build_backbone
+from .tuners import AttachSpec
 
 CHECKPOINT_MAGIC = b"RTCK"
 CHECKPOINT_VERSION = 1
@@ -304,12 +304,12 @@ def read_checkpoint(path):
 
 
 def load_checkpoint(path) -> ModelGraph:
-    """Rebuild the model from its config echo, from zeros where a build
-    would draw weights, and restore every tensor."""
+    """Rebuild the model from its config echo with ``build_backbone``, which
+    draws no weight (``draw=False``), and restore every tensor."""
     config, tensors = read_checkpoint(path)
     try:
-        model = ModelGraph(BackboneConfig(**config["backbone"]), None)
-        attach(model, [AttachSpec(**t) for t in config["tuners"]], draw=False)
+        model = build_backbone(BackboneConfig(**config["backbone"]),
+                               [AttachSpec(**t) for t in config["tuners"]], draw=False)
     except KeyError as e:
         raise FormatError(f"checkpoint config echo has no {e} key")
     except (TypeError, ValueError) as e:

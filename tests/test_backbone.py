@@ -318,12 +318,22 @@ def test_block_matches_the_reference_block_bit_for_bit(slots, monkeypatch):
     qkv, then needs a grad): the block that reads q through a view per
     tuner, computes the block tuner's delta before the FFN and drops qkv
     gives the logits and grads of ``reference_block_forward``, whose MLP is
-    the primitive chain, bit for bit."""
+    the primitive chain, bit for bit. Every ``norm1`` and ``norm2`` has its
+    own drawn gamma and beta, so a block that swapped them would differ."""
+
+    def build():
+        m = _randomized(specs)
+        rng = np.random.default_rng(11)
+        for norm in (n for block in m.blocks for n in (block.norm1, block.norm2)):
+            norm.gamma.data[...] = 1.0 + rng.normal(scale=0.5, size=norm.gamma.data.shape)
+            norm.beta.data[...] = rng.normal(scale=0.5, size=norm.beta.data.shape)
+        return m
+
     specs = [AttachSpec(b, op, kind) for b in range(2) for op, kind in slots]
     images = np.random.default_rng(8).normal(size=(2, 1, 8, 8))
-    streamed = _step_bits(_randomized(specs), images)
+    streamed = _step_bits(build(), images)
     monkeypatch.setattr(backbone, "block_forward", reference_block_forward)
-    assert _step_bits(_randomized(specs), images) == streamed
+    assert _step_bits(build(), images) == streamed
 
 
 EVAL_MIX = BackboneConfig(dim=64, depth=4, heads=4, patch=4, image_size=16,

@@ -85,11 +85,26 @@ def test_unknown_key_is_hard_error(tmp_path):
         load_run_config(path)
 
 
-def test_unknown_section_is_hard_error(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[backbone]\ndim = 16\n[extra]\nx = 1\n", r"unknown section \[extra\]"),
+        ("[backbone]\n[train]\nlr = 0.1\n[train]\nlr = 0.2\n", r"duplicate section \[train\]"),
+        ("[output]\ndir = a\n[backbone]\n[output]\ndir = b\n", r"duplicate section \[output\]"),
+    ],
+    ids=["unknown", "second_train", "second_output"],
+)
+def test_unknown_section_is_hard_error(tmp_path, text, message):
     path = tmp_path / "bad.cfg"
-    path.write_text("[backbone]\ndim = 16\n[extra]\nx = 1\n")
-    with pytest.raises(ConfigError, match=r"\[extra\]"):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_run_config(path)
+
+
+def test_output_dir_defaults_to_runs_out(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("[backbone]\ndim = 16\n")
+    assert load_run_config(path).out_dir == "runs/out"
 
 
 def test_tuner_blocks_expansion(config_path):
@@ -188,11 +203,13 @@ def test_cmd_input_errors_exit_2(tmp_path, capsys, case, message):
     assert err.startswith("error:") and message in err and "Traceback" not in err, err
 
 
-def test_cmd_train_malformed_config(tmp_path, capsys):
+@pytest.mark.parametrize("section", ["backbone", "output"])
+def test_cmd_train_malformed_config(tmp_path, capsys, section):
     path = tmp_path / "bad.cfg"
-    path.write_text("[backbone]\ndim = 16\nbogus_key = 3\n")
+    header = "" if section == "backbone" else f"[{section}]\n"
+    path.write_text(f"[backbone]\ndim = 16\n{header}bogus_key = 3\n")
     assert main(["train", "--config", str(path)]) == 2
-    assert "bogus_key" in capsys.readouterr().err
+    assert f"unknown key 'bogus_key' in [{section}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,6 +273,26 @@ def test_cmd_count_params_empty_tuners(tmp_path, capsys):
     assert main(["count-params", "--config", str(path), "--json"]) == 0
     result = json.loads(capsys.readouterr().out.strip())
     assert result["total"] == 0
+
+
+@pytest.mark.parametrize(
+    "tuners, reference",
+    [
+        ("[tuner]\nkind = res_attn\nop = mha\nrank = 8\nheads = 8\n", 2.35e6),
+        ("[tuner]\nkind = res_attn\nop = mha\nblocks = 0\nrank = 8\nheads = 8\n"
+         "[tuner]\nkind = prefix\nop = mha\nblocks = 1,2,3,4,5,6,7,8,9,10,11\n", None),
+        ("[tuner]\nkind = res_attn\nop = mha\nblocks = 0,2,3,4,5,6,7,8,9,10,11\nrank = 8\nheads = 8\n"
+         "[tuner]\nkind = res_attn\nop = mha\nblocks = 1\nrank = 2\nheads = 8\n", None),
+    ],
+    ids=["uniform", "mixed_kinds", "mixed_ranks"],
+)
+def test_reference_count_only_for_a_published_row(tmp_path, tuners, reference):
+    """A published count is reported only where every block's MHA has a
+    ``res_attn`` with the same options, not where the first spec alone
+    matches a row."""
+    path = tmp_path / "wide.cfg"
+    path.write_text("[backbone]\ndim = 768\ndepth = 12\nheads = 12\n" + tuners)
+    assert cli._reference_count(load_run_config(path)) == reference
 
 
 def test_cmd_grad_check_pass_and_corrupt(config_path, capsys, monkeypatch):

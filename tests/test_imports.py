@@ -1,7 +1,7 @@
 """No module imports a name at top level that nothing in it reads, only
 ``restuner.tensor`` touches the autodiff graph's internals,
 ``backbone.py`` branches on no tuner kind, and ``backbone.py`` alone
-decides that the backbone is frozen."""
+decides that the backbone is frozen and builds a model."""
 
 import ast
 from pathlib import Path
@@ -151,6 +151,29 @@ def test_only_the_model_freezes_its_backbone(path):
     trainable, and ``ModelGraph`` freezes the backbone in one loop."""
     expected = ["requires_grad = False"] if path.name == "backbone.py" else []
     assert freeze_decisions(path.read_text()) == expected
+
+
+BUILDERS = {"ModelGraph", "attach"}
+
+
+def builder_calls(source: str) -> list[str]:
+    """Each call in the module of a name in BUILDERS, bare or as an attribute."""
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    names = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls]
+    return [name for name in names if name in BUILDERS]
+
+
+def test_builder_scanner_finds_bare_and_attribute_calls():
+    source = "m = ModelGraph(cfg, None)\ntuners.attach(m, [])\nf = attach\nModelGraph.features(m, x)\n"
+    assert builder_calls(source) == ["ModelGraph", "attach"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_build_backbone_builds_a_model(path):
+    """``build_backbone`` is the one builder of a model and its tuners: no
+    other package module constructs ``ModelGraph`` or calls ``attach``."""
+    expected = ["ModelGraph", "attach"] if path.name == "backbone.py" else []
+    assert builder_calls(path.read_text()) == expected
 
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):
