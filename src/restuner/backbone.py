@@ -23,7 +23,7 @@ from .layers import (
     trunc_normal,
 )
 from .tensor import ShapeError, Tensor, broadcast_to, concat, is_grad_enabled, no_grad
-from .tuners import ATTACH_OPS, Tuner, attach, slot_key
+from .tuners import ATTACH_OPS, Tuner, attach
 
 
 class ConfigError(ValueError):
@@ -119,7 +119,7 @@ class ModelGraph(Module):
     # tuners is a plain dict, so extend the attribute walk
     def named_parameters(self, prefix: str = ""):
         yield from super().named_parameters(prefix)
-        for (block, op), tuner in sorted(self.tuners.items(), key=slot_key):
+        for (block, op), tuner in self.tuners.items():
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
     def _embed(self, images: Tensor) -> Tensor:

@@ -79,7 +79,7 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config)
     if args.seed is not None:
         run.train = replace(run.train, seed=args.seed)
-    out = Path(args.out or run.out_dir)
+    out = Path(args.out or run.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     train_ds, eval_ds = _load_datasets(run)
     save_binary_dataset(train_ds, out / "train.rtds")  # the float32 pixels it trains on
@@ -203,7 +203,7 @@ def cmd_matrix(args) -> int:
     print("dual-tuner grid, MHA kind x FFN kind (final train accuracy)")
     _print_grid(dual, cols=TUNER_KINDS, col_labels=[TUNERS[k].label for k in TUNER_KINDS])
 
-    out = Path(run.out_dir)
+    out = Path(run.output.dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "single": {f"{k}/{op}": v for (k, op), v in single.items()},

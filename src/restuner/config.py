@@ -8,7 +8,7 @@ tuner option would invalidate an experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig, ConfigError
 from .data_io import DatasetSpec
@@ -48,9 +48,9 @@ class OutputSection:
 class RunConfig:
     backbone: BackboneConfig
     tuner_specs: list
-    train: TrainConfig
-    data: DataSection
-    out_dir: str = "runs/out"
+    train: TrainConfig = field(default_factory=TrainConfig)
+    data: DataSection = field(default_factory=DataSection)
+    output: OutputSection = field(default_factory=OutputSection)
 
     def dataset_spec(self) -> DatasetSpec:
         """The synthetic dataset that the [data] and [backbone] sections describe."""
@@ -168,13 +168,7 @@ def load_run_config(path) -> RunConfig:
     specs = []
     for raw in tuner_raws:
         specs.extend(_build_tuner_specs(raw, built["backbone"].depth))
-    run = RunConfig(
-        backbone=built["backbone"],
-        tuner_specs=specs,
-        train=built.get("train") or TrainConfig(),
-        data=built.get("data") or DataSection(),
-        out_dir=(built.get("output") or OutputSection()).dir,
-    )
+    run = RunConfig(tuner_specs=specs, **built)
     if run.data.source == "synthetic":
         try:
             run.dataset_spec()

@@ -185,7 +185,7 @@ def load_binary_dataset(path) -> Dataset:
 def model_config_blob(model: ModelGraph) -> str:
     tuners = [
         {"block_index": block, "op": op, "kind": t.kind, "options": t.options()}
-        for (block, op), t in sorted(model.tuners.items())
+        for (block, op), t in model.tuners.items()
     ]
     return json.dumps({"backbone": asdict(model.cfg), "tuners": tuners}, sort_keys=True)
 

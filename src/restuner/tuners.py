@@ -30,12 +30,6 @@ from .tensor import Tensor
 ATTACH_OPS = ("mha", "ffn", "block")
 
 
-def slot_key(item) -> tuple:
-    """Sort key of a ``((block, op), tuner)`` item: the forward pass's slot order."""
-    (block, op), _ = item
-    return (block, ATTACH_OPS.index(op))
-
-
 class AttachError(ValueError):
     pass
 
@@ -278,10 +272,10 @@ def build_tuner(kind: str, dim: int, heads: int, options: dict, rng: np.random.G
 def attach(model, specs, draw: bool = True) -> None:
     """Attach tuners to a built model, one per (block, op) slot.
 
-    The forward pass visits slots in a fixed (block, op) order, so the
-    result is independent of the order specs are listed in. Each slot draws
-    from a generator seeded by the backbone seed and the slot, unless
-    ``draw`` is False: then its weights are zeros.
+    It leaves ``model.tuners`` in forward slot order, by block then
+    ``ATTACH_OPS``, whatever order specs come in; every reader iterates it
+    as given. Each slot draws from a generator seeded by the backbone seed
+    and the slot, unless ``draw`` is False: then its weights are zeros.
     """
     for spec in specs:
         if not 0 <= spec.block_index < model.cfg.depth:
@@ -297,6 +291,8 @@ def attach(model, specs, draw: bool = True) -> None:
         if isinstance(tuner, PromptTuner):  # the one kind that reads its block's weights
             tuner.bind(model.blocks[spec.block_index].mha)
         model.tuners[slot] = tuner
+    for slot in sorted(model.tuners, key=lambda s: (s[0], ATTACH_OPS.index(s[1]))):
+        model.tuners[slot] = model.tuners.pop(slot)
 
 
 # -- parameter accounting -----------------------------------------------
@@ -317,7 +313,7 @@ def count_trainable_params(model, include_head: bool = False, include_bias: bool
     """
     counts = {
         f"tuner.{block}.{op}[{tuner.kind}]": _trainable_count(tuner, include_bias)
-        for (block, op), tuner in sorted(model.tuners.items(), key=slot_key)
+        for (block, op), tuner in model.tuners.items()
     }
     if include_head:
         counts["head"] = _trainable_count(model.head, include_bias)

@@ -104,7 +104,7 @@ def test_unknown_section_is_hard_error(tmp_path, text, message):
 def test_output_dir_defaults_to_runs_out(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("[backbone]\ndim = 16\n")
-    assert load_run_config(path).out_dir == "runs/out"
+    assert load_run_config(path).output.dir == "runs/out"
 
 
 def test_tuner_blocks_expansion(config_path):

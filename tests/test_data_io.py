@@ -25,7 +25,10 @@ TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
 SPEC = DatasetSpec(num_classes=4, shape=(1, 8, 8), size=64, seed=0)
 # sha256 of ``_tuned_model``'s checkpoint after ``_nudge_trainable``, pinned
 # so that its tensor list and bytes cannot drift
-PROMPT_CHECKPOINT_SHA256 = "ee827cc2ae8629a5084e0a5b102f5fa33394566e1c14ed47571c0c379d3235ae"
+PROMPT_CHECKPOINT_SHA256 = "f6efe9c3479b7b681db0c1af633e25dc14e4a64d861615c494f68601ad48aca6"
+# sha256 of that checkpoint with its echo's tuners sorted by (block, op), as
+# files were written before the echo took the forward's slot order
+ALPHABETICAL_ECHO_SHA256 = "ee827cc2ae8629a5084e0a5b102f5fa33394566e1c14ed47571c0c379d3235ae"
 
 
 # -- synthetic data -----------------------------------------------------
@@ -221,6 +224,23 @@ def test_loaded_prompt_reads_its_block_through_views_and_resaves_as_written(tmp_
     assert np.shares_memory(W_o.data, mha.proj.W.data)
     save_checkpoint(back, tmp_path / "again.rtck")
     assert (tmp_path / "again.rtck").read_bytes() == blob
+
+
+def test_alphabetical_echo_loads_and_resaves_in_slot_order(tmp_path):
+    """A file whose echo lists a block's tuners alphabetically (``block`` <
+    ``ffn`` < ``mha``), as files were written before the echo followed the
+    forward's slot order, loads to the same model and re-saves in slot order."""
+    m = _tuned_model()
+    rng = _nudge_trainable(m)
+    path = tmp_path / "old.rtck"
+    save_checkpoint(m, path)
+    _rewrite_echo(path, lambda c: c["tuners"].sort(key=lambda t: (t["block_index"], t["op"])))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ALPHABETICAL_ECHO_SHA256
+    back = load_checkpoint(path)
+    x = Tensor(rng.normal(size=(2, 1, 8, 8)))
+    assert np.array_equal(back(x).data, m(x).data)
+    save_checkpoint(back, tmp_path / "again.rtck")
+    assert hashlib.sha256((tmp_path / "again.rtck").read_bytes()).hexdigest() == PROMPT_CHECKPOINT_SHA256
 
 
 def test_checkpoint_detects_byte_flip(tmp_path):

@@ -1,7 +1,8 @@
 """No module imports a name at top level that nothing in it reads, only
 ``restuner.tensor`` touches the autodiff graph's internals,
-``backbone.py`` branches on no tuner kind, and ``backbone.py`` alone
-decides that the backbone is frozen and builds a model."""
+``backbone.py`` branches on no tuner kind, ``backbone.py`` alone
+decides that the backbone is frozen and builds a model, and ``tuners.py``
+alone orders a model's tuners."""
 
 import ast
 from pathlib import Path
@@ -174,6 +175,39 @@ def test_only_build_backbone_builds_a_model(path):
     other package module constructs ``ModelGraph`` or calls ``attach``."""
     expected = ["ModelGraph", "attach"] if path.name == "backbone.py" else []
     assert builder_calls(path.read_text()) == expected
+
+
+def tuner_sorts(source: str) -> list[str]:
+    """Each argument of a ``sorted(...)`` call in the module that reads a
+    ``.tuners`` attribute, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sorted":
+            args = [*node.args, *(k.value for k in node.keywords)]
+            found += [ast.unparse(a) for a in args
+                      if any(isinstance(n, ast.Attribute) and n.attr == "tuners" for n in ast.walk(a))]
+    return found
+
+
+def test_tuner_sort_scanner_finds_tuners_in_any_argument():
+    source = (
+        "a = sorted(model.tuners.items(), key=k)\nb = sorted(self.tuners)\n"
+        "c = sorted([t.kind for t in m.tuners.values()])\nd = sorted(x, key=lambda s: m.tuners[s])\n"
+        "e = sorted(tuners)\nf = list(model.tuners)\ng = model.sorted(m.tuners)\n"
+    )
+    assert tuner_sorts(source) == [
+        "model.tuners.items()", "self.tuners", "[t.kind for t in m.tuners.values()]",
+        "lambda s: m.tuners[s]",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_attach_orders_the_tuners(path):
+    """``attach`` leaves ``model.tuners`` in forward slot order, so every
+    other reader (the parameter walk, the counts, the checkpoint's config
+    echo) iterates it as given: no package module but ``tuners.py`` sorts it."""
+    expected = ["model.tuners"] if path.name == "tuners.py" else []
+    assert tuner_sorts(path.read_text()) == expected
 
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):

@@ -1,13 +1,16 @@
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 
 from restuner.backbone import BackboneConfig, build_backbone
+from restuner.data_io import model_config_blob
 from restuner.layers import MultiHeadAttention
 from restuner.tensor import Tensor
 from restuner.tuners import (
+    ATTACH_OPS,
     AdapterConfig,
     AdapterTuner,
     AttachError,
@@ -268,21 +271,37 @@ def test_attach_unknown_option():
 
 
 def test_attach_order_independent():
+    """Whatever order the specs come in, and over repeated ``attach`` calls,
+    the model computes the same function, and the checkpoint's echo, the
+    parameter walk and the counts all list the tuners in forward slot order:
+    by block, then ``ATTACH_OPS``."""
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(2, 1, 8, 8)))
-    spec_a = AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2})
-    spec_b = AttachSpec(1, "ffn", "adapter", {"bottleneck": 2})
+    specs = [
+        AttachSpec(0, "mha", "res_attn", {"rank": 2, "heads": 2}),
+        AttachSpec(1, "ffn", "adapter", {"bottleneck": 2}),
+        AttachSpec(1, "block", "prompt", {"length": 2}),
+        AttachSpec(1, "mha", "prefix", {"length": 2}),
+    ]
+    slots = {(s.block_index, s.op) for s in specs}
+    expected = [(b, op) for b in range(2) for op in ATTACH_OPS if (b, op) in slots]
 
     outs = []
-    for order in ([spec_a, spec_b], [spec_b, spec_a]):
+    for calls in ([specs], [specs[::-1]], [specs[2:], specs[:2]]):
         m = _toy_model()
-        attach(m, order)
+        for order in calls:
+            attach(m, order)
         # give tuners nonzero outputs so ordering would show
         for _, p in sorted(m.named_parameters()):
             if p.requires_grad:
                 p.data[...] = np.random.default_rng(13).normal(size=p.data.shape) * 0.1
         outs.append(m(x).data)
-    assert np.array_equal(outs[0], outs[1])
+        echo = [(t["block_index"], t["op"]) for t in json.loads(model_config_blob(m))["tuners"]]
+        names = [n.split(".") for n, _ in m.named_parameters() if n.startswith("tuners.")]
+        walk = list(dict.fromkeys((int(b), op) for _, b, op, *_ in names))
+        counted = [k.split("[")[0].split(".")[1:] for k in count_trainable_params(m)[0]]
+        assert echo == walk == [(int(b), op) for b, op in counted] == expected
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
 
 
 def test_empty_attach_is_identity():
