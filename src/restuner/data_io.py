@@ -112,6 +112,10 @@ def synth_dataset(spec: DatasetSpec, task: str = "a") -> Dataset:
 
 
 def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
+    """(train, eval) of a seeded permutation, cut after
+    ``round(train_fraction * len(ds))`` items. That is the contract: Python's
+    ``round`` takes a half to the even side, so 0.65 x 10 gives 6 and
+    0.75 x 10 gives 8."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds))
     cut = int(round(train_fraction * len(ds)))

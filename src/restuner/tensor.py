@@ -328,31 +328,6 @@ def _check_matmul(a: np.ndarray, b: np.ndarray) -> None:
         raise ShapeError(f"matmul inner-dim mismatch: {a.shape} @ {b.shape}")
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != a.data.size:
-        raise ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
-
-    a_shape = a.data.shape
-
-    def backward(g, va):
-        _accumulate(va, g.reshape(a_shape))
-
-    return _make(a.data.reshape(shape), (a,), backward)
-
-
-def permute(a: Tensor, axes: tuple) -> Tensor:
-    axes = tuple(int(x) for x in axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"invalid permutation {axes} for ndim {a.data.ndim}")
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g, va):
-        _accumulate(va, g.transpose(inverse))
-
-    return _make(a.data.transpose(axes), (a,), backward)
-
-
 def getitem(a: Tensor, idx) -> Tensor:
     """A basic index (ints, slices, None, Ellipsis) selects each element at
     most once, so the grad scatters with ``+=``; an advanced index is refused."""
@@ -525,12 +500,14 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     """Multi-head softmax(q @ k^T * scale) @ v.
 
     Without ``kv``, ``qkv`` is a fused [B, N, 3*heads*d] projection whose
-    thirds are q, k and v. Given ``kv = (K, V)``, [heads, L, d] tensors
-    broadcast over the batch, ``qkv`` is q alone, [B, N, heads*d]. Heads
-    are split as numpy views, and the value product writes each head
-    straight into its columns of the [B, N, heads*d] output.
-    The grads of ``qkv``'s parts reach it as one contribution: a zero-filled
-    buffer that each part is added into once.
+    thirds are q, k and v. Given ``kv = (K, V)``, broadcast over the batch,
+    ``qkv`` is q alone, [B, N, heads*d]. K and V come in one of two
+    layouts: [heads, L, d] (prefix's parameters), or [L, heads*d], as
+    ``linear`` writes them (prompt's projections), whose grads go back in
+    that layout. Heads are split as numpy views, and the value product
+    writes each head straight into its columns of the [B, N, heads*d]
+    output. The grads of ``qkv``'s parts reach it as one contribution: a
+    zero-filled buffer that each part is added into once.
     """
     parts = 3 if kv is None else 1
     if qkv.data.ndim != 3 or qkv.data.shape[-1] % (parts * heads):
@@ -544,9 +521,12 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
         k, v = k_v
     else:
         K, V = kv
-        if K.data.ndim != 3 or K.shape[::2] != (heads, d) or V.shape != K.shape:
-            raise ShapeError(f"attention: K {K.shape} and V {V.shape} must be [{heads}, L, {d}]")
-        k, v = K.data, V.data
+        kv_shape, flat = K.shape, K.data.ndim == 2
+        want = (kv_shape[0], heads * d) if flat else (heads, *kv_shape[1:2], d)
+        if kv_shape != want or V.shape != kv_shape:
+            raise ShapeError(f"attention: K {kv_shape} and V {V.shape} must be "
+                             f"[L, {heads * d}] or [{heads}, L, {d}]")
+        k, v = (t.data.reshape(-1, heads, d).swapaxes(0, 1) if flat else t.data for t in kv)
         parents, need_k, need_v = (qkv, K, V), K.requires_grad, V.requires_grad
     kt = k.swapaxes(-1, -2)
     probs = q @ kt  # scaled, shifted, exponentiated and normalised in place
@@ -559,6 +539,9 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
     # each grad keeps only what it reads: k's reads q, q's reads k, both read v
     q, kt, v = (q if need_k else None), (kt if own else None), (v if own or need_k else None)
 
+    def unsplit(g):  # a [heads, L, d] K or V grad, in that tensor's layout
+        return g.swapaxes(0, 1).reshape(kv_shape) if flat else g
+
     def backward(g, vqkv, vK=None, vV=None):
         g = g.reshape(B, N, heads, d).transpose(0, 2, 1, 3)  # undo the merge
         if own:
@@ -570,7 +553,7 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
             if vK is None:
                 slots[2] += g_v
             else:
-                _accumulate(vV, _unbroadcast(g_v, v_shape))
+                _accumulate(vV, unsplit(_unbroadcast(g_v, v_shape)))
         if own or need_k:
             g_probs = _unbroadcast(g @ v.swapaxes(-1, -2), probs.shape)
             g_scores = _softmax_grad(probs, g_probs)  # both in the fresh product
@@ -582,7 +565,7 @@ def attention(qkv: Tensor, heads: int, scale: float, kv: tuple | None = None) ->
                 if vK is None:
                     slots[1] += g_k
                 else:
-                    _accumulate(vK, g_k)
+                    _accumulate(vK, unsplit(g_k))
         if own:
             _accumulate(vqkv, buf.reshape(B, N, width))
 

@@ -183,9 +183,8 @@ class PromptTuner(Tuner):
     def __call__(self, q: Tensor) -> Tensor:
         cfg = self.cfg
         W_k, W_v, W_o = self.frozen
-        split = (cfg.length, cfg.heads, cfg.head_dim)  # then permuted to [heads, L, head_dim]
-        K, V = (T.permute(T.reshape(T.linear(self.P, W), split), (1, 0, 2)) for W in (W_k, W_v))
-        return T.linear(T.attention(q, cfg.heads, cfg.head_dim**-0.5, kv=(K, V)), W_o)
+        kv = (T.linear(self.P, W_k), T.linear(self.P, W_v))  # [length, dim], split by attention
+        return T.linear(T.attention(q, cfg.heads, cfg.head_dim**-0.5, kv=kv), W_o)
 
     def analytic_params(self, include_bias: bool = False) -> int:
         return self.cfg.length * self.cfg.dim
@@ -276,21 +275,25 @@ def attach(model, specs, draw: bool = True) -> None:
     ``ATTACH_OPS``, whatever order specs come in; every reader iterates it
     as given. Each slot draws from a generator seeded by the backbone seed
     and the slot, unless ``draw`` is False: then its weights are zeros.
+    Every tuner is built before any is inserted, so an AttachError leaves
+    ``model.tuners`` as it was.
     """
+    built = {}
     for spec in specs:
         if not 0 <= spec.block_index < model.cfg.depth:
             raise AttachError(
                 f"block index {spec.block_index} out of range for depth {model.cfg.depth}"
             )
         slot = (spec.block_index, spec.op)
-        if slot in model.tuners:
+        if slot in model.tuners or slot in built:
             raise AttachError(f"slot (block={slot[0]}, op={slot[1]!r}) already has a tuner")
         seed = model.cfg.seed + 7919 * (1 + spec.block_index) + 104729 * ATTACH_OPS.index(spec.op)
         rng = np.random.default_rng(seed) if draw else None
         tuner = build_tuner(spec.kind, model.cfg.dim, model.cfg.heads, spec.options, rng)
         if isinstance(tuner, PromptTuner):  # the one kind that reads its block's weights
             tuner.bind(model.blocks[spec.block_index].mha)
-        model.tuners[slot] = tuner
+        built[slot] = tuner
+    model.tuners.update(built)
     for slot in sorted(model.tuners, key=lambda s: (s[0], ATTACH_OPS.index(s[1]))):
         model.tuners[slot] = model.tuners.pop(slot)
 

@@ -5,10 +5,14 @@ node each through the engine's own plumbing (``_make``, ``_accumulate``,
 ``_unbroadcast``) and reuse its kernels, so a chain of them is the exact
 computation that a fused op repeats bit for bit. Like the engine's ops,
 each backward closure adds into the parents' vertices it is handed; unlike
-them, it keeps its input tensors. ``composed_*`` are those
+them, most keep their input tensors; ``reshape`` and ``permute`` keep only
+shapes, and only the chains use them, since ``attention`` splits heads as
+views. ``composed_*`` are those
 chains; ``split_heads``, ``merge_heads``, ``own_kv`` and ``prompt_kv``
-build attention's K/V the way a tuner or a chain would, and
-``reference_block_forward`` is a block in the order it once ran, and
+build attention's K/V the way a tuner or a chain would.
+``reference_block_forward`` is a block in the order it once ran,
+``reference_model_forward`` the whole model built from it,
+``reference_positions`` the position table by its formula, and
 ``reference_optimizer_step`` an optimizer update that allocates every
 array it returns.
 """
@@ -20,6 +24,7 @@ import math
 import numpy as np
 
 from restuner import tensor as T
+from restuner.layers import INIT_STD
 from restuner.tensor import Tensor, _accumulate, _make, _unbroadcast
 
 
@@ -66,6 +71,31 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accumulate(va, np.broadcast_to(g, a.data.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    shape = tuple(int(s) for s in shape)
+    if int(np.prod(shape)) != a.data.size:
+        raise T.ShapeError(f"cannot reshape {a.shape} (size {a.data.size}) to {shape}")
+
+    a_shape = a.data.shape
+
+    def backward(g, va):
+        _accumulate(va, g.reshape(a_shape))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def permute(a: Tensor, axes: tuple) -> Tensor:
+    axes = tuple(int(x) for x in axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise T.ShapeError(f"invalid permutation {axes} for ndim {a.data.ndim}")
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g, va):
+        _accumulate(va, g.transpose(inverse))
+
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -136,30 +166,34 @@ def composed_layer_norm(x, gamma, beta):
 def composed_attention(q, k, v, scale):
     axes = list(range(len(k.shape)))
     axes[-2:] = axes[-1], axes[-2]  # k^T over the last two axes
-    return matmul(softmax_lastdim(mul_scalar(matmul(q, T.permute(k, axes)), scale)), v)
+    return matmul(softmax_lastdim(mul_scalar(matmul(q, permute(k, axes)), scale)), v)
 
 
 def split_heads(qkv, heads, parts=3):
     """[B, N, parts*heads*d] -> each part [B, heads, N, d] (q, k, v by
     default; q alone with ``parts=1``): reshape, permute, getitem."""
     B, N, width = qkv.shape
-    qkv = T.permute(T.reshape(qkv, (B, N, parts, heads, width // (parts * heads))), (2, 0, 3, 1, 4))
+    qkv = permute(reshape(qkv, (B, N, parts, heads, width // (parts * heads))), (2, 0, 3, 1, 4))
     return tuple(qkv[i] for i in range(parts))
 
 
 def merge_heads(y):
     """[B, heads, N, d] -> [B, N, heads*d]: permute, reshape."""
     B, heads, N, d = y.shape
-    return T.reshape(T.permute(y, (0, 2, 1, 3)), (B, N, heads * d))
+    return reshape(permute(y, (0, 2, 1, 3)), (B, N, heads * d))
 
 
 def composed_mha_attention(qkv, heads, scale, kv=None):
     """The chain ``T.attention`` fuses: split the heads, attend, merge them.
-    Given ``kv``, ``qkv`` is q alone."""
+    Given ``kv``, ``qkv`` is q alone, and a 2-D [L, heads*d] K and V are
+    split into [heads, L, d] by reshape, permute."""
     if kv is None:
         q, k, v = split_heads(qkv, heads)
     else:
         (q,), (k, v) = split_heads(qkv, heads, parts=1), kv
+        if len(k.shape) == 2:
+            L, width = k.shape
+            k, v = (permute(reshape(t, (L, heads, width // heads)), (1, 0, 2)) for t in (k, v))
     return merge_heads(composed_attention(q, k, v, scale))
 
 
@@ -174,14 +208,11 @@ def own_kv(qkv, heads):
     return k[0], v[0]
 
 
-def prompt_kv(P, W, heads):
-    """Prompt-style K and V: both derived from one shared parameter P."""
-    L, dim = P.shape
-    K, V = (
-        T.permute(T.reshape(matmul(P, Tensor(part)), (L, heads, dim // heads)), (1, 0, 2))
-        for part in (W[:, :dim], W[:, dim:])
-    )
-    return K, V
+def prompt_kv(P, W):
+    """Prompt-style K and V, [L, dim] as a product writes them: both derived
+    from one shared parameter P."""
+    dim = P.shape[1]
+    return matmul(P, Tensor(W[:, :dim])), matmul(P, Tensor(W[:, dim:]))
 
 
 def reference_block_forward(model, index, x, rows=None):
@@ -209,6 +240,37 @@ def reference_block_forward(model, index, x, rows=None):
     if (index, "block") in model.tuners:
         y = y + delta("block", x, qkv)
     return y if rows is None else y[:, :rows]
+
+
+def reference_positions(n: int, dim: int) -> np.ndarray:
+    """The sinusoidal position table by its formula, one entry at a time:
+    PE[p, 2i] = sin(p / 10000^(2i/dim)), PE[p, 2i+1] = cos(the same angle),
+    both times ``INIT_STD``."""
+    table = np.zeros((n, dim))
+    for p in range(n):
+        for c in range(dim):
+            angle = p / 10000.0 ** (2 * (c // 2) / dim)
+            table[p, c] = INIT_STD * (math.sin(angle) if c % 2 == 0 else math.cos(angle))
+    return table
+
+
+def reference_model_forward(model, images: np.ndarray) -> Tensor:
+    """``ModelGraph.__call__`` written out, every token computed: patches
+    cut one at a time, the patch embedding, the class token and the
+    model's position table, each block through ``reference_block_forward``,
+    then the final norm and the head on the class token's row. The patch
+    embedding, the final norm and the head are primitive chains."""
+    cfg = model.cfg
+    B, p, grid = len(images), cfg.patch, cfg.image_size // cfg.patch
+    patches = np.stack([images[:, :, r * p : (r + 1) * p, c * p : (c + 1) * p].reshape(B, -1)
+                        for r in range(grid) for c in range(grid)], axis=1)
+    x = composed_linear(Tensor(patches), model.patch_embed.W, model.patch_embed.b)
+    x = T.concat([T.broadcast_to(model.cls_token, (B, 1, cfg.dim)), x], axis=1)
+    x = x + Tensor(model.pos[None])
+    for index in range(cfg.depth):
+        x = reference_block_forward(model, index, x)
+    x = composed_layer_norm(x, model.final_norm.gamma, model.final_norm.beta)
+    return composed_linear(x[:, 0, :], model.head.W, model.head.b)
 
 
 def reference_optimizer_step(cfg, t: int, lr: float, p, g, state: dict, eps: float = 1e-8):

@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import re
 import warnings
 
@@ -12,7 +13,7 @@ from restuner.backbone import BackboneConfig, build_backbone
 from restuner.cli import main
 from restuner.config import ConfigError, load_run_config, parse_sections
 from restuner.data_io import (
-    Dataset, DatasetSpec, save_binary_dataset, save_checkpoint, synth_dataset,
+    Dataset, DatasetSpec, load_binary_dataset, save_binary_dataset, save_checkpoint, synth_dataset,
 )
 from restuner.tuners import TUNERS, attach
 
@@ -528,6 +529,37 @@ def test_fused_ops_train_the_checkpoint_their_primitive_chains_train(tmp_path, m
     assert sorted(calls) == ["attention", "ffn", "layer_norm", "linear"]
     fused = (tmp_path / "fused" / "model.rtck").read_bytes()
     assert (tmp_path / "chain" / "model.rtck").read_bytes() == fused
+
+
+def test_cmd_train_smoothing_writes_the_checkpoint_of_a_hand_loop(config_path, tmp_path):
+    """``[train] smoothing = 0.1`` reaches the loss: ``restuner train``
+    writes the checkpoint of a hand-written loop over
+    ``cross_entropy(..., 0.1)`` that steps at the cosine schedule's closed
+    form, which reaches 0 at the last step."""
+    from restuner.tensor import Tensor, cross_entropy
+    from restuner.training import make_optimizer
+
+    text = config_path.read_text().replace("seed = 0\n\n[data]", "seed = 0\nsmoothing = 0.1\n\n[data]")
+    config_path.write_text(text)
+    assert main(["train", "--config", str(config_path)]) == 0
+    run = load_run_config(config_path)
+    assert run.train.label_smoothing == 0.1
+    ds = load_binary_dataset(tmp_path / "run" / "train.rtds")
+    model = build_backbone(run.backbone, run.tuner_specs)
+    opt = make_optimizer(model, run.train)
+    rng = np.random.default_rng(run.train.seed)
+    n, batch = len(ds), run.train.batch_size
+    total, step = math.ceil(n / batch) * run.train.epochs, 0
+    for _ in range(run.train.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo : lo + batch]
+            opt.zero_grad()
+            cross_entropy(model(Tensor(ds.images[idx])), ds.labels[idx], 0.1).backward()
+            opt.step(run.train.lr * 0.5 * (1.0 + math.cos(math.pi * step / (total - 1))))
+            step += 1
+    save_checkpoint(model, tmp_path / "hand.rtck")
+    assert (tmp_path / "hand.rtck").read_bytes() == (tmp_path / "run" / "model.rtck").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["train", "matrix"])

@@ -89,6 +89,17 @@ def test_split_fractions():
     assert len(train) == 48 and len(test) == 16
 
 
+@pytest.mark.parametrize("fraction, n, cut", [
+    (0.65, 10, 6), (0.75, 10, 8), (0.25, 10, 2), (0.5, 7, 4),  # halves round to even
+    (0.29, 100, 29), (0.7, 10, 7), (0.0, 5, 0), (1.0, 5, 5),  # products just off an integer
+])
+def test_split_cut_rounds_half_to_even(fraction, n, cut):
+    """The cut is ``round(fraction * n)``, Python's round half to even."""
+    ds = synth_dataset(DatasetSpec(num_classes=2, shape=(1, 2, 2), size=n, seed=0))
+    train, test = split_dataset(ds, fraction, seed=0)
+    assert (len(train), len(test)) == (cut, n - cut)
+
+
 # -- dataset binary format ----------------------------------------------
 
 

@@ -18,8 +18,10 @@ from primitives import (
     mul,
     mul_scalar,
     own_kv,
+    permute,
     prompt_kv,
     q_of,
+    reshape,
     softmax_lastdim,
     tensor_sum,
     weighted_sum,
@@ -102,38 +104,38 @@ def test_softmax_rows_and_jacobian():
 
 def test_reshape_row_major_law():
     x = Tensor(np.arange(12.0).reshape(2, 6))
-    y = T.reshape(x, (2, 3, 2))
+    y = reshape(x, (2, 3, 2))
     assert y.data[1, 2, 1] == 11.0
 
 
 def test_permute_and_roundtrip():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(2, 3)))
-    y = T.permute(x, (1, 0))
+    y = permute(x, (1, 0))
     for i in range(2):
         for j in range(3):
             assert y.data[j, i] == x.data[i, j]
-    z = T.permute(T.permute(x, (1, 0)), (1, 0))
+    z = permute(permute(x, (1, 0)), (1, 0))
     assert np.array_equal(z.data, x.data)
 
 
 def test_reshape_permute_preserve_values_bitwise():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(3, 4, 5)))
-    r = T.reshape(x, (60,))
-    p = T.permute(x, (2, 0, 1))
+    r = reshape(x, (60,))
+    p = permute(x, (2, 0, 1))
     assert sorted(r.data.tolist()) == sorted(x.data.reshape(-1).tolist())
     assert sorted(p.data.reshape(-1).tolist()) == sorted(x.data.reshape(-1).tolist())
 
 
 def test_reshape_size_mismatch():
     with pytest.raises(ShapeError):
-        T.reshape(Tensor(np.zeros((2, 3))), (4, 2))
+        reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
 
 def test_permute_invalid():
     with pytest.raises(ShapeError):
-        T.permute(Tensor(np.zeros((2, 3))), (0, 0))
+        permute(Tensor(np.zeros((2, 3))), (0, 0))
 
 
 def test_backward_sum():
@@ -489,7 +491,7 @@ def test_intermediate_grad_allocated_by_backward():
 
 
 def _no_grad_probe(x):
-    return tensor_sum(softmax_lastdim(_linear_gelu(x, T.permute(x, (0, 2, 1)))), axis=-1)
+    return tensor_sum(softmax_lastdim(_linear_gelu(x, permute(x, (0, 2, 1)))), axis=-1)
 
 
 def test_no_grad_records_no_graph_and_same_values():
@@ -612,10 +614,16 @@ FUSED_CASES = {
         lambda x, k, v: composed_mha_attention(x, 2, 0.3, kv=(k, v)),
         [_R.normal(size=(3, 4, 8)), _R.normal(size=(2, 5, 4)), _R.normal(size=(2, 5, 4))],
     ),
-    # prompt: K and V both derive from one parameter P
+    # K and V as [L, heads*d], the layout a product writes
+    "attention_flat_kv": (
+        lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
+        lambda x, k, v: composed_mha_attention(x, 2, 0.3, kv=(k, v)),
+        [_R.normal(size=(3, 4, 8)), _R.normal(size=(5, 8)), _R.normal(size=(5, 8))],
+    ),
+    # prompt: K and V both derive from one parameter P, [L, heads*d] each
     "attention_prompt_shared": (
-        lambda x, P: T.attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
-        lambda x, P: composed_mha_attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV, 2)),
+        lambda x, P: T.attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV)),
+        lambda x, P: composed_mha_attention(x, 2, 0.3, kv=prompt_kv(P, _W_KV)),
         [_R.normal(size=(3, 4, 8)), _R.normal(size=(5, 8))],
     ),
     # a block's MHA and a prefix tuner read one qkv, the tuner through its
@@ -697,12 +705,14 @@ def test_fused_ops_record_one_node():
     qkv = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
     q = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     K, V = (Tensor(rng.normal(size=(2, 5, 2))) for _ in range(2))
+    K2, V2 = (Tensor(rng.normal(size=(5, 4)), requires_grad=True) for _ in range(2))
     for out, parents in [
         (T.linear(x, W, b), (x, W, b)),
         (_linear_gelu(x, W, b), (x, W, b)),
         (T.layer_norm(x, gamma, b), (x, gamma, b)),
         (T.attention(qkv, 2, 0.5), (qkv,)),
         (T.attention(q, 2, 0.5, kv=(K, V)), (q, K, V)),
+        (T.attention(q, 2, 0.5, kv=(K2, V2)), (q, K2, V2)),
     ]:
         assert out._backward is not None and out._parents == parents
     # a recorded ffn is its chain, linear(linear(x, W, b, gelu=True), W, b) ...
@@ -725,7 +735,12 @@ def test_attention_shape_errors():
         ((2, 3, 4), ((3, 5, 2), (3, 5, 2))),  # K/V head count
         ((2, 3, 4), ((2, 5, 3), (2, 5, 3))),  # K/V width
         ((2, 3, 4), ((2, 5, 2), (2, 6, 2))),  # V not shaped like K
-        ((2, 3, 4), ((2, 2), (2, 2))),  # K/V not [heads, L, d]
+        ((2, 3, 4), ((2, 2), (2, 2))),  # [heads, d], read as [L, heads*d]: width
+        ((2, 3, 4), ((5, 6), (5, 6))),  # 2-d K/V width not heads * d
+        ((2, 3, 4), ((5, 4), (6, 4))),  # 2-d V not shaped like K
+        ((2, 3, 4), ((5, 4), (2, 5, 2))),  # V not in K's layout
+        ((2, 3, 4), ((2,), (2,))),  # 1-d K/V
+        ((2, 3, 4), ((1, 2, 5, 2), (1, 2, 5, 2))),  # 4-d K/V
         ((2, 3, 5), ((2, 5, 2), (2, 5, 2))),  # q width not heads * d
         ((2, 3, 12), ((2, 5, 2), (2, 5, 2))),  # a fused qkv, not q alone, with K/V
     ]:
@@ -769,8 +784,8 @@ SAVED_CASES = {
         T.layer_norm, [[(2, 3, 5), True], [(5,), True], [(5,), True]], {1},
     ),
     "add": (T.add, [[(2, 3), True], [(3,), True]], set()),
-    "reshape": (lambda a: T.reshape(a, (6,)), [[(2, 3), True]], set()),
-    "permute": (lambda a: T.permute(a, (1, 0)), [[(2, 3), True]], set()),
+    "reshape": (lambda a: reshape(a, (6,)), [[(2, 3), True]], set()),
+    "permute": (lambda a: permute(a, (1, 0)), [[(2, 3), True]], set()),
     "getitem": (lambda a: a[:, 1], [[(2, 3), True]], set()),
     "concat": (lambda a, b: T.concat([a, b], axis=1), [[(2, 3), True], [(2, 2), True]], set()),
     "broadcast_to": (lambda a: T.broadcast_to(a, (4, 3)), [[(1, 3), True]], set()),
@@ -797,6 +812,11 @@ SAVED_CASES = {
     "attention_trainable_kv": (
         lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
         [[(2, 3, 8), False], [(2, 5, 4), True], [(2, 5, 4), True]], {2},
+    ),
+    # the same with K and V as [L, heads*d]: the head views keep V's array
+    "attention_trainable_flat_kv": (
+        lambda x, k, v: T.attention(x, 2, 0.3, kv=(k, v)),
+        [[(2, 3, 8), False], [(5, 8), True], [(5, 8), True]], {2},
     ),
     "cross_entropy": (lambda z: cross_entropy(z, np.array([2, 0])), [[(2, 4), True]], set()),
 }

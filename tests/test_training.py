@@ -152,6 +152,18 @@ def test_optimizer_determinism():
         assert np.array_equal(runs[0][name], runs[1][name]), name
 
 
+@pytest.mark.parametrize("total", [3, 5, 9])
+def test_cosine_schedule_in_closed_form(total):
+    """lr at the first step, lr/2 at the midpoint of an odd step count and
+    0 at the last; a constant schedule, or a single step, keeps lr."""
+    cfg = TrainConfig(lr=0.3)
+    assert lr_at(cfg, 0, total) == 0.3
+    assert lr_at(cfg, (total - 1) // 2, total) == 0.15
+    assert lr_at(cfg, total - 1, total) == 0.0
+    assert lr_at(TrainConfig(lr=0.3, schedule="constant"), total - 1, total) == 0.3
+    assert lr_at(cfg, 0, 1) == 0.3
+
+
 # -- train loop ---------------------------------------------------------
 
 

@@ -264,6 +264,26 @@ def test_attach_rejects_bad_block_and_kind():
         AttachSpec(0, "middle", "res_attn")
 
 
+@pytest.mark.parametrize("specs", [
+    [AttachSpec(1, "mha", "res_attn", {"rank": 0})],  # the first spec fails
+    [AttachSpec(1, "ffn", "adapter"), AttachSpec(0, "mha", "res_attn", {"rank": 0})],
+    [AttachSpec(1, "ffn", "adapter"), AttachSpec(0, "block", "prompt"), AttachSpec(2, "mha", "prefix")],
+    [AttachSpec(1, "ffn", "adapter"), AttachSpec(0, "ffn", "prefix"), AttachSpec(1, "ffn", "res_attn")],
+    [AttachSpec(0, "block", "adapter"), AttachSpec(1, "mha", "prompt")],  # a slot the model holds
+], ids=["first", "later_option", "later_range", "in_list_duplicate", "model_duplicate"])
+def test_failed_attach_leaves_the_tuners_as_they_were(specs):
+    """``attach`` builds every tuner before it inserts any: after an
+    AttachError, ``model.tuners`` holds the same tuners in the same order,
+    and a second failing call changes nothing either."""
+    m = _toy_model()
+    attach(m, [AttachSpec(1, "mha", "prompt"), AttachSpec(0, "block", "adapter")])
+    before = list(m.tuners.items())
+    for _ in range(2):
+        with pytest.raises(AttachError):
+            attach(m, specs)
+        assert list(m.tuners.items()) == before
+
+
 def test_attach_unknown_option():
     m = _toy_model()
     with pytest.raises(AttachError, match="unknown tuner option"):
