@@ -122,10 +122,11 @@ class ModelGraph(Module):
         for (block, op), tuner in self.tuners.items():
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
-    def _embed(self, images: Tensor) -> Tensor:
-        """Shape check -> patch embed -> class token -> positions: block 0's input."""
+    def _embed(self, images) -> Tensor:
+        """Shape check -> patch embed -> class token -> positions: block 0's input.
+        ``images`` is an array or a ``Tensor``; the patch cut is its one float64 copy."""
         cfg = self.cfg
-        data = images.data
+        data = images.data if isinstance(images, Tensor) else np.asarray(images)
         if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"
@@ -136,27 +137,29 @@ class ModelGraph(Module):
         x = concat([cls, x], axis=1)  # the patch embedding dies here
         return x + Tensor(self.pos[None, :, :])
 
-    def __call__(self, images: Tensor) -> Tensor:
-        """Patch-embed -> blocks -> final norm -> class token -> head logits."""
-        x = self._embed(images)
+    def __call__(self, images) -> Tensor:
+        """Patch-embed -> blocks -> final norm -> class token -> head logits.
+        ``images`` is an array of any float dtype, or a ``Tensor``."""
+        named = {"block": self._embed(images)}
         # The head reads only the class token's row, so a forward that
         # records nothing has the last block keep just its first rows.
         rows = None if is_grad_enabled() else HEAD_ROWS
-        for i in range(self.cfg.depth):
-            x = block_forward(self, i, x, rows if i == self.cfg.depth - 1 else None)
-        x = self.final_norm(x)
+        for i in range(self.cfg.depth):  # each block takes its input over from ``named``
+            named = {"block": block_forward(self, i, named, rows if i == self.cfg.depth - 1 else None)}
+        x = self.final_norm(named["block"])
         return self.head(x[:, 0, :])
 
-    def features(self, images: Tensor) -> tuple[list[dict[str, Tensor]], Tensor]:
+    def features(self, images) -> tuple[list[dict[str, Tensor]], Tensor]:
         """The frozen path's features at every token row, recording nothing
         and calling no tuner: each block's named slot inputs (``block``,
         ``mha``, ``q``, ``ffn``; see ``block_forward``) and ``final_norm``
         of the last block's output."""
-        inputs = [{} for _ in self.blocks]
+        inputs = []
         with no_grad():
             x = self._embed(images)
             for i in range(self.cfg.depth):
-                x = block_forward(self, i, x, inputs=inputs[i])
+                inputs.append({"block": x})
+                x = block_forward(self, i, inputs[i], features=True)
             return inputs, self.final_norm(x)
 
 
@@ -176,11 +179,12 @@ def trainable_parameters(model: ModelGraph) -> list:
 
 
 def patchify(images: np.ndarray, patch: int) -> np.ndarray:
-    """[B,C,H,W] -> [B, num_patches, C*patch*patch], row-major patch order."""
+    """[B,C,H,W] -> [B, num_patches, C*patch*patch], row-major patch order,
+    as one new float64 array: the cut and the widening are one copy."""
     B, C, H, W = images.shape
     gh, gw = H // patch, W // patch
     x = images.reshape(B, C, gh, patch, gw, patch)
-    x = x.transpose(0, 2, 4, 1, 3, 5)  # B, gh, gw, C, p, p
+    x = np.array(x.transpose(0, 2, 4, 1, 3, 5), dtype=np.float64, order="C")  # B, gh, gw, C, p, p
     return x.reshape(B, gh * gw, C * patch * patch)
 
 
@@ -188,50 +192,54 @@ def _first_rows(t: Tensor, rows: int | None) -> Tensor:
     return t if rows is None else t[:, :rows]
 
 
-def block_forward(model: ModelGraph, index: int, x: Tensor, rows: int | None = None,
-                  inputs: dict | None = None) -> Tensor:
+def block_forward(model: ModelGraph, index: int, named: dict, rows: int | None = None,
+                  features: bool = False) -> Tensor:
     """One pre-norm block with any tuners attached at its slots; given
     ``rows``, only the first ``rows`` token rows of its output.
 
-    It names each slot input once: ``block`` (x), ``mha`` (``norm1(x)``),
-    ``q`` (the query third of the fused QKV projection) and ``ffn``
-    (``norm2`` of the MHA residual). The tuner at op reads ``q`` if its
-    ``reads_q`` says so, else the name ``op``; each name is dropped once no
-    later tuner reads it. Where ``qkv`` records nothing, ``q`` is a copy,
-    so k and v die with the attention; where it records, each reader takes
-    its own view. The block tuner's delta is computed before the FFN and
-    added last. Given ``inputs``, every name is stored there and no tuner
-    is called. Given ``rows``, the MLP reads the first ``rows`` rows of
+    ``named`` holds the block's input as ``block`` and becomes the block's
+    table of named slot inputs: ``block`` (x), ``mha`` (``norm1(x)``), ``q``
+    (the first ``dim`` columns of the MHA's q source; see
+    ``MultiHeadAttention``) and ``ffn`` (``norm2`` of the MHA residual).
+    The tuner at op reads ``q`` if its ``reads_q`` says so, else the name
+    ``op``; each name is dropped once no later tuner reads it. A caller
+    that keeps no other reference to the input therefore frees it at the
+    residual add unless the block tuner reads it; where the MHA records
+    nothing, its q source is a [..., dim] copy and the fused qkv is never
+    whole. The block tuner's delta is computed before the FFN and added
+    last. Given ``features``, every name stays in ``named`` and no tuner is
+    called. Given ``rows``, the MLP reads the first ``rows`` rows of
     ``norm2``, and only those rows of the residual stream and of each delta
     are added to its output; every other op reads every token.
     """
     block = model.blocks[index]
-    tuners = {op: model.tuners.get((index, op)) for op in ATTACH_OPS if inputs is None}
+    tuners = {op: model.tuners.get((index, op)) for op in ATTACH_OPS if not features}
     reads = {op: "q" if t.reads_q else op for op, t in tuners.items() if t is not None}
-    named = {} if inputs is None else inputs
+    x = named["block"]
     dim = x.shape[-1]
 
-    def keep(*ops):  # drop each name no tuner at ``ops`` reads; ``inputs`` keeps all
-        if inputs is None:
+    def keep(*ops):  # drop each name no tuner at ``ops`` reads; ``features`` keeps all
+        if not features:
             for name in set(named) - {reads.get(op) for op in ops}:
                 del named[name]
 
     def delta(op):
         return tuners[op](named["q"][..., :dim] if reads[op] == "q" else named[op])
 
-    named.update(block=x, mha=block.norm1(x))
-    u, named["q"] = block.mha(named["mha"])
+    named["mha"] = block.norm1(x)
+    u, named["q"] = block.mha(named["mha"], features or "q" in reads.values())
     keep("mha", "block", "ffn")
-    if "q" in named and not named["q"].requires_grad:
-        named["q"] = Tensor(np.ascontiguousarray(named["q"].data[..., :dim]))
     u = x + u  # the residual stream; the MHA output dies here
+    del x  # and so does the block input, unless a tuner reads it
     if "mha" in reads:
         u = u + delta("mha")
     keep("block", "ffn")
     block_delta = _first_rows(delta("block"), rows) if "block" in reads else None
     keep("ffn")
     named["ffn"] = block.norm2(u)
-    y = _first_rows(u, rows) + block.mlp(_first_rows(named["ffn"], rows))
+    y = block.mlp(_first_rows(named["ffn"], rows))
+    keep("ffn")
+    y = _first_rows(u, rows) + y
     if "ffn" in reads:
         y = y + _first_rows(delta("ffn"), rows)
     return y if block_delta is None else y + block_delta

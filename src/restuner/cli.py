@@ -26,7 +26,7 @@ from .data_io import (
     split_dataset,
     synth_dataset,
 )
-from .tensor import Tensor, no_grad
+from .tensor import GradientError, no_grad
 from .training import DivergenceError, check_dataset, evaluate, grad_check, quiet_overflow, train
 from .tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachError, AttachSpec, ResAttnTuner
 from .tuners import count_trainable_params
@@ -145,7 +145,10 @@ def cmd_grad_check(args) -> int:
     model = build_backbone(run.backbone, run.tuner_specs)
     check_dataset(model, train_ds)
     probe = train_ds.subset(slice(8))
-    report, ok = grad_check(model, probe.images, probe.labels, eps=args.eps, tol=args.tol)
+    try:
+        report, ok = grad_check(model, probe.images, probe.labels, eps=args.eps, tol=args.tol)
+    except GradientError as e:  # a non-finite loss: the input is at fault, not the gradients
+        raise ConfigError(f"grad-check --eps {args.eps:g}: {e}") from None
     print(f"grad check: eps={args.eps} tol={args.tol}")
     for name, entry in report.items():
         print(f"  {'PASS' if entry['pass'] else 'FAIL'} {name:48s} rel_err={entry['rel_err']:.3e}")
@@ -167,7 +170,7 @@ def _zero_init_probe(model, images: np.ndarray) -> np.ndarray:
     """The logits the matrix compares between the frozen backbone and each
     cell: a forward of the first two images that records nothing."""
     with no_grad(), quiet_overflow():
-        return model(Tensor(images[:2])).data
+        return model(images[:2]).data
 
 
 def _uniform_specs(kind: str, op: str, depth: int) -> list:

@@ -3,7 +3,9 @@
 A parameter is trainable exactly when it requires grad, so a frozen
 backbone and its trainable tuners can live in one graph; only trainable
 parameters receive grads. Every layer builds trainable: the model that
-owns a layer decides whether to freeze it.
+owns a layer decides whether to freeze it. A layer call that records
+nothing, as in evaluation, streams whole items through the MLP and the
+multi-head attention in blocks, so neither holds its widest array whole.
 """
 
 from __future__ import annotations
@@ -103,11 +105,23 @@ class LayerNorm(Module):
         return layer_norm(x, self.gamma, self.beta)
 
 
+# qkv values per item block of a multi-head attention that records nothing
+STREAM_VALUES = 1 << 15
+
+
 class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with a fused QKV projection.
 
-    A call returns (output, fused qkv projection): prefix/prompt tuners
-    read its query third, reusing the backbone's query stream.
+    A call returns (output, q source), and prefix/prompt tuners read q as
+    the first ``dim`` columns of the second: the backbone's query stream.
+    A call that records is the chain qkv ``linear``, ``attention``, proj
+    ``linear``, and its q source is the whole fused qkv projection. Any
+    other streams whole items along the first axis in blocks of at most
+    ``STREAM_VALUES`` qkv values, or one item: each block runs that chain
+    into its rows of the output and, given ``keep_q``, copies its q columns
+    into one [..., dim] array, the q source (else None), so the fused qkv
+    is never whole. Each item takes the same products as the whole chain,
+    so the values are its bits.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None, qkv_bias: bool = True):
@@ -118,9 +132,21 @@ class MultiHeadAttention(Module):
         self.qkv = make_linear(rng, dim, 3 * dim, bias=qkv_bias)
         self.proj = make_linear(rng, dim, dim, bias=True)
 
-    def __call__(self, x: Tensor):
-        qkv = self.qkv(x)
-        return self.proj(T.attention(qkv, self.heads, self.scale)), qkv
+    def __call__(self, x: Tensor, keep_q: bool = True):
+        if T._records((x, *self.parameters())):
+            qkv = self.qkv(x)
+            return self.proj(T.attention(qkv, self.heads, self.scale)), qkv
+        dim = self.proj.W.data.shape[0]
+        n, item = x.shape[0], math.prod(x.shape[1:-1]) * 3 * dim
+        step = max(1, STREAM_VALUES // item)
+        out = np.empty(x.shape[:-1] + (dim,))
+        q = np.empty(out.shape) if keep_q else None
+        for lo in range(0, n, step):
+            qkv = self.qkv(Tensor(x.data[lo : lo + step]))
+            if keep_q:
+                q[lo : lo + step] = qkv.data[..., :dim]
+            out[lo : lo + step] = self.proj(T.attention(qkv, self.heads, self.scale)).data
+        return Tensor(out), None if q is None else Tensor(q)
 
 
 class MLP(Module):

@@ -43,7 +43,10 @@ live in the test suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
-dependency.
+dependency. It runs one ``_ERF_CHUNK`` slice at a time in two scratch
+arrays beside the slice, which it overwrites. The multi-head attention
+layer in ``layers`` streams a forward that records nothing the way ``ffn``
+does, through ``linear`` and ``attention``.
 
 A finite-difference oracle (`finite_diff_grad`) is provided for
 independent gradient verification; it never touches autodiff state.
@@ -214,16 +217,17 @@ def _gelu_in_place(y: np.ndarray, deriv: np.ndarray | None, scratch: list | None
     """Overwrite the C-contiguous ``y`` with GELU, x * Phi(x) with Phi(x) =
     0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time, and
     write GELU's derivative into ``deriv``, shaped like ``y``, unless it is
-    None; erf's first scratch array is then the derivative's slice."""
-    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(4 if deriv is None else 3)]
+    None; erf's first scratch array is then the derivative's slice. It
+    takes three slice-sized scratch arrays, two when ``deriv`` is given."""
+    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(3 if deriv is None else 2)]
     flat = y.reshape(-1)
     dflat = None if deriv is None else deriv.reshape(-1)
     for lo in range(0, flat.size, _ERF_CHUNK):
         xs = flat[lo : lo + _ERF_CHUNK]
-        ns, ds, c, *zs = (buf[: xs.size] for buf in scratch)
+        ns, c, *zs = (buf[: xs.size] for buf in scratch)
         zs = zs[0] if dflat is None else dflat[lo : lo + xs.size]
         np.divide(xs, math.sqrt(2.0), out=c)
-        _erf_chunk(c, zs, ns, ds)
+        _erf_chunk(c, zs, ns)
         c += 1.0
         c *= 0.5
         if dflat is not None:  # reads x, so before x goes; zs is this slice of the derivative
@@ -297,12 +301,13 @@ def _erf_tail(x: np.ndarray) -> np.ndarray:
     return np.copysign(1.0 - y, x)
 
 
-def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -> None:
-    """Overwrite the 1-d ``xs`` with erf(xs), using ``zs``, ``ns`` and ``ds``,
-    each shaped like ``xs``, as scratch.
+def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray) -> None:
+    """Overwrite the 1-d ``xs`` with erf(xs), using ``zs`` and ``ns``, each
+    shaped like ``xs``, as scratch.
 
     Elements with |x| <= 1 (and NaN) take x*T(x^2)/U(x^2) in Cephes' Horner
-    order in the scratch arrays; the rare |x| > 1 go to ``_erf_tail``. A
+    order: z = x^2 in ``zs``, x*T(z) in ``ns``, then U(z) in ``xs`` itself,
+    which no later step reads as x. The rare |x| > 1 go to ``_erf_tail``. A
     slice without them (NaN fails the test) skips the gather and scatter.
     """
     tail = None if np.abs(xs, out=zs).max() <= 1.0 else np.flatnonzero(zs > 1.0)
@@ -311,9 +316,9 @@ def _erf_chunk(xs: np.ndarray, zs: np.ndarray, ns: np.ndarray, ds: np.ndarray) -
         xs[tail] = 0.0  # keeps huge and infinite values out of the polynomials
     np.multiply(xs, xs, out=zs)
     _horner(zs, _ERF_T, ns)
-    _horner(zs, _ERF_U, ds)
-    ns *= xs
-    np.divide(ns, ds, out=xs)
+    ns *= xs  # the last read of x
+    _horner(zs, _ERF_U, xs)
+    np.divide(ns, xs, out=xs)
     if tail is not None and tail.size:
         xs[tail] = _erf_tail(tail_x)
 
@@ -441,7 +446,7 @@ def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
     n, item = hidden_shape[0], math.prod(hidden_shape[1:])
     step = max(1, min(n, _ERF_CHUNK // max(1, item)) if x.data.ndim > 2 else n)
     block = np.empty((step,) + hidden_shape[1:])
-    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(4)]
+    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(3)]
     out = np.empty(hidden_shape[:-1] + W2.data.shape[-1:])
     for lo in range(0, n, step):
         rows = slice(lo, lo + step)

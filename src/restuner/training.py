@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import ConfigError, ModelGraph, trainable_parameters
-from .tensor import GradientError, Tensor, cross_entropy
+from .tensor import GradientError, cross_entropy
 
 
 @dataclass
@@ -216,7 +216,7 @@ def _train_step(model, opt, images, labels, smoothing: float, lr: float, where: 
     """
     with quiet_overflow():
         opt.zero_grad()
-        logits = model(Tensor(images))
+        logits = model(images)
         loss = cross_entropy(logits, labels, smoothing)
         if not math.isfinite(loss.item()):
             raise DivergenceError(f"training diverged: loss is {loss.item()} at {where}")
@@ -242,7 +242,7 @@ def evaluate(model: ModelGraph, dataset, batch_size: int = 64):
 
     def run(idx):
         with quiet_overflow():  # numpy's error state is per thread
-            logits = model(Tensor(dataset.images[idx]))
+            logits = model(dataset.images[idx])  # widened to float64 at the patch cut
             labels = dataset.labels[idx]
             loss = cross_entropy(logits, labels).item() * len(idx)
         return loss, int((logits.data.argmax(axis=-1) == labels).sum())
@@ -273,12 +273,12 @@ def grad_check(model: ModelGraph, images, labels, eps: float = 1e-5, tol: float 
 
     def loss_value(_param) -> float:
         with T.no_grad():
-            return cross_entropy(model(Tensor(images)), labels).item()
+            return cross_entropy(model(images), labels).item()
 
     report = {}
     all_pass = True
     with quiet_overflow():  # a non-finite loss raises GradientError, not numpy's warnings
-        logits = model(Tensor(images))
+        logits = model(images)
         loss = cross_entropy(logits, labels)
         if not math.isfinite(loss.item()):
             raise GradientError("non-finite loss in grad check")

@@ -60,7 +60,7 @@ MUTANTS = {
                        "test_tuners.py::test_res_attn_matches_loop_oracle"),
     "prefix_scale": ("tuners.py", "cfg.head_dim**-0.5, kv=(self.K", "cfg.head_dim**-1.0, kv=(self.K",
                      "test_tuners.py::test_prefix_matches_loop_oracle"),
-    "block_tuner_reads_norm1": ("backbone.py", "named.update(block=x,", "named.update(block=block.norm1(x),",
+    "block_tuner_reads_norm1": ("backbone.py", 'named["mha"] = block.norm1(x)', 'named["mha"] = named["block"] = block.norm1(x)',
                                 "test_backbone.py::test_trained_tuner_delta_equals_tuner_forward"),
     # contracts: block add order, slot order, HEAD_ROWS, the CRC span, the echo
     "ffn_reads_norm1": ("backbone.py", 'named["ffn"] = block.norm2(u)', 'named["ffn"] = block.norm1(u)',
@@ -85,12 +85,26 @@ MUTANTS = {
                                   "test_tuners.py::test_prompt_matches_loop_oracle"),
     "flat_kv_grad_not_transposed": ("tensor.py", "g.swapaxes(0, 1).reshape(kv_shape)", "g.reshape(kv_shape)",
                                     "test_tensor.py::test_fused_op_grads_vs_finite_differences"),
+    # a forward that records nothing: streamed MHA, block input, image widening, erf scratch
+    "mha_whole_batch_block": ("layers.py", "STREAM_VALUES = 1 << 15", "STREAM_VALUES = 1 << 40",
+                              "test_backbone.py::test_vit_tiny_width_forward_without_graph_never_holds_a_whole_qkv"),
+    "caller_pins_block_input": ("backbone.py", "block_forward(self, i, named,", "block_forward(self, i, dict(named),",
+                                "test_backbone.py::test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader"),
+    "block_pins_its_input": ("backbone.py", "    del x  # and so does", "    pass  # and so does",
+                             "test_backbone.py::test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader"),
+    "eval_widens_images_before_the_cut": (
+        "training.py", "model(dataset.images[idx])", "model(dataset.images[idx].astype(np.float64))",
+        "test_backbone.py::test_eval_mix_batch_widens_its_images_once_at_the_patch_cut"),
+    "ffn_fourth_scratch_array": ("tensor.py", "step * item)) for _ in range(3)]", "step * item)) for _ in range(4)]",
+                                 "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
+    "recorded_gelu_third_scratch_array": ("tensor.py", "range(3 if deriv is None else 2)", "range(3)",
+                                          "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
 }
 
 # name: (module, text, mutant text, why no test is expected to kill it)
 EQUIVALENT = {
     "matrix_probe_one_image": (
-        "cli.py", "model(Tensor(images[:2])).data", "model(Tensor(images[:1])).data",
+        "cli.py", "model(images[:2]).data", "model(images[:1]).data",
         "the frozen logits and every cell's probe read the same rows, and a tuner that is not "
         "zero at init changes the first image's logits as well as the second's",
     ),

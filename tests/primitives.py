@@ -112,7 +112,7 @@ def erf(x) -> np.ndarray:
     """erf(x) as a new array, through GELU's own chunk kernel."""
     out = np.array(x, dtype=np.float64)
     flat = out.reshape(-1)
-    scratch = [np.empty(min(T._ERF_CHUNK, flat.size)) for _ in range(3)]
+    scratch = [np.empty(min(T._ERF_CHUNK, flat.size)) for _ in range(2)]
     for lo in range(0, flat.size, T._ERF_CHUNK):
         xs = flat[lo : lo + T._ERF_CHUNK]
         T._erf_chunk(xs, *(buf[: xs.size] for buf in scratch))
@@ -215,17 +215,20 @@ def prompt_kv(P, W):
     return matmul(P, Tensor(W[:, :dim])), matmul(P, Tensor(W[:, dim:]))
 
 
-def reference_block_forward(model, index, x, rows=None):
-    """``block_forward`` in the order it once ran: the MLP as the primitive
-    chain, and each tuner's delta computed where it is added, the block
-    tuner's after the FFN. Prefix and prompt tuners read q by kind, not by
-    the class's declaration. Every token is computed; given ``rows``, the
-    first ``rows`` of them are returned."""
+def reference_block_forward(model, index, named, rows=None):
+    """``block_forward`` in the order it once ran, called as it is: the
+    block input is ``named["block"]``. The MLP is the primitive chain, and
+    each tuner's delta is computed where it is added, the block tuner's
+    after the FFN. Prefix and prompt tuners read q, the first ``dim``
+    columns of the MHA's second output, by kind, not by the class's
+    declaration. Every token is computed; given ``rows``, the first
+    ``rows`` of them are returned."""
     block = model.blocks[index]
+    x = named["block"]
 
     def delta(op, op_input, qkv):
         tuner = model.tuners[(index, op)]
-        return tuner(q_of(qkv) if tuner.kind in ("prefix", "prompt") else op_input)
+        return tuner(qkv[..., : x.shape[-1]] if tuner.kind in ("prefix", "prompt") else op_input)
 
     h1 = block.norm1(x)
     mha_out, qkv = block.mha(h1)
@@ -268,7 +271,7 @@ def reference_model_forward(model, images: np.ndarray) -> Tensor:
     x = T.concat([T.broadcast_to(model.cls_token, (B, 1, cfg.dim)), x], axis=1)
     x = x + Tensor(model.pos[None])
     for index in range(cfg.depth):
-        x = reference_block_forward(model, index, x)
+        x = reference_block_forward(model, index, {"block": x})
     x = composed_layer_norm(x, model.final_norm.gamma, model.final_norm.beta)
     return composed_linear(x[:, 0, :], model.head.W, model.head.b)
 

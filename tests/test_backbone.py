@@ -19,7 +19,8 @@ from restuner.backbone import (
 )
 from restuner.layers import INIT_STD, MLP
 from restuner.tensor import Tensor, is_grad_enabled, no_grad, rel_error
-from restuner.training import TrainConfig, _train_step, cross_entropy, make_optimizer
+from restuner.data_io import Dataset
+from restuner.training import TrainConfig, _train_step, cross_entropy, evaluate, make_optimizer
 from restuner.tuners import ATTACH_OPS, TUNER_KINDS, TUNERS, AttachSpec, attach
 
 TOY = BackboneConfig(dim=16, depth=2, heads=2, patch=4, image_size=8,
@@ -110,8 +111,8 @@ def test_trained_tuner_delta_equals_tuner_forward():
     tuner.o.W.data[...] = rng.normal(size=tuner.o.W.data.shape) * 0.1
 
     block_in = plain.features(x)[0][1]["block"]
-    out_plain = backbone.block_forward(plain, 1, block_in)
-    out_tuned = backbone.block_forward(tuned, 1, block_in)
+    out_plain = backbone.block_forward(plain, 1, {"block": block_in})
+    out_tuned = backbone.block_forward(tuned, 1, {"block": block_in})
     delta = tuner(block_in).data
     assert np.abs((out_tuned.data - out_plain.data) - delta).max() < 1e-12
 
@@ -252,35 +253,79 @@ def test_vit_tiny_train_step_holds_its_graph_and_one_steps_grads():
     assert peak - base <= 15.9 * (1 << 20), peak - base
 
 
-def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader():
-    """One no-grad B=64 forward at the benchmark's eval-mix shape. Each block
-    drops its first norm's output right after the MHA (its prefix tuner
-    reads q), keeps only a copy of qkv's q third, so k and v die with the
-    backbone attention, drops the MHA output after the residual add and the
-    q copy once the block tuner has read it, so the FFN runs without them;
-    the FFN streams its hidden layer in row blocks, and the patch tensor
-    dies with the embedding. The last block runs its MLP on the first two
-    token rows only, so an earlier, whole block sets the peak: 3.9 MiB
-    traced. The 4.1 MiB bound leaves less headroom than one [64, 17, 64]
-    tensor (0.53 MiB), so a block-width tensor that outlives its last
-    reader at the peak fails it, as does a whole qkv (1.6 MiB) or a whole
-    hidden layer (2.1 MiB)."""
+def _eval_mix_model():
+    """The benchmark's eval-mix model: prefix, adapter and prompt tuners in
+    every block, at its backbone's shape."""
     m = build_backbone(BackboneConfig(dim=64, depth=4, heads=4, patch=4, image_size=16,
                                       in_channels=3, num_classes=10, seed=0))
     attach(m, [AttachSpec(b, op, kind, options) for b in range(4) for op, kind, options in (
         ("mha", "prefix", {"length": 10}), ("ffn", "adapter", {"bottleneck": 8}),
         ("block", "prompt", {"length": 10}))])
-    images = Tensor(np.random.default_rng(0).normal(size=(64, 3, 16, 16)))
+    return m
+
+
+def _traced_peak(fn) -> int:
+    """Bytes traced at ``fn()``'s peak above those held before it."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        with no_grad():
-            m(images)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak - base <= 4.1 * (1 << 20), peak - base
+
+
+def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader():
+    """One no-grad B=64 forward at the benchmark's eval-mix shape. Each block
+    drops its first norm's output right after the MHA (its prefix tuner
+    reads q), and its input and the MHA output at the residual add. The MHA
+    streams item blocks, so qkv is never whole and k and v die with each
+    block's attention; the q copy goes once the block tuner has read it, so
+    the FFN runs without it, and the FFN streams its hidden layer in row
+    blocks. The patch tensor dies with the embedding. The last block runs
+    its MLP on the first two token rows only, so an earlier, whole FFN sets
+    the peak: its residual stream, its input, the block tuner's delta, its
+    output and one row block with GELU's scratch, 3.2 MiB traced. The 3.5
+    MiB bound leaves less headroom than one [64, 17, 64] tensor (0.53 MiB),
+    so a block-width tensor that outlives its last reader at the peak fails
+    it, as does a whole qkv (1.6 MiB), a whole hidden layer (2.1 MiB), or a
+    block input held through the block (3.7 MiB)."""
+    m = _eval_mix_model()
+    images = Tensor(np.random.default_rng(0).normal(size=(64, 3, 16, 16)))
+    with no_grad():
+        peak = _traced_peak(lambda: m(images))
+    assert peak <= 3.5 * (1 << 20), peak
+
+
+def test_eval_mix_batch_widens_its_images_once_at_the_patch_cut():
+    """``evaluate`` on one B=64 eval-mix batch of float32 images, the
+    batch's images and their float64 widening inside the traced window:
+    the model takes the batch's float32 copy (0.19 MiB) and the patch cut
+    is its only float64 copy, which dies with the embedding, so the peak is
+    the forward's and that copy, 3.4 MiB. The 3.5 MiB bound fails a float64
+    copy of the batch held through the forward (0.38 MiB)."""
+    m = _eval_mix_model()
+    images = np.random.default_rng(0).normal(size=(64, 3, 16, 16)).astype(np.float32)
+    dataset = Dataset(images, np.arange(64) % 10, 10)
+    evaluate(m, dataset)  # the first call loads the thread pool's modules
+    peak = _traced_peak(lambda: evaluate(m, dataset))
+    assert peak <= 3.5 * (1 << 20), peak
+
+
+def test_vit_tiny_width_forward_without_graph_never_holds_a_whole_qkv():
+    """A no-grad B=64 forward at vit-tiny width (dim 192, 65 tokens), with no
+    tuner: the MHA streams one item at a time and writes no q copy, since
+    nothing reads q, and the FFN input goes once the MLP has read it. The
+    peak is three [64, 65, 192] tensors (6.1 MiB each) and a few blocks'
+    scratch, 19.5 MiB traced. A whole qkv is 18.3 MiB, so the 22 MiB bound
+    fails any forward that ever holds one, or a fourth block-width tensor."""
+    m = build_backbone(BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
+                                      in_channels=3, num_classes=10, seed=0))
+    images = Tensor(np.random.default_rng(0).normal(size=(64, 3, 32, 32)))
+    with no_grad():
+        peak = _traced_peak(lambda: m(images))
+    assert peak <= 22 * (1 << 20), peak
 
 
 def _randomized(specs, cfg=TOY):

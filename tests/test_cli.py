@@ -418,6 +418,27 @@ def test_cmd_grad_check_rejects_non_positive_eps_tol(config_path, capsys, flag, 
     assert "error:" in err and flag in err, err
 
 
+def test_cmd_grad_check_non_finite_loss_exits_2_naming_eps(config_path, capsys, monkeypatch):
+    """A finite difference that overflows (``--eps 1e308``) or a non-finite
+    loss at the starting weights is an input error, not a failed check: exit
+    2 and one ``error:`` line that names ``--eps``, with no traceback."""
+    assert main(["grad-check", "--config", str(config_path), "--eps", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: grad-check --eps 1e\+308: non-finite [^\n]*\n", captured.err), captured.err
+    assert captured.out == ""
+
+    def poisoned(*args, **kwargs):  # a NaN head bias makes the starting loss NaN
+        model = build_backbone(*args, **kwargs)
+        model.head.b.data[0] = np.nan
+        return model
+
+    monkeypatch.setattr(cli, "build_backbone", poisoned)
+    assert main(["grad-check", "--config", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(r"error: grad-check --eps 1e-05: non-finite loss [^\n]*\n", captured.err), captured.err
+    assert captured.out == ""
+
+
 def test_matrix_json_independent_of_blas_threads(tmp_path):
     import os
     import subprocess
