@@ -8,7 +8,9 @@ JSON, u32 tensor count, then per tensor u16 name length + name, u8 dtype
 of every byte after the magic.
 
 Dataset (magic ``RTDS``): u32 version, u32 count, u32 classes, u32 C, H,
-W, then count x (u32 label + C*H*W f32 pixels).
+W, then count x (u32 label + C*H*W f32 pixels). A load validates the file a
+chunk of records at a time and keeps its labels; ``FileImages`` reads the
+pixels of the records a batch asks for, so no copy of the file stays resident.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ class FormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Images and labels. ``images`` is float32 from ``synth_dataset`` and,
-    from ``load_binary_dataset``, a read-only view of the file's bytes:
-    ``Tensor`` widens each batch exactly where it enters the model."""
+    """Images and labels. ``images`` is a float32 array from ``synth_dataset``
+    and ``subset``, and a ``FileImages`` from ``load_binary_dataset``, which
+    reads each batch from the file. Indexed by a slice or an index array,
+    either gives a float32 ``[k, C, H, W]`` array, which the model widens
+    exactly where it cuts the patches."""
 
-    images: np.ndarray  # [n, C, H, W] float32
+    images: np.ndarray | FileImages  # [n, C, H, W] float32
     labels: np.ndarray  # [n] int64
     num_classes: int
 
@@ -124,16 +128,83 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
 
 # -- dataset binary format ----------------------------------------------
 
+_HEADER = 28  # magic and six u32 fields
+_CHUNK_BYTES = 1 << 18  # records a validation pass reads, or a pixel check masks, at a time
+
 
 def _dataset_record(pixels: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("pixels", "<f4", (pixels,))])
 
 
-def _check_finite(pixels: np.ndarray) -> None:
-    """Raise FormatError naming the first item with a pixel that is not a finite float32."""
-    for i, row in enumerate(pixels):  # one record at a time: no full-size mask
-        if not np.isfinite(row).all():
-            raise FormatError(f"dataset item {i} has a pixel value that is not a finite float32")
+def _check_finite(pixels: np.ndarray, items=None) -> None:
+    """Raise FormatError naming the first item of ``pixels`` ``[k, C*H*W]``
+    with a value that is not a finite float32; row i is item ``items[i]``
+    (default i). Rows are masked a chunk at a time: no full-size mask."""
+    step = max(1, _CHUNK_BYTES // max(1, pixels[:1].nbytes))
+    for lo in range(0, len(pixels), step):
+        bad = np.flatnonzero(~np.isfinite(pixels[lo : lo + step]).all(axis=1))
+        if bad.size:
+            i = lo + int(bad[0])
+            item = i if items is None else items[i]
+            raise FormatError(f"dataset item {item} has a pixel value that is not a finite float32")
+
+
+def _truncated(item: int, size: int) -> FormatError:
+    return FormatError(f"truncated dataset item {item} at byte {_HEADER + item * size}")
+
+
+class FileImages:
+    """The float32 images of a validated RTDS file, read a batch at a time.
+
+    ``images[idx]``, for a slice or an integer index array, opens the file,
+    reads each run of consecutive requested items with one read and returns
+    a fresh float32 ``[k, C, H, W]`` array in the requested order;
+    ``np.asarray(images)`` reads every item. Each call has its own file
+    handle, so threads can read at once. A record cut short or a pixel that
+    is not a finite float32, as a file changed since its load may have,
+    raises FormatError naming the item."""
+
+    dtype = np.dtype(np.float32)
+
+    def __init__(self, path, shape: tuple):
+        self.path = os.fspath(path)
+        self.shape = shape
+        self._record = _dataset_record(math.prod(shape[1:]))
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("file images cannot be viewed without a copy")
+        return self[:].astype(dtype or self.dtype, copy=False)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        n = len(self)
+        if isinstance(idx, slice):
+            rows = np.arange(*idx.indices(n))
+        else:
+            rows = np.asarray(idx)
+            if rows.ndim != 1 or rows.dtype.kind not in "iu":
+                raise IndexError("file images take a slice or a 1-D integer index array")
+            if rows.size and not 0 <= rows.min() <= rows.max() < n:
+                raise IndexError(f"indices must be in [0, {n}) for {n} images")
+        out = np.empty((len(rows), *self.shape[1:]), np.float32)
+        if not len(rows):
+            return out
+        size = self._record.itemsize
+        cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+        with open(self.path, "rb") as f:
+            for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+                first = int(rows[lo])
+                rec = np.empty(hi - lo, self._record)
+                f.seek(_HEADER + first * size)
+                got = f.readinto(rec)
+                if got < rec.nbytes:
+                    raise _truncated(first + got // size, size)
+                out[lo:hi] = rec["pixels"].reshape(out[lo:hi].shape)
+        _check_finite(out.reshape(len(rows), -1), rows)
+        return out
 
 
 def save_binary_dataset(ds: Dataset, path) -> None:
@@ -143,7 +214,7 @@ def save_binary_dataset(ds: Dataset, path) -> None:
     rec = np.empty(n, dtype=_dataset_record(c * h * w))
     rec["label"] = ds.labels
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, reported below
-        rec["pixels"] = ds.images.reshape(n, c * h * w)
+        rec["pixels"] = np.asarray(ds.images).reshape(n, c * h * w)
     _check_finite(rec["pixels"])
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
@@ -152,35 +223,49 @@ def save_binary_dataset(ds: Dataset, path) -> None:
 
 
 def load_binary_dataset(path) -> Dataset:
-    """Read an RTDS file. The images are its float32 pixels as a read-only,
-    zero-copy view of the file's bytes, never widened to a float64 copy."""
+    """Validate an RTDS file in one pass, a chunk of records at a time, and
+    keep its header, labels and path; ``FileImages`` reads the pixels per
+    batch. The first bad label is reported before the first non-finite pixel."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != DATASET_MAGIC:
-        raise FormatError(f"bad dataset magic {blob[:4]!r} at byte 0")
-    try:
-        version, count, classes, c, h, w = struct.unpack_from("<IIIIII", blob, 4)
-    except struct.error:
-        raise FormatError("truncated dataset header at byte 4")
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    if count == 0:
-        raise FormatError("dataset file contains zero items")
-    item = 4 + 4 * c * h * w
-    end = 28 + count * item
-    if len(blob) < end:
-        i = (len(blob) - 28) // item
-        raise FormatError(f"truncated dataset item {i} at byte {28 + i * item}")
-    if len(blob) > end:
-        raise FormatError(f"{len(blob) - end} trailing bytes after the last item at byte {end}")
-    rec = np.frombuffer(blob, dtype=_dataset_record(c * h * w), count=count, offset=28)
-    bad = np.flatnonzero(rec["label"] >= classes)
-    if bad.size:
-        i = int(bad[0])
-        raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {i}")
-    _check_finite(rec["pixels"])
-    images = rec["pixels"].reshape(count, c, h, w)  # a view of the file's bytes
-    return Dataset(images, rec["label"].astype(np.int64), classes)
+        magic = f.read(4)
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"bad dataset magic {magic!r} at byte 0")
+        try:
+            version, count, classes, c, h, w = struct.unpack("<IIIIII", f.read(24))
+        except struct.error:
+            raise FormatError("truncated dataset header at byte 4")
+        if version != DATASET_VERSION:
+            raise FormatError(f"unsupported dataset version {version}")
+        if count == 0:
+            raise FormatError("dataset file contains zero items")
+        size = 4 + 4 * c * h * w
+        length, end = os.fstat(f.fileno()).st_size, _HEADER + count * size
+        if length < end:
+            raise _truncated((length - _HEADER) // size, size)
+        if length > end:
+            raise FormatError(f"{length - end} trailing bytes after the last item at byte {end}")
+        record = _dataset_record(c * h * w)
+        labels = np.empty(count, np.int64)
+        chunk = np.empty(min(count, max(1, _CHUNK_BYTES // record.itemsize)), record)
+        pixel_error = None
+        for lo in range(0, count, len(chunk)):
+            rec = chunk[: count - lo]
+            got = f.readinto(rec)
+            if got < rec.nbytes:  # the file shrank since its size was read
+                raise _truncated(lo + got // size, size)
+            bad = np.flatnonzero(rec["label"] >= classes)
+            if bad.size:
+                i = int(bad[0])
+                raise FormatError(f"label {rec['label'][i]} >= class count {classes} in item {lo + i}")
+            labels[lo : lo + len(rec)] = rec["label"]
+            if pixel_error is None:
+                try:
+                    _check_finite(rec["pixels"], range(lo, lo + len(rec)))
+                except FormatError as e:  # a bad label later in the file is reported first
+                    pixel_error = e
+    if pixel_error is not None:
+        raise pixel_error
+    return Dataset(FileImages(path, (count, c, h, w)), labels, classes)
 
 
 # -- checkpoints --------------------------------------------------------

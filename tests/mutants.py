@@ -99,6 +99,18 @@ MUTANTS = {
                                  "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
     "recorded_gelu_third_scratch_array": ("tensor.py", "range(3 if deriv is None else 2)", "range(3)",
                                           "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
+    # RTDS files validated a chunk at a time and read a batch at a time
+    "validation_scans_first_chunk_only": ("data_io.py", "for lo in range(0, count, len(chunk)):",
+                                          "for lo in range(0, len(chunk), len(chunk)):",
+                                          "test_data_io.py::test_every_chunk_is_checked_and_a_bad_label_wins_over_a_bad_pixel"),
+    "pixel_error_before_a_later_label": ("data_io.py", "pixel_error = e", "raise",
+                                         "test_data_io.py::test_every_chunk_is_checked_and_a_bad_label_wins_over_a_bad_pixel"),
+    "finite_check_drops_its_chunk_offset": ("data_io.py", "i = lo + int(bad[0])", "i = int(bad[0])",
+                                            "test_data_io.py::test_every_chunk_is_checked_and_a_bad_label_wins_over_a_bad_pixel"),
+    "batch_read_drops_short_read_check": ("data_io.py", "raise _truncated(first + got // size, size)", "pass",
+                                          "test_data_io.py::test_a_file_changed_after_its_load_fails_the_batch_that_reads_it"),
+    "runs_in_sorted_order": ("data_io.py", "rows = np.asarray(idx)", "rows = np.sort(idx)",
+                             "test_data_io.py::test_loaded_images_are_the_files_float32_and_train_like_their_float64_widening"),
 }
 
 # name: (module, text, mutant text, why no test is expected to kill it)

@@ -5,6 +5,7 @@ import pytest
 
 from restuner.backbone import BackboneConfig, build_backbone
 from restuner.data_io import (
+    _CHUNK_BYTES,
     Dataset,
     DatasetSpec,
     FormatError,
@@ -112,31 +113,141 @@ def test_dataset_round_trip(tmp_path):
     assert np.array_equal(back.images, ds.images.astype(np.float32).astype(np.float64))
     assert np.array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes
+    save_binary_dataset(back, tmp_path / "again.rtds")  # a loaded dataset saves as it was read
+    assert (tmp_path / "again.rtds").read_bytes() == path.read_bytes()
+
+
+def _file_pixels(blob: bytes) -> np.ndarray:
+    """The pixels of every whole item in an RTDS file's bytes: float32 ``[n, C, H, W]``."""
+    import struct
+
+    _, _, _, c, h, w = struct.unpack_from("<IIIIII", blob, 4)
+    n = (len(blob) - 28) // (4 + 4 * c * h * w)
+    rec = np.frombuffer(blob, np.dtype([("label", "<u4"), ("pixels", "<f4", (c * h * w,))]), n, 28)
+    return rec["pixels"].reshape(n, c, h, w)
 
 
 def test_loaded_images_are_the_files_float32_and_train_like_their_float64_widening(tmp_path):
-    """A loaded dataset's images are a read-only float32 view of the file's
-    bytes. The model widens each batch exactly, so training and evaluating
-    on them give the checkpoint bytes and the (accuracy, loss) of their
-    float64 widening."""
+    """Each read of a loaded dataset's images is a fresh float32 ``[k, C, H,
+    W]`` array with the file's pixels, in the requested order, for slices,
+    runs and shuffled index arrays, and ``np.asarray`` reads every item,
+    never a view. The model widens each batch exactly, so training and
+    evaluating on them give the checkpoint bytes and the (accuracy, loss)
+    of their float64 widening."""
     path = tmp_path / "d.rtds"
     save_binary_dataset(synth_dataset(SPEC), path)
     ds = load_binary_dataset(path)
-    assert ds.images.dtype == np.float32 and not ds.images.flags.writeable
-    blob = ds.images
-    while isinstance(blob, np.ndarray):
-        blob = blob.base
-    assert blob == path.read_bytes()
-    assert np.shares_memory(ds.images, np.frombuffer(blob, np.uint8))
+    pixels = _file_pixels(path.read_bytes())
+    assert ds.images.dtype == np.float32 and ds.images.shape == pixels.shape == (64, 1, 8, 8)
+    order = np.random.default_rng(3).permutation(64)
+    reads = [slice(None), slice(5, 6), slice(60, 99), slice(None, None, -3), slice(7, 7),
+             np.arange(10, 30), np.array([3, 4, 5, 9, 10, 1, 2, 63, 62, 0]), order, order[:17],
+             np.array([], dtype=np.int64)]
+    for idx in reads:
+        batch = ds.images[idx]
+        assert type(batch) is np.ndarray and batch.dtype == np.float32, idx
+        assert batch.flags.writeable and batch.flags.c_contiguous and batch.base is None, idx
+        assert batch.shape == pixels[idx].shape and batch.tobytes() == pixels[idx].tobytes(), idx
+    assert not np.shares_memory(ds.images[:8], ds.images[:8])
+    assert np.asarray(ds.images).tobytes() == pixels.tobytes()
+    assert np.array_equal(np.asarray(ds.images, np.float64), pixels.astype(np.float64))
+    with pytest.raises(ValueError):
+        np.asarray(ds.images, copy=False)
+    for idx in (np.array([64]), np.array([0, -1]), np.array([[0]]), np.array([0.0]), 3):
+        with pytest.raises(IndexError):
+            ds.images[idx]
 
     results = []
-    for data in (ds, Dataset(ds.images.astype(np.float64), ds.labels, ds.num_classes)):
+    for data in (ds, Dataset(ds.images[:].astype(np.float64), ds.labels, ds.num_classes)):
         model = build_backbone(TOY)
         attach(model, FOUR_KINDS)
         train(model, data, TrainConfig(epochs=2, batch_size=16), eval_dataset=data, quiet=True)
         save_checkpoint(model, tmp_path / "m.rtck")
         results.append(((tmp_path / "m.rtck").read_bytes(), evaluate(model, data)))
     assert results[0] == results[1]
+
+
+# eval-mix's image shape; 2,048 such items fill many validation chunks
+MIX_SHAPE = (3, 16, 16)
+MIX_RECORD = 4 + 4 * 3 * 16 * 16
+# a one-block model that takes them
+MIX_SMALL = BackboneConfig(dim=16, depth=1, heads=2, patch=4, image_size=16, in_channels=3,
+                           num_classes=10, seed=0)
+
+
+def _mix_file(tmp_path, n: int):
+    path = tmp_path / f"mix{n}.rtds"
+    save_binary_dataset(synth_dataset(DatasetSpec(num_classes=10, shape=MIX_SHAPE, size=n, seed=0)), path)
+    return path
+
+
+def _patch(path, at: int, fmt: str, value) -> None:
+    import struct
+
+    blob = bytearray(path.read_bytes())
+    struct.pack_into(fmt, blob, at, value)
+    path.write_bytes(bytes(blob))
+
+
+def test_every_chunk_is_checked_and_a_bad_label_wins_over_a_bad_pixel(tmp_path):
+    """A save and a load check every chunk of items: a bad pixel or label in
+    the last item is found, and a load reports a bad label anywhere before a
+    non-finite pixel in an earlier item, as a whole-file check reports them."""
+    path = _mix_file(tmp_path, 2048)
+    blob = path.read_bytes()
+    assert len(blob) > 8 * _CHUNK_BYTES
+    images = _file_pixels(blob).copy()
+    images[2047, 2, 15, 15] = np.nan
+    with pytest.raises(FormatError, match="^dataset item 2047 has a pixel"):
+        save_binary_dataset(Dataset(images, np.zeros(2048, np.int64), 10), tmp_path / "nan.rtds")
+    _patch(path, 28 + 2047 * MIX_RECORD + 4 + 4 * 700, "<f", np.nan)
+    with pytest.raises(FormatError, match="^dataset item 2047 has a pixel value that is not a finite float32$"):
+        load_binary_dataset(path)
+    _patch(path, 28 + 5 * MIX_RECORD + 4, "<f", np.inf)
+    with pytest.raises(FormatError, match="^dataset item 5 has a pixel"):
+        load_binary_dataset(path)
+    _patch(path, 28 + 2040 * MIX_RECORD, "<I", 10)
+    with pytest.raises(FormatError, match="^label 10 >= class count 10 in item 2040$"):
+        load_binary_dataset(path)
+    path.write_bytes(blob)
+    _patch(path, 28 + 2046 * MIX_RECORD, "<I", 12)
+    with pytest.raises(FormatError, match="^label 12 >= class count 10 in item 2046$"):
+        load_binary_dataset(path)
+
+
+def test_a_file_changed_after_its_load_fails_the_batch_that_reads_it(tmp_path, capsys, monkeypatch):
+    """A batch read checks what it reads: a file cut short after its load
+    raises FormatError naming the first item it cannot read whole, and a
+    pixel rewritten to NaN names its item. ``restuner eval`` on a file cut
+    after its load exits 2 with one ``error:`` line and no traceback."""
+    import restuner.cli as cli
+
+    path = _mix_file(tmp_path, 300)
+    blob = path.read_bytes()
+    ds = load_binary_dataset(path)
+    path.write_bytes(blob[: 28 + 200 * MIX_RECORD + 9])
+    assert ds.images[:200].tobytes() == _file_pixels(blob)[:200].tobytes()
+    for idx, item in ((slice(150, 250), 200), (np.array([7, 200, 3]), 200), (np.array([299]), 299)):
+        with pytest.raises(FormatError, match=f"^truncated dataset item {item} at byte {28 + item * MIX_RECORD}$"):
+            ds.images[idx]
+    path.write_bytes(blob)
+    _patch(path, 28 + 123 * MIX_RECORD + 4 + 4 * 767, "<f", np.nan)
+    with pytest.raises(FormatError, match="^dataset item 123 has a pixel value that is not a finite float32$"):
+        ds.images[np.array([0, 123, 124])]
+
+    path.write_bytes(blob)
+    save_checkpoint(build_backbone(MIX_SMALL), tmp_path / "m.rtck")
+    load = cli.load_binary_dataset
+
+    def load_then_cut(data):
+        loaded = load(data)
+        path.write_bytes(blob[: 28 + 200 * MIX_RECORD + 9])
+        return loaded
+
+    monkeypatch.setattr(cli, "load_binary_dataset", load_then_cut)
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "m.rtck"), "--data", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: truncated dataset item 200 at byte {28 + 200 * MIX_RECORD}\n"
 
 
 def test_dataset_truncated(tmp_path):
@@ -552,6 +663,33 @@ def test_read_checkpoint_holds_one_copy_of_the_file(tmp_path):
     save_checkpoint(build_backbone(BIG), path)
     _, peak = _traced_peak(lambda: read_checkpoint(path))
     assert peak < 1.1 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_load_binary_dataset_holds_a_chunk_and_the_labels_not_the_file(tmp_path):
+    """A load reads the file a chunk of records at a time and keeps only its
+    labels: at 256 and at 2,048 eval-mix items (0.8 and 6.3 MB files) its
+    traced peak is under two chunks, and the larger file adds only its
+    labels (8 bytes an item) and a little slack."""
+    peaks = []
+    for n in (256, 2048):
+        path = _mix_file(tmp_path, n)
+        peaks.append(_traced_peak(lambda: load_binary_dataset(path))[1])
+    assert max(peaks) < 2 * _CHUNK_BYTES, peaks
+    assert peaks[1] - peaks[0] < 8 * (2048 - 256) + (16 << 10), peaks
+
+
+def test_evaluate_of_a_loaded_file_holds_its_batches_not_the_file(tmp_path):
+    """``restuner eval``'s load and ``evaluate`` in one traced window hold the
+    model's forward and the batches in flight, read from the file as they
+    run: at 256 and at 2,048 eval-mix items the peak is about 2.2 MiB, less
+    or more as the two workers' batches overlap, and under 3 MiB, though
+    the larger file alone is 6.3 MB."""
+    model = build_backbone(MIX_SMALL)
+    for n in (256, 2048):
+        path = _mix_file(tmp_path, n)
+        evaluate(model, load_binary_dataset(path))  # the first call loads the thread pool's modules
+        _, peak = _traced_peak(lambda: evaluate(model, load_binary_dataset(path)))
+        assert peak < 3 << 20, (n, peak)
 
 
 def test_build_backbone_peak_is_parameter_bytes():
