@@ -35,6 +35,10 @@ class ConfigError(ValueError):
 # one-row product as gemv, whose sums differ in the last bit from gemm's.
 HEAD_ROWS = 2
 
+# The most values that a forward recording nothing holds in its widest
+# backbone array, the fused qkv or the MLP hidden layer, per block of items
+STREAM_VALUES = 1 << 18
+
 
 @dataclass
 class BackboneConfig:
@@ -122,44 +126,66 @@ class ModelGraph(Module):
         for (block, op), tuner in self.tuners.items():
             yield from tuner.named_parameters(f"{prefix}tuners.{block}.{op}.")
 
-    def _embed(self, images) -> Tensor:
-        """Shape check -> patch embed -> class token -> positions: block 0's input.
-        ``images`` is an array or a ``Tensor``; the patch cut is its one float64 copy."""
+    def _pixels(self, images) -> np.ndarray:
+        """``images``, an array of any float dtype or a ``Tensor``, as an
+        array of the model's image shape, not copied."""
         cfg = self.cfg
         data = images.data if isinstance(images, Tensor) else np.asarray(images)
         if data.ndim != 4 or data.shape[1:] != (cfg.in_channels, cfg.image_size, cfg.image_size):
             raise ShapeError(
                 f"expected images [B,{cfg.in_channels},{cfg.image_size},{cfg.image_size}], got {data.shape}"
             )
-        B = data.shape[0]
+        return data
+
+    def _embed(self, data: np.ndarray) -> Tensor:
+        """Patch embed -> class token -> positions: block 0's input. The
+        patch cut is the images' one float64 copy."""
+        cfg = self.cfg
         x = self.patch_embed(Tensor(patchify(data, cfg.patch)))  # keeps no patch tensor
-        cls = broadcast_to(self.cls_token, (B, 1, cfg.dim))
+        cls = broadcast_to(self.cls_token, (len(data), 1, cfg.dim))
         x = concat([cls, x], axis=1)  # the patch embedding dies here
         return x + Tensor(self.pos[None, :, :])
 
-    def __call__(self, images) -> Tensor:
-        """Patch-embed -> blocks -> final norm -> class token -> head logits.
-        ``images`` is an array of any float dtype, or a ``Tensor``."""
-        named = {"block": self._embed(images)}
-        # The head reads only the class token's row, so a forward that
-        # records nothing has the last block keep just its first rows.
-        rows = None if is_grad_enabled() else HEAD_ROWS
+    def _trunk(self, data: np.ndarray, rows: int | None = None) -> Tensor:
+        """Embed -> blocks -> final norm; given ``rows``, the last block
+        keeps only its first ``rows`` token rows."""
+        named = {"block": self._embed(data)}
         for i in range(self.cfg.depth):  # each block takes its input over from ``named``
             named = {"block": block_forward(self, i, named, rows if i == self.cfg.depth - 1 else None)}
-        x = self.final_norm(named["block"])
-        return self.head(x[:, 0, :])
+        return self.final_norm(named["block"])
+
+    def __call__(self, images) -> Tensor:
+        """Backbone -> class token -> head logits. ``images`` is an array of
+        any float dtype, or a ``Tensor``.
+
+        A forward that records nothing runs the backbone over the fewest
+        equal blocks of whole items that keep each item block's widest
+        array within ``STREAM_VALUES`` values (or one item), and the last
+        transformer block keeps only the first ``HEAD_ROWS`` token rows, as
+        the head reads only the class token's. The item blocks' class rows
+        are gathered and the head runs once, on the whole batch, so its
+        product keeps the recorded forward's shape and bits."""
+        data = self._pixels(images)
+        if is_grad_enabled():
+            return self.head(self._trunk(data)[:, 0, :])
+        cfg = self.cfg
+        per_block = max(1, STREAM_VALUES // (cfg.tokens * max(3, cfg.mlp_ratio) * cfg.dim))
+        blocks = np.array_split(data, max(1, -(-len(data) // per_block)))  # views, sizes within one
+        return self.head(concat([self._trunk(part, HEAD_ROWS)[:, 0, :] for part in blocks]))
 
     def features(self, images) -> tuple[list[dict[str, Tensor]], Tensor]:
         """The frozen path's features at every token row, recording nothing
         and calling no tuner: each block's named slot inputs (``block``,
-        ``mha``, ``q``, ``ffn``; see ``block_forward``) and ``final_norm``
-        of the last block's output."""
+        ``mha``, ``q``, ``ffn``; see ``block_forward``), each ``[B, N,
+        dim]``, and ``final_norm`` of the last block's output. ``q`` is the
+        ``[..., dim]`` view of the block's fused qkv that a q reader reads."""
         inputs = []
         with no_grad():
-            x = self._embed(images)
+            x = self._embed(self._pixels(images))
             for i in range(self.cfg.depth):
                 inputs.append({"block": x})
                 x = block_forward(self, i, inputs[i], features=True)
+                inputs[i]["q"] = inputs[i]["q"][..., : self.cfg.dim]
             return inputs, self.final_norm(x)
 
 
@@ -199,18 +225,17 @@ def block_forward(model: ModelGraph, index: int, named: dict, rows: int | None =
 
     ``named`` holds the block's input as ``block`` and becomes the block's
     table of named slot inputs: ``block`` (x), ``mha`` (``norm1(x)``), ``q``
-    (the first ``dim`` columns of the MHA's q source; see
-    ``MultiHeadAttention``) and ``ffn`` (``norm2`` of the MHA residual).
-    The tuner at op reads ``q`` if its ``reads_q`` says so, else the name
-    ``op``; each name is dropped once no later tuner reads it. A caller
-    that keeps no other reference to the input therefore frees it at the
-    residual add unless the block tuner reads it; where the MHA records
-    nothing, its q source is a [..., dim] copy and the fused qkv is never
-    whole. The block tuner's delta is computed before the FFN and added
-    last. Given ``features``, every name stays in ``named`` and no tuner is
-    called. Given ``rows``, the MLP reads the first ``rows`` rows of
-    ``norm2``, and only those rows of the residual stream and of each delta
-    are added to its output; every other op reads every token.
+    (the MHA's fused qkv projection, whose first ``dim`` columns are the
+    query stream) and ``ffn`` (``norm2`` of the MHA residual). The tuner at
+    op reads a ``[..., dim]`` view of ``q`` if its ``reads_q`` says so, else
+    the name ``op``; each name is dropped once no later tuner reads it. A
+    caller that keeps no other reference to the input therefore frees it at
+    the residual add unless the block tuner reads it. The block tuner's
+    delta is computed before the FFN and added last. Given ``features``,
+    every name stays in ``named`` and no tuner is called. Given ``rows``,
+    the MLP reads the first ``rows`` rows of ``norm2``, and only those rows
+    of the residual stream and of each delta are added to its output;
+    every other op reads every token.
     """
     block = model.blocks[index]
     tuners = {op: model.tuners.get((index, op)) for op in ATTACH_OPS if not features}
@@ -227,7 +252,7 @@ def block_forward(model: ModelGraph, index: int, named: dict, rows: int | None =
         return tuners[op](named["q"][..., :dim] if reads[op] == "q" else named[op])
 
     named["mha"] = block.norm1(x)
-    u, named["q"] = block.mha(named["mha"], features or "q" in reads.values())
+    u, named["q"] = block.mha(named["mha"])
     keep("mha", "block", "ffn")
     u = x + u  # the residual stream; the MHA output dies here
     del x  # and so does the block input, unless a tuner reads it

@@ -130,6 +130,7 @@ def split_dataset(ds: Dataset, train_fraction: float, seed: int = 0):
 
 _HEADER = 28  # magic and six u32 fields
 _CHUNK_BYTES = 1 << 18  # records a validation pass reads, or a pixel check masks, at a time
+_READ_BYTES = 1 << 16  # records a batch read takes through its buffer at a time
 
 
 def _dataset_record(pixels: int) -> np.dtype:
@@ -157,8 +158,9 @@ class FileImages:
     """The float32 images of a validated RTDS file, read a batch at a time.
 
     ``images[idx]``, for a slice or an integer index array, opens the file,
-    reads each run of consecutive requested items with one read and returns
-    a fresh float32 ``[k, C, H, W]`` array in the requested order;
+    reads each run of consecutive requested items through one buffer of
+    ``_READ_BYTES`` of records and returns a fresh float32 ``[k, C, H, W]``
+    array in the requested order, so a read holds its pixels once;
     ``np.asarray(images)`` reads every item. Each call has its own file
     handle, so threads can read at once. A record cut short or a pixel that
     is not a finite float32, as a file changed since its load may have,
@@ -192,18 +194,20 @@ class FileImages:
         out = np.empty((len(rows), *self.shape[1:]), np.float32)
         if not len(rows):
             return out
-        size = self._record.itemsize
+        size, flat = self._record.itemsize, out.reshape(len(rows), -1)
+        buf = np.empty(min(len(rows), max(1, _READ_BYTES // size)), self._record)
         cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
         with open(self.path, "rb") as f:
             for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-                first = int(rows[lo])
-                rec = np.empty(hi - lo, self._record)
-                f.seek(_HEADER + first * size)
-                got = f.readinto(rec)
-                if got < rec.nbytes:
-                    raise _truncated(first + got // size, size)
-                out[lo:hi] = rec["pixels"].reshape(out[lo:hi].shape)
-        _check_finite(out.reshape(len(rows), -1), rows)
+                f.seek(_HEADER + int(rows[lo]) * size)
+                for at in range(lo, hi, len(buf)):
+                    first, rec = int(rows[at]), buf[: hi - at]
+                    got = f.readinto(rec)
+                    if got < rec.nbytes:
+                        raise _truncated(first + got // size, size)
+                    flat[at : at + len(rec)] = rec["pixels"]
+        del buf, rec  # before the finite check's masks
+        _check_finite(flat, rows)
         return out
 
 

@@ -3,9 +3,9 @@
 A parameter is trainable exactly when it requires grad, so a frozen
 backbone and its trainable tuners can live in one graph; only trainable
 parameters receive grads. Every layer builds trainable: the model that
-owns a layer decides whether to freeze it. A layer call that records
-nothing, as in evaluation, streams whole items through the MLP and the
-multi-head attention in blocks, so neither holds its widest array whole.
+owns a layer decides whether to freeze it. A layer runs the same chain
+whether it records or not; how much of a batch a forward that records
+nothing holds at once is the model's decision (``backbone.STREAM_VALUES``).
 """
 
 from __future__ import annotations
@@ -105,24 +105,11 @@ class LayerNorm(Module):
         return layer_norm(x, self.gamma, self.beta)
 
 
-# qkv values per item block of a multi-head attention that records nothing
-STREAM_VALUES = 1 << 15
-
-
 class MultiHeadAttention(Module):
-    """Standard scaled dot-product attention with a fused QKV projection.
-
-    A call returns (output, q source), and prefix/prompt tuners read q as
-    the first ``dim`` columns of the second: the backbone's query stream.
-    A call that records is the chain qkv ``linear``, ``attention``, proj
-    ``linear``, and its q source is the whole fused qkv projection. Any
-    other streams whole items along the first axis in blocks of at most
-    ``STREAM_VALUES`` qkv values, or one item: each block runs that chain
-    into its rows of the output and, given ``keep_q``, copies its q columns
-    into one [..., dim] array, the q source (else None), so the fused qkv
-    is never whole. Each item takes the same products as the whole chain,
-    so the values are its bits.
-    """
+    """Standard scaled dot-product attention with a fused QKV projection:
+    the chain qkv ``linear``, ``attention``, proj ``linear``. A call returns
+    (output, qkv), and prefix/prompt tuners read q as the first ``dim``
+    columns of qkv: the backbone's query stream."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator | None, qkv_bias: bool = True):
         if dim % heads != 0:
@@ -132,31 +119,14 @@ class MultiHeadAttention(Module):
         self.qkv = make_linear(rng, dim, 3 * dim, bias=qkv_bias)
         self.proj = make_linear(rng, dim, dim, bias=True)
 
-    def __call__(self, x: Tensor, keep_q: bool = True):
-        if T._records((x, *self.parameters())):
-            qkv = self.qkv(x)
-            return self.proj(T.attention(qkv, self.heads, self.scale)), qkv
-        dim = self.proj.W.data.shape[0]
-        n, item = x.shape[0], math.prod(x.shape[1:-1]) * 3 * dim
-        step = max(1, STREAM_VALUES // item)
-        out = np.empty(x.shape[:-1] + (dim,))
-        q = np.empty(out.shape) if keep_q else None
-        for lo in range(0, n, step):
-            qkv = self.qkv(Tensor(x.data[lo : lo + step]))
-            if keep_q:
-                q[lo : lo + step] = qkv.data[..., :dim]
-            out[lo : lo + step] = self.proj(T.attention(qkv, self.heads, self.scale)).data
-        return Tensor(out), None if q is None else Tensor(q)
+    def __call__(self, x: Tensor):
+        qkv = self.qkv(x)
+        return self.proj(T.attention(qkv, self.heads, self.scale)), qkv
 
 
 class MLP(Module):
-    """Transformer FFN: linear -> GELU -> linear, hidden = ratio * dim.
-
-    An MLP whose input needs a grad calls ``fc1`` with GELU as its
-    epilogue, then ``fc2``: a recorded ``ffn``'s two ``linear`` nodes, made
-    through the layers because the benchmark's traced run counts both calls.
-    Any other runs as one ``ffn``, which streams the hidden layer in row blocks.
-    """
+    """Transformer FFN: ``fc1`` with GELU as its epilogue, then ``fc2``;
+    hidden = ratio * dim."""
 
     def __init__(self, dim: int, rng: np.random.Generator | None, ratio: int = 4):
         hidden = ratio * dim
@@ -164,6 +134,4 @@ class MLP(Module):
         self.fc2 = make_linear(rng, hidden, dim)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.requires_grad:
-            return self.fc2(self.fc1(x, gelu=True))
-        return T.ffn(x, self.fc1.W, self.fc1.b, self.fc2.W, self.fc2.b)
+        return self.fc2(self.fc1(x, gelu=True))

@@ -35,18 +35,17 @@ order, the numpy arithmetic of the primitive chain it replaces, so its
 values and grads equal that chain's bit for bit. Their forward passes write
 in place only into arrays they allocated themselves, never into an input,
 an upstream grad or an array a tensor holds; GELU overwrites its own
-product, keeping only its derivative for backward. ``ffn`` (linear, GELU,
-linear) records as its two ``linear`` nodes; when it records nothing, it
-streams its hidden layer in row blocks of whole items. The chains, and the
-reference primitives (``matmul``, ``gelu``, ``softmax_lastdim`` and so on),
-live in the test suite's ``tests/primitives.py``.
+product, keeping only its derivative for backward. An op runs on the
+whole of its input whether it records or not; a forward that records
+nothing bounds its arrays by streaming blocks of whole items through the
+model (``backbone.STREAM_VALUES``). The chains, and the reference
+primitives (``matmul``, ``gelu``, ``softmax_lastdim`` and so on), live in
+the test suite's ``tests/primitives.py``.
 
 GELU's ``erf`` is a numpy port of Cephes ``ndtr.c``, the algorithm behind
 ``scipy.special.erf``, and equals it bit for bit; numpy is the only
 dependency. It runs one ``_ERF_CHUNK`` slice at a time in two scratch
-arrays beside the slice, which it overwrites. The multi-head attention
-layer in ``layers`` streams a forward that records nothing the way ``ffn``
-does, through ``linear`` and ``attention``.
+arrays beside the slice, which it overwrites.
 
 A finite-difference oracle (`finite_diff_grad`) is provided for
 independent gradient verification; it never touches autodiff state.
@@ -213,13 +212,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def _gelu_in_place(y: np.ndarray, deriv: np.ndarray | None, scratch: list | None = None) -> None:
+def _gelu_in_place(y: np.ndarray, deriv: np.ndarray | None) -> None:
     """Overwrite the C-contiguous ``y`` with GELU, x * Phi(x) with Phi(x) =
     0.5 * (1 + erf(x / sqrt(2))), one ``_ERF_CHUNK`` slice at a time, and
     write GELU's derivative into ``deriv``, shaped like ``y``, unless it is
     None; erf's first scratch array is then the derivative's slice. It
     takes three slice-sized scratch arrays, two when ``deriv`` is given."""
-    scratch = scratch or [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(3 if deriv is None else 2)]
+    scratch = [np.empty(min(_ERF_CHUNK, y.size)) for _ in range(3 if deriv is None else 2)]
     flat = y.reshape(-1)
     dflat = None if deriv is None else deriv.reshape(-1)
     for lo in range(0, flat.size, _ERF_CHUNK):
@@ -426,37 +425,6 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None, gelu: bool = False) ->
             _accumulate(vW, _unbroadcast(x_data.swapaxes(-1, -2) @ g, W_shape))
 
     return _make(y, parents, backward)
-
-
-def ffn(x: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """linear(x, W1, b1, gelu=True), then linear(., W2, b2).
-
-    When it records, it is that chain: two ``linear`` nodes. Otherwise whole
-    items along the first of three or more axes (a 2-d ``x`` is one item) go
-    through in row blocks of at most one ``_ERF_CHUNK`` of hidden elements,
-    or one item: fc1 into the block's buffer, GELU in place, fc2 into the
-    output's slice. Each item takes the same products as the whole chain,
-    so the values are its bits, and the hidden layer is never whole.
-    """
-    _check_matmul(x.data, W1.data)
-    _check_matmul(W1.data, W2.data)
-    if _records((x, W1, b1, W2, b2)):
-        return linear(linear(x, W1, b1, gelu=True), W2, b2)
-    hidden_shape = x.data.shape[:-1] + W1.data.shape[-1:]
-    n, item = hidden_shape[0], math.prod(hidden_shape[1:])
-    step = max(1, min(n, _ERF_CHUNK // max(1, item)) if x.data.ndim > 2 else n)
-    block = np.empty((step,) + hidden_shape[1:])
-    scratch = [np.empty(min(_ERF_CHUNK, step * item)) for _ in range(3)]
-    out = np.empty(hidden_shape[:-1] + W2.data.shape[-1:])
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        h = block[: min(step, n - lo)]
-        np.matmul(x.data[rows], W1.data, out=h)
-        h += b1.data
-        _gelu_in_place(h, None, scratch)
-        np.matmul(h, W2.data, out=out[rows])
-    out += b2.data
-    return Tensor(out)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -200,7 +200,7 @@ class AdapterConfig:
 
 
 class AdapterTuner(Tuner):
-    """Parallel bottleneck adapter: down -> GELU -> zero-init up, one ``ffn``."""
+    """Parallel bottleneck adapter: down with GELU as its epilogue, then zero-init up."""
 
     kind = "adapter"
     label = "Res-Ada."
@@ -214,7 +214,7 @@ class AdapterTuner(Tuner):
         self.up = LinearLayer(np.zeros((cfg.bottleneck, cfg.dim)), np.zeros(cfg.dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.ffn(x, self.down.W, self.down.b, self.up.W, self.up.b)
+        return self.up(self.down(x, gelu=True))
 
     def analytic_params(self, include_bias: bool = False) -> int:
         cfg = self.cfg

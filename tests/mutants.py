@@ -85,9 +85,15 @@ MUTANTS = {
                                   "test_tuners.py::test_prompt_matches_loop_oracle"),
     "flat_kv_grad_not_transposed": ("tensor.py", "g.swapaxes(0, 1).reshape(kv_shape)", "g.reshape(kv_shape)",
                                     "test_tensor.py::test_fused_op_grads_vs_finite_differences"),
-    # a forward that records nothing: streamed MHA, block input, image widening, erf scratch
-    "mha_whole_batch_block": ("layers.py", "STREAM_VALUES = 1 << 15", "STREAM_VALUES = 1 << 40",
-                              "test_backbone.py::test_vit_tiny_width_forward_without_graph_never_holds_a_whole_qkv"),
+    # a forward that records nothing: item blocks, block input, image widening, erf scratch
+    "stream_skips_last_item_block": ("backbone.py", "for part in blocks]", "for part in blocks[:-1]]",
+                                     "test_backbone.py::test_streamed_forward_equals_the_whole_batch_bit_for_bit"),
+    "head_per_item_block": ("backbone.py", "self.head(concat([self._trunk(part, HEAD_ROWS)[:, 0, :]",
+                            "(concat([self.head(self._trunk(part, HEAD_ROWS)[:, 0, :])",
+                            "test_backbone.py::test_streamed_forward_equals_the_whole_batch_bit_for_bit"),
+    "stream_budget_from_dim_alone": (
+        "backbone.py", "STREAM_VALUES // (cfg.tokens * max(3, cfg.mlp_ratio) * cfg.dim)", "STREAM_VALUES // cfg.dim",
+        "test_backbone.py::test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader"),
     "caller_pins_block_input": ("backbone.py", "block_forward(self, i, named,", "block_forward(self, i, dict(named),",
                                 "test_backbone.py::test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader"),
     "block_pins_its_input": ("backbone.py", "    del x  # and so does", "    pass  # and so does",
@@ -95,11 +101,11 @@ MUTANTS = {
     "eval_widens_images_before_the_cut": (
         "training.py", "model(dataset.images[idx])", "model(dataset.images[idx].astype(np.float64))",
         "test_backbone.py::test_eval_mix_batch_widens_its_images_once_at_the_patch_cut"),
-    "ffn_fourth_scratch_array": ("tensor.py", "step * item)) for _ in range(3)]", "step * item)) for _ in range(4)]",
-                                 "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
     "recorded_gelu_third_scratch_array": ("tensor.py", "range(3 if deriv is None else 2)", "range(3)",
-                                          "test_tensor.py::test_ffn_without_grad_streams_its_hidden_layer"),
+                                          "test_tensor.py::test_recorded_gelu_takes_two_scratch_slices"),
     # RTDS files validated a chunk at a time and read a batch at a time
+    "batch_read_buffers_whole_runs": ("data_io.py", "_READ_BYTES = 1 << 16", "_READ_BYTES = 1 << 20",
+                                    "test_data_io.py::test_a_batch_read_holds_its_pixels_once_and_one_record_buffer"),
     "validation_scans_first_chunk_only": ("data_io.py", "for lo in range(0, count, len(chunk)):",
                                           "for lo in range(0, len(chunk), len(chunk)):",
                                           "test_data_io.py::test_every_chunk_is_checked_and_a_bad_label_wins_over_a_bad_pixel"),

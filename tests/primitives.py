@@ -121,7 +121,7 @@ def erf(x) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU, x * Phi(x) with Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), as
-    its own node: the reference for the GELU of ``linear`` and ``ffn``. Its
+    its own node: the reference for ``linear``'s GELU epilogue. Its
     backward is the upstream grad times the engine's ``_gelu_grad``."""
     cdf = 0.5 * (1.0 + erf(a.data / math.sqrt(2.0)))
 
@@ -147,11 +147,6 @@ def composed_linear(x, W, b=None, gelu=False):
 
 
 gelu_node = gelu  # ``composed_linear``'s flag shadows the name
-
-
-def composed_ffn(x, W1, b1, W2, b2):
-    """linear, the reference GELU node, linear: the chain ``T.ffn`` streams."""
-    return composed_linear(composed_linear(x, W1, b1, gelu=True), W2, b2)
 
 
 def composed_layer_norm(x, gamma, beta):
@@ -237,7 +232,7 @@ def reference_block_forward(model, index, named, rows=None):
         u = u + delta("mha", h1, qkv)
     h2 = block.norm2(u)
     mlp = block.mlp
-    y = u + composed_ffn(h2, mlp.fc1.W, mlp.fc1.b, mlp.fc2.W, mlp.fc2.b)
+    y = u + composed_linear(composed_linear(h2, mlp.fc1.W, mlp.fc1.b, gelu=True), mlp.fc2.W, mlp.fc2.b)
     if (index, "ffn") in model.tuners:
         y = y + delta("ffn", h2, qkv)
     if (index, "block") in model.tuners:

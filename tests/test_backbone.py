@@ -277,55 +277,57 @@ def _traced_peak(fn) -> int:
 
 
 def test_eval_mix_forward_without_graph_keeps_each_tensor_until_its_last_reader():
-    """One no-grad B=64 forward at the benchmark's eval-mix shape. Each block
-    drops its first norm's output right after the MHA (its prefix tuner
-    reads q), and its input and the MHA output at the residual add. The MHA
-    streams item blocks, so qkv is never whole and k and v die with each
-    block's attention; the q copy goes once the block tuner has read it, so
-    the FFN runs without it, and the FFN streams its hidden layer in row
-    blocks. The patch tensor dies with the embedding. The last block runs
-    its MLP on the first two token rows only, so an earlier, whole FFN sets
-    the peak: its residual stream, its input, the block tuner's delta, its
-    output and one row block with GELU's scratch, 3.2 MiB traced. The 3.5
-    MiB bound leaves less headroom than one [64, 17, 64] tensor (0.53 MiB),
-    so a block-width tensor that outlives its last reader at the peak fails
-    it, as does a whole qkv (1.6 MiB), a whole hidden layer (2.1 MiB), or a
-    block input held through the block (3.7 MiB)."""
+    """One no-grad B=64 forward at the benchmark's eval-mix shape runs two
+    item blocks of 32 in turn. Each block drops its first norm's output
+    right after the MHA (its prefix tuner reads q), and its input and the
+    MHA output at the residual add; qkv goes once the block tuner has read
+    q, so the FFN runs without it. The patch tensor dies with the
+    embedding. The last block runs its MLP on the first two token rows
+    only, so an earlier block's GELU sets the peak: its residual stream,
+    its FFN input (the adapter reads it) and the block tuner's delta, each
+    [32, 17, 64] (0.27 MiB), the hidden layer (1.06 MiB) and GELU's three
+    scratch slices (0.75 MiB), 2.65 MiB traced. The 2.8 MiB bound leaves
+    less headroom than one [32, 17, 64] tensor, so a block-width tensor
+    that outlives its last reader at the peak fails it, as does qkv held
+    through the FFN (0.80 MiB), a block input held through the block, or
+    one item block of 64 (4.47 MiB)."""
     m = _eval_mix_model()
     images = Tensor(np.random.default_rng(0).normal(size=(64, 3, 16, 16)))
     with no_grad():
         peak = _traced_peak(lambda: m(images))
-    assert peak <= 3.5 * (1 << 20), peak
+    assert peak <= 2.8 * (1 << 20), peak
 
 
 def test_eval_mix_batch_widens_its_images_once_at_the_patch_cut():
     """``evaluate`` on one B=64 eval-mix batch of float32 images, the
     batch's images and their float64 widening inside the traced window:
-    the model takes the batch's float32 copy (0.19 MiB) and the patch cut
-    is its only float64 copy, which dies with the embedding, so the peak is
-    the forward's and that copy, 3.4 MiB. The 3.5 MiB bound fails a float64
-    copy of the batch held through the forward (0.38 MiB)."""
+    the model takes the batch's float32 copy (0.19 MiB), and each item
+    block's patch cut is its only float64 copy, which dies with the
+    embedding, so the peak is the forward's and the batch copy, 2.85 MiB.
+    The 2.95 MiB bound fails a float64 copy of the batch held through the
+    forward in place of the float32 one (0.19 MiB more)."""
     m = _eval_mix_model()
     images = np.random.default_rng(0).normal(size=(64, 3, 16, 16)).astype(np.float32)
     dataset = Dataset(images, np.arange(64) % 10, 10)
     evaluate(m, dataset)  # the first call loads the thread pool's modules
     peak = _traced_peak(lambda: evaluate(m, dataset))
-    assert peak <= 3.5 * (1 << 20), peak
+    assert peak <= 2.95 * (1 << 20), peak
 
 
 def test_vit_tiny_width_forward_without_graph_never_holds_a_whole_qkv():
     """A no-grad B=64 forward at vit-tiny width (dim 192, 65 tokens), with no
-    tuner: the MHA streams one item at a time and writes no q copy, since
-    nothing reads q, and the FFN input goes once the MLP has read it. The
-    peak is three [64, 65, 192] tensors (6.1 MiB each) and a few blocks'
-    scratch, 19.5 MiB traced. A whole qkv is 18.3 MiB, so the 22 MiB bound
-    fails any forward that ever holds one, or a fourth block-width tensor."""
+    tuner, runs 13 item blocks of at most 5 items. The FFN input goes once
+    the MLP has read it, so a block's GELU sets the peak: its residual
+    stream and FFN input, each [5, 65, 192] (0.48 MiB), the hidden layer
+    (1.90 MiB) and GELU's three scratch slices (0.75 MiB), 3.8 MiB traced.
+    The 4.2 MiB bound fails a third block-width tensor held at the peak,
+    and any forward that holds a whole qkv (18.3 MiB)."""
     m = build_backbone(BackboneConfig(dim=192, depth=2, heads=3, patch=4, image_size=32,
                                       in_channels=3, num_classes=10, seed=0))
     images = Tensor(np.random.default_rng(0).normal(size=(64, 3, 32, 32)))
     with no_grad():
         peak = _traced_peak(lambda: m(images))
-    assert peak <= 22 * (1 << 20), peak
+    assert peak <= 4.2 * (1 << 20), peak
 
 
 def _randomized(specs, cfg=TOY):
@@ -454,6 +456,42 @@ def test_forward_without_graph_equals_the_recorded_forward_bit_for_bit(shape, sl
     assert bare.tobytes() == recorded.tobytes()
 
 
+# the item blocks of a forward that records nothing, by shape and batch
+STREAM_BLOCKS = {("eval_mix", 64): [32, 32], ("eval_mix", 65): [33, 32], ("eval_mix", 1): [1],
+                 ("vit_tiny_width", 64): [5] * 12 + [4], ("vit_tiny_width", 65): [5] * 13,
+                 ("vit_tiny_width", 1): [1]}
+
+
+@pytest.mark.parametrize("batch", [64, 65, 1])
+@pytest.mark.parametrize("slots", SLOT_GRID, ids=_slot_ids)
+@pytest.mark.parametrize("shape", ["eval_mix", "vit_tiny_width"])
+def test_streamed_forward_equals_the_whole_batch_bit_for_bit(shape, slots, batch, monkeypatch):
+    """A forward that records nothing streams the fewest equal blocks of
+    whole items whose widest array, tokens x max(3, mlp_ratio) x dim values
+    an item, holds at most ``STREAM_VALUES``: 60 items at eval-mix, 5 at
+    vit-tiny width. Its logits equal, bit for bit, those of the same
+    forward with the stream off, and the head runs once, on every item's
+    class row. At eval-mix they also equal the recorded forward's bit for
+    bit; at vit-tiny width the last MLP's two-row products may sum in
+    another order than a recorded forward's whole ones (see
+    ``test_forward_without_graph_is_within_1e_12_of_the_recorded_forward``)."""
+    cfg = SHAPES[shape][0]
+    m = _randomized([AttachSpec(b, op, kind) for b in range(cfg.depth) for op, kind in slots], cfg)
+    images = Tensor(np.random.default_rng(8).normal(
+        size=(batch, cfg.in_channels, cfg.image_size, cfg.image_size)))
+    blocks, head_rows = [], []
+    patchify, head = backbone.patchify, m.head
+    monkeypatch.setattr(backbone, "patchify", lambda data, p: blocks.append(len(data)) or patchify(data, p))
+    monkeypatch.setattr(m, "head", lambda x: head_rows.append(x.shape) or head(x))
+    with no_grad():
+        streamed = m(images).data
+        assert blocks == STREAM_BLOCKS[shape, batch] and head_rows == [(batch, cfg.dim)]
+        monkeypatch.setattr(backbone, "STREAM_VALUES", 1 << 62)
+        assert m(images).data.tobytes() == streamed.tobytes()
+    assert blocks[-1] == batch
+    assert shape != "eval_mix" or m(images).data.tobytes() == streamed.tobytes()
+
+
 def _tuner_and_mlp_inputs(m, images) -> tuple[list, np.ndarray]:
     """((block, op), input array) of every tuner and MLP call of one
     forward of ``m``, in call order (an MLP's op is ``"mlp"``), and its logits."""
@@ -479,11 +517,14 @@ def test_forward_without_graph_feeds_every_tuner_every_row(shape, slots):
     """At zero init, a recorded forward and one that records nothing call
     each tuner on the bytes a frozen build's ``features()`` names for it,
     ``q`` for a tuner that ``reads_q`` and its slot's name else, at every
-    token row, in the forward's slot order (mha, block, MLP, ffn). Each MLP
-    reads ``ffn`` at every row, but for the no-grad forward's last one,
-    which reads its first ``HEAD_ROWS``. The head on the final feature's
-    class row gives the frozen model's recorded logits bit for bit, and so
-    does the tuned model's recorded forward."""
+    token row, in the forward's slot order (mha, block, MLP, ffn). The
+    recorded forward makes each call once, on the whole batch; the other
+    makes the block's calls once per item block (two at eval-mix), in
+    that order, and across them each row of each item reaches each tuner
+    exactly once. Each MLP reads ``ffn`` at every row, but for the no-grad
+    forward's last one, which reads its first ``HEAD_ROWS``. The head on
+    the final feature's class row gives the frozen model's recorded logits
+    bit for bit, and so does the tuned model's recorded forward."""
     cfg, B = SHAPES[shape]
     images = Tensor(np.random.default_rng(8).normal(
         size=(B, cfg.in_channels, cfg.image_size, cfg.image_size)))
@@ -505,10 +546,13 @@ def test_forward_without_graph_feeds_every_tuner_every_row(shape, slots):
     for grad in (True, False):
         with (contextlib.nullcontext() if grad else no_grad()):
             seen, logits = _tuner_and_mlp_inputs(m, images)
-        assert [slot for slot, _ in seen] == calls
-        for (b, op), got in seen:
-            want = named_input(b, op, grad)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (grad, b, op)
+        blocks = 1 if grad else len(seen) // len(calls)
+        assert blocks == (2 if shape == "eval_mix" and not grad else 1)
+        assert [slot for slot, _ in seen] == calls * blocks
+        for i, slot in enumerate(calls):
+            got = np.concatenate([x for _, x in seen[i :: len(calls)]])
+            want = named_input(*slot, grad)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (grad, slot)
         assert logits.tobytes() == frozen_logits or not grad
 
 

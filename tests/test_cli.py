@@ -528,7 +528,7 @@ def test_fused_ops_train_the_checkpoint_their_primitive_chains_train(tmp_path, m
     """One run with the fused ops, one with each replaced by the primitive
     chain it fuses: the two checkpoints must be the same bytes."""
     import restuner.layers
-    from primitives import composed_ffn, composed_layer_norm, composed_linear, composed_mha_attention
+    from primitives import composed_layer_norm, composed_linear, composed_mha_attention
 
     path = tmp_path / "four.cfg"
     path.write_text(_FOUR_KIND_CONFIG)
@@ -543,11 +543,10 @@ def test_fused_ops_train_the_checkpoint_their_primitive_chains_train(tmp_path, m
         return wrapper
 
     monkeypatch.setattr(T, "linear", counted("linear", composed_linear))
-    monkeypatch.setattr(T, "ffn", counted("ffn", composed_ffn))
     monkeypatch.setattr(restuner.layers, "layer_norm", counted("layer_norm", composed_layer_norm))
     monkeypatch.setattr(T, "attention", counted("attention", composed_mha_attention))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "chain")]) == 0
-    assert sorted(calls) == ["attention", "ffn", "layer_norm", "linear"]
+    assert sorted(calls) == ["attention", "layer_norm", "linear"]
     fused = (tmp_path / "fused" / "model.rtck").read_bytes()
     assert (tmp_path / "chain" / "model.rtck").read_bytes() == fused
 

@@ -678,6 +678,23 @@ def test_load_binary_dataset_holds_a_chunk_and_the_labels_not_the_file(tmp_path)
     assert peaks[1] - peaks[0] < 8 * (2048 - 256) + (16 << 10), peaks
 
 
+def test_a_batch_read_holds_its_pixels_once_and_one_record_buffer(tmp_path):
+    """A 64-item read of eval-mix items (192 KiB of pixels) takes its runs
+    through one 64 KiB record buffer, freed before the finite check masks
+    the batch: the traced peak is the returned batch plus that buffer, for
+    one run and for shuffled items, and the pixels are the file's. A read
+    that takes a whole run into a record array (two copies of the pixels)
+    fails the bound."""
+    path = _mix_file(tmp_path, 256)
+    pixels = _file_pixels(path.read_bytes())
+    ds = load_binary_dataset(path)
+    for idx in (slice(100, 164), np.random.default_rng(4).permutation(256)[:64]):
+        batch, peak = _traced_peak(lambda: ds.images[idx])
+        assert batch.tobytes() == pixels[idx].tobytes()
+        assert batch.nbytes == 64 * 3 * 16 * 16 * 4
+        assert peak <= batch.nbytes + (64 << 10) + (16 << 10), peak
+
+
 def test_evaluate_of_a_loaded_file_holds_its_batches_not_the_file(tmp_path):
     """``restuner eval``'s load and ``evaluate`` in one traced window hold the
     model's forward and the batches in flight, read from the file as they

@@ -1,8 +1,9 @@
 """No module imports a name at top level that nothing in it reads, only
 ``restuner.tensor`` touches the autodiff graph's internals,
 ``backbone.py`` branches on no tuner kind, ``backbone.py`` alone
-decides that the backbone is frozen and builds a model, and ``tuners.py``
-alone orders a model's tuners."""
+decides that the backbone is frozen and builds a model, ``tuners.py``
+alone orders a model's tuners, and ``backbone.py`` alone decides how much
+of a batch a forward that records nothing holds."""
 
 import ast
 from pathlib import Path
@@ -208,6 +209,57 @@ def test_only_attach_orders_the_tuners(path):
     echo) iterates it as given: no package module but ``tuners.py`` sorts it."""
     expected = ["model.tuners"] if path.name == "tuners.py" else []
     assert tuner_sorts(path.read_text()) == expected
+
+
+# the modules a forward runs through
+FORWARD = [p for p in PACKAGE if p.name in ("backbone.py", "layers.py", "tensor.py", "tuners.py")]
+
+
+def stream_decisions(source: str) -> set:
+    """Where the module decides how much of a batch a forward holds: a read
+    or binding of ``STREAM_VALUES``, a call of ``array_split``, a loop or
+    comprehension over a ``range`` with a step (``range(..., step)``, by its
+    step's text) other than erf's element slices, ``_ERF_CHUNK``, and a
+    function named ``ffn``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in ("STREAM_VALUES", "array_split"):
+            found.add(name)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            call = node.iter
+            if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "range"
+                    and len(call.args) == 3 and ast.unparse(call.args[2]) != "_ERF_CHUNK"):
+                found.add(f"range(..., {ast.unparse(call.args[2])})")
+        elif isinstance(node, ast.FunctionDef) and node.name == "ffn":
+            found.add("def ffn")
+    return found
+
+
+def test_stream_scanner_finds_the_budget_splits_stepped_loops_and_ffn():
+    source = (
+        "from .backbone import STREAM_VALUES as S\nstep = backbone.STREAM_VALUES // 3\n"
+        "for lo in range(0, n, step):\n    pass\nrows = [x[i] for i in range(0, n, 2 * k)]\n"
+        "for lo in range(0, flat.size, _ERF_CHUNK):\n    pass\nfor i in range(n):\n    pass\n"
+        "for i in range(1, n):\n    pass\ndef ffn(x):\n    pass\nffn = 1\nparts = np.array_split(x, 3)\n"
+    )
+    assert stream_decisions(source) == {"STREAM_VALUES", "range(..., step)", "range(..., 2 * k)", "def ffn",
+                                        "array_split"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_the_model_streams_item_blocks(path):
+    """``ModelGraph.__call__`` is the one place that splits a batch that
+    records nothing into item blocks, by ``backbone.STREAM_VALUES``: no
+    other module reads the budget, no other module a forward runs through
+    splits an array or loops over stepped blocks, and no op streams an
+    ``ffn`` of its own."""
+    found = stream_decisions(path.read_text())
+    if path.name == "backbone.py":
+        assert found == {"STREAM_VALUES", "array_split"}
+    else:
+        assert "STREAM_VALUES" not in found and "def ffn" not in found
+        assert path not in FORWARD or found == set(), found
 
 
 def test_eval_imports_neither_numpy_random_nor_scipy(tmp_path):

@@ -46,11 +46,17 @@ def _corename() -> str | None:
     return get().decode()
 
 
-# each fused op against its primitive chain, and the matrix's zero-init
+# each fused op against its primitive chain, the streamed no-grad forward
+# against the whole batch with every tuner kind (``SLOT_GRID``'s three mixes;
+# its 90 cases would take a minute per core), and the matrix's zero-init
 # identity at vit-tiny width
+STREAMED = "test_backbone.py::test_streamed_forward_equals_the_whole_batch_bit_for_bit"
+MIXES = ("prefix@mha+prompt@ffn+prefix@block", "res_attn@mha+adapter@ffn+prompt@block",
+         "prefix@mha+res_attn@ffn+adapter@block")
 CHILD_TESTS = [
     "test_tensor.py::test_fused_op_equals_composed_chain_bit_for_bit",
-    "test_tensor.py::test_ffn_row_blocks_match_the_chain_bit_for_bit",
+    *(f"{STREAMED}[{shape}-{mix}-{batch}]" for shape in ("eval_mix", "vit_tiny_width")
+      for mix in MIXES for batch in (64, 65, 1)),
     "test_cli.py::test_fused_ops_train_the_checkpoint_their_primitive_chains_train",
     "test_cli.py::test_matrix_zero_init_identity_holds_at_vit_tiny_width",
 ]

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from primitives import (
-    composed_ffn,
     composed_layer_norm,
     composed_linear,
     composed_mha_attention,
@@ -256,27 +255,20 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 )
 def test_gelu_chunk_boundaries_match_composed_expression_bit_for_bit(size):
     """``linear``'s GELU epilogue against the ``gelu(linear(x, W, b))``
-    chain, and ``ffn`` (whose 2-d input is one row block) against
-    ``linear(gelu(linear(...)))``, over hidden layers of ``size`` elements,
-    with and without a graph."""
+    chain over hidden layers of ``size`` elements, with and without a graph."""
     rng = np.random.default_rng(size)
     arrays = [rng.normal(scale=2.0, size=(size, 2)), rng.normal(size=(2, 1)), rng.normal(size=1)]
-    second = [rng.normal(size=(1, 3)), rng.normal(size=3)]  # ffn's fc2
-    g = rng.normal(size=(2 * size, 3))[1::2]  # a non-contiguous upstream grad
-    for pair, inputs, g in (
-        ((_linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b))), arrays, g[:, :1]),
-        ((T.ffn, composed_ffn), arrays + second, g),
-    ):
-        results = []
-        for build in pair:
-            with T.no_grad():
-                bare = build(*map(Tensor, inputs)).data
-            leaves = [Tensor(a, requires_grad=True) for a in inputs]
-            out = build(*leaves)
-            _backward_from(out, g)
-            results.append([bare, out.data, *(t.grad for t in leaves)])
-        assert all(_same_bits(f, c) for f, c in zip(*results))
-        assert _same_bits(results[0][0], results[0][1])
+    g = rng.normal(size=(2 * size, 1))[1::2]  # a non-contiguous upstream grad
+    results = []
+    for build in (_linear_gelu, lambda x, W, b: gelu(T.linear(x, W, b))):
+        with T.no_grad():
+            bare = build(*map(Tensor, arrays)).data
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = build(*leaves)
+        _backward_from(out, g)
+        results.append([bare, out.data, *(t.grad for t in leaves)])
+    assert all(_same_bits(f, c) for f, c in zip(*results))
+    assert _same_bits(results[0][0], results[0][1])
 
 
 def _gelu_peak_bytes(x: Tensor, W: Tensor) -> tuple[int, int]:
@@ -356,89 +348,25 @@ def test_recorded_gelu_keeps_the_unrecorded_output_and_the_separate_derivative()
     assert out.data.tobytes() == gelu_out and _kept(out, "deriv").tobytes() == deriv
 
 
-def test_ffn_without_grad_streams_its_hidden_layer():
-    """Without a graph ``ffn`` streams its items in row blocks, so the
-    hidden layer is never whole: the peak is the output plus one row block
-    (eight items of 4,096 hidden values, one ``_ERF_CHUNK``) and GELU's three
-    slice-size scratch arrays, give or take numpy's 64 KiB ufunc buffers,
-    against the 2 MiB of the whole hidden layer. erf writes U(z) into its
-    input slice once x * T(z) has read it, so a fourth scratch array fails
-    the upper bound. A recording ffn is its ``linear`` chain, whose first
-    ``linear(..., gelu=True)`` keeps GELU's derivative whole; erf's first
-    scratch array is that derivative's slice, so it needs two scratch
-    arrays, not three."""
+def test_recorded_gelu_takes_two_scratch_slices():
+    """A recording ``linear(..., gelu=True)`` keeps GELU's derivative whole,
+    and erf's first scratch array is that derivative's slice, so beside its
+    2 MiB output and the derivative it needs two slice-size scratch arrays,
+    not three, give or take numpy's 64 KiB ufunc buffers."""
     rng = np.random.default_rng(45)
     # GELU's inputs x @ W1 + b1 reach 2, so 2% of them take erf's tail path;
     # the 128 KiB margin below covers the tail's temporaries
     x = Tensor(rng.uniform(-1.0, 1.0, size=(64, 16, 1)), requires_grad=True)
-    params = [Tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((1, 256), (256,), (256, 1), (1,))]
-    scratch = 4 * T._ERF_CHUNK * 8
-
-    def peak_bytes(build):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            out = build(x, *params)
-            return tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
-        finally:
-            tracemalloc.stop()
-
-    with T.no_grad():
-        peak, out_bytes = peak_bytes(T.ffn)
-    assert out_bytes + scratch <= peak <= out_bytes + scratch + (128 << 10), (peak, out_bytes)
-    # the recorded hidden layer (2 MiB) also keeps its full-size derivative for backward
-    peak, out_bytes = peak_bytes(lambda x, W1, b1, *_: _linear_gelu(x, W1, b1))
+    W1, b1 = (Tensor(rng.uniform(-1.0, 1.0, size=s)) for s in ((1, 256), (256,)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = _linear_gelu(x, W1, b1)
+        peak, out_bytes = tracemalloc.get_traced_memory()[1] - base, out.data.nbytes
+    finally:
+        tracemalloc.stop()
     recorded = 2 * out_bytes + 2 * T._ERF_CHUNK * 8
     assert out_bytes == 2 << 20 and recorded <= peak <= recorded + (128 << 10), (peak, out_bytes)
-
-
-
-def test_ffn_keeps_only_what_its_grads_read():
-    """A recorded ``ffn`` is its ``linear`` chain, which keeps GELU's
-    derivative when x or W1 needs a grad, the hidden layer only when W2's
-    grad reads it, and of its inputs only those its grads read: W1 when x
-    needs a grad, x when W1 does, W2 when either does. It never keeps a
-    pre-activation or its output."""
-    rng = np.random.default_rng(47)
-    for x_grad, W1_grad, W2_grad in ((True, False, False), (False, True, True), (False, False, True),
-                                     (True, True, True)):
-        x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=x_grad)
-        W1, b1 = (Tensor(rng.normal(size=s), requires_grad=W1_grad) for s in ((4, 5), (5,)))
-        W2, b2 = (Tensor(rng.normal(size=s), requires_grad=W2_grad) for s in ((5, 4), (4,)))
-        out = T.ffn(x, W1, b1, W2, b2)
-        first = x_grad or W1_grad  # the first linear records
-        nodes = (out, out._parents[0]) if first else (out,)
-        held = [c.cell_contents for t in nodes for c in t._backward.__closure__]
-        arrays = [a for a in held if isinstance(a, np.ndarray) and a.ndim > 0]
-        expected = [a for a, keep in ((W1.data, x_grad), (x.data, W1_grad), (W2.data, first)) if keep]
-        saved = [a for a in arrays if not any(a is e for e in expected)]
-        assert len(arrays) == len(expected) + first + W2_grad, (x_grad, W1_grad, W2_grad)
-        assert all(a.shape == (2, 3, 5) and not np.shares_memory(a, out.data) for a in saved)
-        output = weakref.ref(out.data)
-        del out, nodes, held, arrays, saved
-        assert output() is None
-
-@pytest.mark.parametrize("batch", [1, 2, 4, 5])
-def test_ffn_row_blocks_match_the_chain_bit_for_bit(batch):
-    """Items of 3 x 4,096 hidden values stream two to a row block, so the
-    batches span one partial block, one block, two, and two plus a partial
-    one. Values and every grad equal the ``linear(gelu(linear(...)))``
-    chain's bits, with all weights trainable, frozen (an MLP), or with a
-    frozen input (a first tuner)."""
-    rng = np.random.default_rng(48 + batch)
-    arrays = [rng.normal(size=(batch, 3, 4)), rng.normal(scale=0.5, size=(4, 4096)),
-              rng.normal(size=4096), rng.normal(size=(4096, 4)), rng.normal(size=4)]
-    g = rng.normal(size=(batch, 3, 4))
-    for requires in ((True,) * 5, (True, False, False, False, False), (False, True, True, True, True)):
-        results = []
-        for build in (T.ffn, composed_ffn):
-            with T.no_grad():
-                bare = build(*map(Tensor, arrays)).data
-            leaves = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
-            out = build(*leaves)
-            _backward_from(out, g)
-            results.append([bare, out.data, *(t.grad for t, r in zip(leaves, requires) if r)])
-        assert all(_same_bits(f, c) for f, c in zip(*results)), requires
 
 
 def test_getitem_concat_broadcast_grads():
@@ -577,17 +505,6 @@ FUSED_CASES = {
         _linear_gelu, lambda x, W: gelu(T.linear(x, W)),
         [_R.normal(size=(3, 4)), _R.normal(size=(4, 2))],
     ),
-    # linear, GELU, linear, streamed in row blocks, against the three-node chain
-    "ffn": (
-        T.ffn, composed_ffn,
-        [_R.normal(size=(2, 3, 4)), _R.normal(size=(4, 5)), _R.normal(size=5),
-         _R.normal(size=(5, 4)), _R.normal(size=4)],
-    ),
-    "ffn_2d": (
-        T.ffn, composed_ffn,
-        [_R.normal(size=(3, 4)), _R.normal(size=(4, 2)), _R.normal(size=2),
-         _R.normal(size=(2, 3)), _R.normal(size=3)],
-    ),
     "layer_norm": (
         T.layer_norm, composed_layer_norm,
         [_R.normal(size=(2, 3, 5)), _R.normal(size=5), _R.normal(size=5)],
@@ -717,17 +634,6 @@ def test_fused_ops_record_one_node():
         (T.attention(q, 2, 0.5, kv=(K2, V2)), (q, K2, V2)),
     ]:
         assert out._backward is not None and out._parents == parents
-    # a recorded ffn is its chain, linear(linear(x, W, b, gelu=True), W, b) ...
-    out = T.ffn(x, W, b, W, b)
-    hidden = out._parents[0]  # the first linear's vertex
-    assert [t._backward.__qualname__ for t in (out, hidden)] == ["linear.<locals>.backward"] * 2
-    assert out._parents[1:] == (W, b) and hidden._parents == (x, W, b)
-    assert _kept(hidden, "deriv") is not None and _kept(out, "deriv") is None
-    # ... and an unrecorded one records nothing
-    with T.no_grad():
-        bare = T.ffn(x, W, b, W, b)
-    frozen = T.ffn(Tensor(x.data), W, b, W, b)
-    assert all(t._backward is None and t._parents == () and not t.requires_grad for t in (bare, frozen))
 
 
 def test_attention_shape_errors():
@@ -794,15 +700,6 @@ SAVED_CASES = {
     # GELU's epilogue keeps its derivative, not its input or its product
     "gelu": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), False], [(5,), False]], set()),
     "linear_gelu_trainable_W": (_linear_gelu, [[(2, 3, 4), True], [(4, 5), True], [(5,), True]], {0, 1}),
-    # ffn records as linear(gelu=True), then linear: with frozen weights it
-    # keeps GELU's derivative, not its input, its product or the hidden layer ...
-    "ffn_frozen_W": (
-        T.ffn, [[(2, 3, 4), True], [(4, 5), False], [(5,), False], [(5, 4), False], [(4,), False]], set(),
-    ),
-    # ... and when they train, x (read by W1's grad), W1 (by x's) and W2 (by the hidden layer's)
-    "ffn_trainable_W": (
-        T.ffn, [[(2, 3, 4), True], [(4, 5), True], [(5,), True], [(5, 4), True], [(4,), True]], {0, 1, 3},
-    ),
     "attention_self": (lambda x: T.attention(x, 2, 0.3), [[(2, 3, 24), True]], {0}),
     # q's grad reads frozen K and V, not q
     "attention_frozen_kv": (
