@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 check failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import sys
@@ -35,32 +34,6 @@ from .tuners import count_trainable_params
 # of the 12-block, width-768 backbone (counting convention differs
 # slightly; deviation is reported, not hidden)
 REFERENCE_COUNTS = {(8, 8): 2.35e6, (8, 4): 1.22e6, (4, 4): 0.66e6, (2, 4): 0.32e6}
-
-M_TOP_PAD = -2  # glibc <malloc.h> mallopt parameter
-# Freed heap memory that glibc keeps resident at the top of each heap
-# instead of trimming it. Without it, glibc hands a batch's freed MLP
-# activations back to the OS after each block and the next batch faults
-# them in again: `restuner eval` on eval-mix's 1,024 images took about 114k
-# minor faults and a fifth of its CPU time in the kernel. Measured on that
-# command: 16 MiB -> 13.4k faults, 12 MiB -> 13.4k, 10 MiB -> 47k, 8 MiB ->
-# 81k, 4 MiB -> 156k (more than with no pad). 16 MiB leaves headroom over the
-# smallest pad that works, at the same peak RSS (71.0 MiB). The other way,
-# M_MMAP_THRESHOLD 32 MiB with M_TRIM_THRESHOLD 64 MiB, took as few faults at
-# 72.8 MiB. M_TRIM_THRESHOLD alone turns off glibc's dynamic mmap threshold:
-# 340k faults, and eval ran 1.6x slower.
-HEAP_TOP_PAD = 16 << 20
-
-
-def _retain_freed_heap() -> None:
-    """Ask glibc to keep freed heap memory for the next batch; a no-op
-    where the C library has no ``mallopt``."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
 
 
 def _load_datasets(run: RunConfig):
@@ -278,12 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # process-wide settings, so only here and not in the library
-    _retain_freed_heap()
-    # ``numpy.random`` imports ``secrets``, whose ``hmac`` imports ``_hashlib``,
-    # which maps 3.3 MiB of OpenSSL's libcrypto into every command that draws
-    # weights, though restuner hashes nothing. Marked missing, it leaves
-    # ``hashlib`` and ``hmac`` on their builtin digests: ``hashlib.sha256``
+    # process-wide, so only here: ``numpy.random`` imports ``secrets``, whose ``hmac``
+    # imports ``_hashlib``, which maps 3.3 MiB of OpenSSL's libcrypto into every
+    # command that draws weights, though restuner hashes nothing. Marked missing, it
+    # leaves ``hashlib`` and ``hmac`` on their builtin digests: ``hashlib.sha256``
     # still works and ``hmac.compare_digest`` stays constant-time.
     sys.modules.setdefault("_hashlib", None)
     parser = build_parser()

@@ -212,9 +212,13 @@ class FileImages:
 
 
 def save_binary_dataset(ds: Dataset, path) -> None:
-    """Write ``ds`` to ``path``. A pixel that is not a finite float32 raises
+    """Write ``ds`` to ``path``, holding its records once. A label outside
+    ``[0, num_classes)``, then a pixel that is not a finite float32, raises
     FormatError naming its item before any byte is written."""
     n, c, h, w = ds.images.shape
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= ds.num_classes))
+    if bad.size:
+        raise FormatError(f"label {ds.labels[bad[0]]} is not in [0, {ds.num_classes}) in item {bad[0]}")
     rec = np.empty(n, dtype=_dataset_record(c * h * w))
     rec["label"] = ds.labels
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf, reported below
@@ -223,7 +227,7 @@ def save_binary_dataset(ds: Dataset, path) -> None:
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIIII", DATASET_VERSION, n, ds.num_classes, c, h, w))
-        f.write(rec.tobytes())
+        f.write(rec)
 
 
 def load_binary_dataset(path) -> Dataset:

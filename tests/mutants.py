@@ -117,6 +117,12 @@ MUTANTS = {
                                           "test_data_io.py::test_a_file_changed_after_its_load_fails_the_batch_that_reads_it"),
     "runs_in_sorted_order": ("data_io.py", "rows = np.asarray(idx)", "rows = np.sort(idx)",
                              "test_data_io.py::test_loaded_images_are_the_files_float32_and_train_like_their_float64_widening"),
+    # an RTDS save: its records held once, every label checked
+    "save_copies_its_records": ("data_io.py", "f.write(rec)", "f.write(rec.tobytes())",
+                                "test_data_io.py::test_save_binary_dataset_holds_its_records_once"),
+    "save_skips_the_label_check": (
+        "data_io.py", "(ds.labels < 0) | (ds.labels >= ds.num_classes)", "ds.labels != ds.labels",
+        "test_data_io.py::test_save_dataset_rejects_a_label_out_of_range_before_writing"),
 }
 
 # name: (module, text, mutant text, why no test is expected to kill it)

@@ -277,11 +277,27 @@ def test_dataset_empty_count(tmp_path):
 
 
 def test_dataset_label_out_of_range(tmp_path):
-    ds = Dataset(np.zeros((2, 1, 2, 2)), np.array([0, 9]), num_classes=4)
+    ds = Dataset(np.zeros((2, 1, 2, 2)), np.array([0, 1]), num_classes=4)
     path = tmp_path / "d.rtds"
     save_binary_dataset(ds, path)
-    with pytest.raises(FormatError, match="label 9"):
+    _patch(path, 28 + (4 + 4 * 4), "<I", 9)  # item 1's label
+    with pytest.raises(FormatError, match="^label 9 >= class count 4 in item 1$"):
         load_binary_dataset(path)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0, -1, 5], "^label -1 is not in \\[0, 2\\) in item 1$"),
+    ([0, 1, 2], "^label 2 is not in \\[0, 2\\) in item 2$"),
+])
+def test_save_dataset_rejects_a_label_out_of_range_before_writing(tmp_path, labels, message):
+    """A label the load would refuse is refused at the save, before any
+    byte is written, and before a bad pixel, as the load orders them."""
+    ds = Dataset(np.zeros((3, 1, 2, 2)), np.array(labels), num_classes=2)
+    ds.images[0, 0, 0, 0] = np.nan
+    path = tmp_path / "d.rtds"
+    with pytest.raises(FormatError, match=message):
+        save_binary_dataset(ds, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [1e39, -1e300, np.inf, np.nan])
@@ -648,6 +664,14 @@ def test_save_checkpoint_holds_no_payload_copy(tmp_path):
     path = tmp_path / "m.rtck"
     _, peak = _traced_peak(lambda: save_checkpoint(m, path))
     assert peak < 1 << 20, peak
+
+
+def test_save_binary_dataset_holds_its_records_once(tmp_path):
+    """At 2,048 eval-mix items a save peaks at its records, which are the
+    pixel bytes and 4 bytes an item, not twice that."""
+    ds = synth_dataset(DatasetSpec(num_classes=10, shape=MIX_SHAPE, size=2048, seed=0))
+    _, peak = _traced_peak(lambda: save_binary_dataset(ds, tmp_path / "d.rtds"))
+    assert peak < 1.1 * ds.images.nbytes, (peak, ds.images.nbytes)
 
 
 def test_load_checkpoint_peak_is_file_plus_model(tmp_path):
