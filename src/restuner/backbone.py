@@ -30,9 +30,9 @@ class ConfigError(ValueError):
     pass
 
 
-# The token rows of the last block's MLP in a forward that records nothing:
-# the class token, which the head reads, and one more, since numpy runs a
-# one-row product as gemv, whose sums differ in the last bit from gemm's.
+# The token rows the last block keeps in every forward: the class token,
+# which the head reads, and one more, since numpy runs a one-row product as
+# gemv, whose sums differ in the last bit from gemm's.
 HEAD_ROWS = 2
 
 # The most values that a forward recording nothing holds in its widest
@@ -146,38 +146,36 @@ class ModelGraph(Module):
         x = concat([cls, x], axis=1)  # the patch embedding dies here
         return x + Tensor(self.pos[None, :, :])
 
-    def _trunk(self, data: np.ndarray, rows: int | None = None) -> Tensor:
-        """Embed -> blocks -> final norm; given ``rows``, the last block
-        keeps only its first ``rows`` token rows."""
+    def _trunk(self, data: np.ndarray) -> Tensor:
+        """Embed -> blocks -> final norm, ``[B, HEAD_ROWS, dim]``."""
         named = {"block": self._embed(data)}
         for i in range(self.cfg.depth):  # each block takes its input over from ``named``
-            named = {"block": block_forward(self, i, named, rows if i == self.cfg.depth - 1 else None)}
+            named = {"block": block_forward(self, i, named)}
         return self.final_norm(named["block"])
 
     def __call__(self, images) -> Tensor:
         """Backbone -> class token -> head logits. ``images`` is an array of
         any float dtype, or a ``Tensor``.
 
-        A forward that records nothing runs the backbone over the fewest
-        equal blocks of whole items that keep each item block's widest
-        array within ``STREAM_VALUES`` values (or one item), and the last
-        transformer block keeps only the first ``HEAD_ROWS`` token rows, as
-        the head reads only the class token's. The item blocks' class rows
-        are gathered and the head runs once, on the whole batch, so its
-        product keeps the recorded forward's shape and bits."""
+        A forward that records nothing differs from a recorded one only in
+        running the backbone over the fewest equal blocks of whole items
+        that keep each item block's widest array within ``STREAM_VALUES``
+        values (or one item). Their class rows are gathered and the head
+        runs once, on the whole batch, so it keeps the recorded bits."""
         data = self._pixels(images)
         if is_grad_enabled():
             return self.head(self._trunk(data)[:, 0, :])
         cfg = self.cfg
         per_block = max(1, STREAM_VALUES // (cfg.tokens * max(3, cfg.mlp_ratio) * cfg.dim))
         blocks = np.array_split(data, max(1, -(-len(data) // per_block)))  # views, sizes within one
-        return self.head(concat([self._trunk(part, HEAD_ROWS)[:, 0, :] for part in blocks]))
+        return self.head(concat([self._trunk(part)[:, 0, :] for part in blocks]))
 
     def features(self, images) -> tuple[list[dict[str, Tensor]], Tensor]:
-        """The frozen path's features at every token row, recording nothing
-        and calling no tuner: each block's named slot inputs (``block``,
-        ``mha``, ``q``, ``ffn``; see ``block_forward``), each ``[B, N,
-        dim]``, and ``final_norm`` of the last block's output. ``q`` is the
+        """The frozen path's features, recording nothing and calling no
+        tuner: each block's named slot inputs (``block``, ``mha``, ``q``,
+        ``ffn``; see ``block_forward``), each ``[B, N, dim]``, and
+        ``final_norm`` of the last block's output, ``[B, HEAD_ROWS, dim]``,
+        whose class row the head reads as ``__call__`` does. ``q`` is the
         ``[..., dim]`` view of the block's fused qkv that a q reader reads."""
         inputs = []
         with no_grad():
@@ -218,10 +216,11 @@ def _first_rows(t: Tensor, rows: int | None) -> Tensor:
     return t if rows is None else t[:, :rows]
 
 
-def block_forward(model: ModelGraph, index: int, named: dict, rows: int | None = None,
-                  features: bool = False) -> Tensor:
-    """One pre-norm block with any tuners attached at its slots; given
-    ``rows``, only the first ``rows`` token rows of its output.
+def block_forward(model: ModelGraph, index: int, named: dict, features: bool = False) -> Tensor:
+    """One pre-norm block with any tuners attached at its slots. In every
+    pass, the model's last block runs its MLP on the first ``HEAD_ROWS``
+    rows of ``norm2`` and returns only those rows of the residual stream
+    plus each delta; every other op reads every token.
 
     ``named`` holds the block's input as ``block`` and becomes the block's
     table of named slot inputs: ``block`` (x), ``mha`` (``norm1(x)``), ``q``
@@ -232,12 +231,10 @@ def block_forward(model: ModelGraph, index: int, named: dict, rows: int | None =
     caller that keeps no other reference to the input therefore frees it at
     the residual add unless the block tuner reads it. The block tuner's
     delta is computed before the FFN and added last. Given ``features``,
-    every name stays in ``named`` and no tuner is called. Given ``rows``,
-    the MLP reads the first ``rows`` rows of ``norm2``, and only those rows
-    of the residual stream and of each delta are added to its output;
-    every other op reads every token.
+    every name stays in ``named`` and no tuner is called.
     """
     block = model.blocks[index]
+    rows = HEAD_ROWS if index == len(model.blocks) - 1 else None
     tuners = {op: model.tuners.get((index, op)) for op in ATTACH_OPS if not features}
     reads = {op: "q" if t.reads_q else op for op, t in tuners.items() if t is not None}
     x = named["block"]

@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from restuner import tensor as T
+from restuner.backbone import HEAD_ROWS
 from restuner.layers import INIT_STD
 from restuner.tensor import Tensor, _accumulate, _make, _unbroadcast
 
@@ -210,14 +211,14 @@ def prompt_kv(P, W):
     return matmul(P, Tensor(W[:, :dim])), matmul(P, Tensor(W[:, dim:]))
 
 
-def reference_block_forward(model, index, named, rows=None):
+def reference_block_forward(model, index, named):
     """``block_forward`` in the order it once ran, called as it is: the
     block input is ``named["block"]``. The MLP is the primitive chain, and
     each tuner's delta is computed where it is added, the block tuner's
     after the FFN. Prefix and prompt tuners read q, the first ``dim``
     columns of the MHA's second output, by kind, not by the class's
-    declaration. Every token is computed; given ``rows``, the first
-    ``rows`` of them are returned."""
+    declaration. Every token is computed; the model's last block returns
+    the first ``HEAD_ROWS`` of them."""
     block = model.blocks[index]
     x = named["block"]
 
@@ -237,7 +238,7 @@ def reference_block_forward(model, index, named, rows=None):
         y = y + delta("ffn", h2, qkv)
     if (index, "block") in model.tuners:
         y = y + delta("block", x, qkv)
-    return y if rows is None else y[:, :rows]
+    return y[:, :HEAD_ROWS] if index == len(model.blocks) - 1 else y
 
 
 def reference_positions(n: int, dim: int) -> np.ndarray:
@@ -255,8 +256,9 @@ def reference_positions(n: int, dim: int) -> np.ndarray:
 def reference_model_forward(model, images: np.ndarray) -> Tensor:
     """``ModelGraph.__call__`` written out, every token computed: patches
     cut one at a time, the patch embedding, the class token and the
-    model's position table, each block through ``reference_block_forward``,
-    then the final norm and the head on the class token's row. The patch
+    model's position table, each block through ``reference_block_forward``
+    (the last returns ``HEAD_ROWS`` rows), then the final norm and the head
+    on the class token's row. The patch
     embedding, the final norm and the head are primitive chains."""
     cfg = model.cfg
     B, p, grid = len(images), cfg.patch, cfg.image_size // cfg.patch

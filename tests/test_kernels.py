@@ -64,8 +64,9 @@ CHILD_TESTS = [
 
 def _child() -> None:
     """Run ``CHILD_TESTS``, then print as JSON the core and the grid cases
-    whose no-grad logits differ in bits from the recorded ones at the toy
-    and eval-mix shapes, on one BLAS thread or, against those, on two."""
+    whose no-grad logits differ in bits from the recorded ones at the toy,
+    eval-mix and vit-tiny shapes on one BLAS thread, or whose logits on two
+    threads differ from those on one at the toy and eval-mix shapes."""
     import test_backbone as tb
 
     here = Path(__file__).resolve().parent
@@ -73,28 +74,28 @@ def _child() -> None:
         code = pytest.main(["-q", "-p", "no:cacheprovider", *(str(here / t) for t in CHILD_TESTS)])
     assert code == 0, f"CHILD_TESTS failed: {code}"
 
-    def grid() -> dict:
+    def grid(shapes) -> dict:
         logits = {}
-        for shape in ("toy", "eval_mix"):
+        for shape in shapes:
             cfg, batch = tb.SHAPES[shape]
             for slots in tb.SLOT_GRID:
                 logits[f"{shape}:{tb._slot_ids(slots)}"] = tb._forward_both_ways(cfg, slots, batch)
         return logits
 
-    one = grid()
+    one = grid(tb.SHAPES)
     lib = _openblas()
     set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
     set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
     get_threads.argtypes, get_threads.restype = (), ctypes.c_int
     set_threads(2)
     assert get_threads() == 2
-    two = grid()
+    two = grid(("toy", "eval_mix"))
     print(json.dumps({
         "core": _corename(),
         "differ": [case for case, (recorded, bare) in one.items()
                    if bare.tobytes() != recorded.tobytes()],
-        "threads_differ": [case for case, pair in one.items()
-                           if [a.tobytes() for a in pair] != [a.tobytes() for a in two[case]]],
+        "threads_differ": [case for case, pair in two.items()
+                           if [a.tobytes() for a in pair] != [a.tobytes() for a in one[case]]],
     }))
 
 
@@ -113,10 +114,11 @@ def _run_child(core: str) -> dict:
 def test_kernel_matrix_holds_each_cores_identities():
     """Under each forced core at or below the runtime one: ``CHILD_TESTS``
     pass, so each fused op gives its primitive chain's bytes; for every
-    ``SLOT_GRID`` case at the toy and eval-mix shapes the no-grad logits
-    equal the recorded ones bit for bit; and two BLAS threads give the
-    bytes of one. Children run two at a time, on one BLAS thread each
-    until the thread check."""
+    ``SLOT_GRID`` case at the toy, eval-mix and vit-tiny shapes the no-grad
+    logits equal the recorded ones bit for bit; and at the toy and eval-mix
+    shapes two BLAS threads give the bytes of one (at vit-tiny width the
+    Katmai and Haswell kernels do not). Children run two at a time, on one
+    BLAS thread each until the thread check."""
     runtime = _corename()
     if runtime is None:
         pytest.skip("numpy's OpenBLAS reports no core name")
